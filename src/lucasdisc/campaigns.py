@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import mpmath
@@ -89,23 +90,49 @@ class CampaignReport:
     campaign: str
     ranges: dict
     stage_counts: list[tuple[str, int]]
-    survivors: list[CandidatePair]
     candidates: list[CandidatePair]
     elapsed: float
     notes: list[str] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
 
+    @property
+    def survivors(self) -> list[CandidatePair]:
+        """Candidates whose verdict is ``survivor``, in (k, n) order."""
+        return [c for c in self.candidates if c.verdict == "survivor"]
 
-CAMPAIGN_NAMES = ("small", "case0", "case12", "case3")
 
+def _run(
+    name: str,
+    shard: tuple[int, int] | None,
+    units: range,
+    scan: Callable[[range], tuple[list[CandidatePair], list[tuple[str, int]], dict]],
+    ranges: dict,
+    notes: list[str],
+) -> CampaignReport:
+    """Scan this shard's units and package the result as a report.
 
-def _shard_args(shard: tuple[int, int] | None) -> tuple[int, int]:
-    if shard is None:
-        return 0, 1
-    piece, of = shard
+    Shard (piece, of) takes ``units[piece::of]``, so the pieces of one
+    layout partition the units.  ``scan`` returns the candidates, the
+    stage counts and the extras of its slice; candidates are sorted by
+    (k, n) here, which makes merged shards equal an unsharded run.
+    """
+    piece, of = (0, 1) if shard is None else shard
     if of < 1 or not 0 <= piece < of:
         raise ValueError("bad shard (%r, %r): need 0 <= piece < of" % (piece, of))
-    return piece, of
+    t0 = time.perf_counter()
+    candidates, stage_counts, extras = scan(units[piece::of])
+    candidates.sort(key=lambda c: (c.k, c.n))
+    if of > 1:
+        ranges["shard"] = {"pieces": [piece], "of": of}
+    return CampaignReport(
+        campaign=name,
+        ranges=ranges,
+        stage_counts=stage_counts,
+        candidates=candidates,
+        elapsed=time.perf_counter() - t0,
+        notes=notes,
+        extras=extras,
+    )
 
 
 def _window_member_exact(k: int, n: int, start_bits: int = 120) -> bool:
@@ -166,52 +193,42 @@ def campaign_small(
         raise ValueError("need k_max >= 2, got %d" % (k_max,))
     if n_max < 2:
         raise ValueError("need n_max >= 2, got %d" % (n_max,))
-    piece, of = _shard_args(shard)
-    t0 = time.perf_counter()
 
-    terms_examined = 0
-    hits: list[CandidatePair] = []
-    for k in range(2, k_max + 1):
-        if k % of != piece:
-            continue
-        delta = discriminant(k)
-        params = SeqParams(k=k, family=LUCAS)
-        for n, value in term_iter(params, 0):
-            if n > n_max:
-                break
-            terms_examined += 1
-            if value == delta:
-                m, r = divmod(n, k + 1)
-                hits.append(
-                    CandidatePair(
-                        k=k,
-                        n=n,
-                        r=r,
-                        m=m,
-                        a=None,
-                        stage="equality_walk",
-                        verdict="survivor",
-                        stage_flags=frozenset({"exact_equality"}),
+    def scan(ks: range):
+        terms_examined = 0
+        hits: list[CandidatePair] = []
+        for k in ks:
+            delta = discriminant(k)
+            params = SeqParams(k=k, family=LUCAS)
+            for n, value in term_iter(params, 0):
+                if n > n_max:
+                    break
+                terms_examined += 1
+                if value == delta:
+                    m, r = divmod(n, k + 1)
+                    hits.append(
+                        CandidatePair(
+                            k=k,
+                            n=n,
+                            r=r,
+                            m=m,
+                            a=None,
+                            stage="equality_walk",
+                            verdict="survivor",
+                            stage_flags=frozenset({"exact_equality"}),
+                        )
                     )
-                )
-            if n >= 2 and value >= delta:
-                break
+                if n >= 2 and value >= delta:
+                    break
+        return hits, [("terms_examined", terms_examined), ("equality_hits", len(hits))], {}
 
-    hits.sort(key=lambda c: (c.k, c.n))
-    ranges: dict = {"k_lo": 2, "k_hi": k_max, "n_lo": 0, "n_hi": n_max}
-    if of > 1:
-        ranges["shard"] = {"pieces": [piece], "of": of}
-    return CampaignReport(
-        campaign="small",
-        ranges=ranges,
-        stage_counts=[
-            ("terms_examined", terms_examined),
-            ("equality_hits", len(hits)),
-        ],
-        survivors=list(hits),
-        candidates=hits,
-        elapsed=time.perf_counter() - t0,
-        notes=[
+    return _run(
+        "small",
+        shard,
+        range(2, k_max + 1),
+        scan,
+        {"k_lo": 2, "k_hi": k_max, "n_lo": 0, "n_hi": n_max},
+        [
             "every Lucas term with 0 <= n <= n_hi is compared to |disc| exactly;"
             " the walk stops at the first term >= |disc| (monotone for n >= 2)",
         ],
@@ -227,52 +244,40 @@ def campaign_case0(shard: tuple[int, int] | None = None) -> CampaignReport:
     k in {2, 3} falls below the useful modulus and is covered
     exhaustively by the small campaign instead.
     """
-    piece, of = _shard_args(shard)
-    t0 = time.perf_counter()
 
-    checked = 0
-    gaps: list[CandidatePair] = []
-    for idx, k in enumerate(range(5, 202, 2)):
-        if idx % of != piece:
-            continue
-        checked += 1
-        ok = True
-        for m in (0, 1):
-            residue, exponent = lucas_congruence(k, m, 0)
-            # The residue pins nu2(L(n)) at 1 only if the modulus sees
-            # past it, and the clash needs the discriminant valuation
-            # k - 1 to differ from 1.
-            if exponent < 2 or residue == 0 or nu2(residue) != 1 or k - 1 == 1:
-                ok = False
-        if not ok:
-            gaps.append(
-                CandidatePair(
-                    k=k,
-                    n=0,
-                    r=0,
-                    m=0,
-                    a=None,
-                    stage="valuation_clash",
-                    verdict="survivor",
-                    stage_flags=frozenset({"clash_not_established"}),
+    def scan(ks: range):
+        gaps: list[CandidatePair] = []
+        for k in ks:
+            ok = True
+            for m in (0, 1):
+                residue, exponent = lucas_congruence(k, m, 0)
+                # The residue pins nu2(L(n)) at 1 only if the modulus sees
+                # past it, and the clash needs the discriminant valuation
+                # k - 1 to differ from 1.
+                if exponent < 2 or residue == 0 or nu2(residue) != 1 or k - 1 == 1:
+                    ok = False
+            if not ok:
+                gaps.append(
+                    CandidatePair(
+                        k=k,
+                        n=0,
+                        r=0,
+                        m=0,
+                        a=None,
+                        stage="valuation_clash",
+                        verdict="survivor",
+                        stage_flags=frozenset({"clash_not_established"}),
+                    )
                 )
-            )
+        return gaps, [("odd_k_checked", len(ks)), ("clashes_missing", len(gaps))], {}
 
-    gaps.sort(key=lambda c: (c.k, c.n))
-    ranges: dict = {"k_lo": 5, "k_hi": 201, "k_parity": "odd", "residue": 0}
-    if of > 1:
-        ranges["shard"] = {"pieces": [piece], "of": of}
-    return CampaignReport(
-        campaign="case0",
-        ranges=ranges,
-        stage_counts=[
-            ("odd_k_checked", checked),
-            ("clashes_missing", len(gaps)),
-        ],
-        survivors=list(gaps),
-        candidates=gaps,
-        elapsed=time.perf_counter() - t0,
-        notes=[
+    return _run(
+        "case0",
+        shard,
+        range(5, 202, 2),
+        scan,
+        {"k_lo": 5, "k_hi": 201, "k_parity": "odd", "residue": 0},
+        [
             "r == 0 forces L(n) == +/-2 modulo 2^(k-2), so nu2(L(n)) == 1 for k >= 5",
             "odd-k |disc| has nu2 == k - 1 >= 4, so equality is impossible",
             "k in {2, 3} sits below the useful modulus and is covered by the"
@@ -312,113 +317,105 @@ def campaign_case12(
         raise ValueError("need k_lo > 200, got %d" % (k_lo,))
     if test_modulus_bits < 1:
         raise ValueError("need test_modulus_bits >= 1, got %d" % (test_modulus_bits,))
-    piece, of = _shard_args(shard)
-    t0 = time.perf_counter()
 
-    total = max(0, (k_hi - k_lo) // 2)
-    scanned = 0
-    float_proposals = 0
-    proposals: list[tuple[int, int]] = []
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        if of > 1:
-            idx = idx[idx % of == piece]
-        if not idx.size:
-            continue
-        scanned += int(idx.size)
-        kf = (k_lo + 2 * idx).astype(np.float64)
-        # Exact for k < 2^53; absolute error of the window edge is far
-        # below the 1e-5 slack for k < 1e8.
-        window_lo = kf + (kf - 2.0) * np.log2(kf) - 0.1
-        first = np.floor(window_lo) - 1.0
-        kp1 = kf + 1.0
-        for off in range(5):
-            nf = first + off
-            rf = nf - kp1 * np.floor(nf / kp1)
-            keep = (
-                (nf > window_lo - _FLOAT_SLACK)
-                & (nf < window_lo + 2.4 + _FLOAT_SLACK)
-                & ((rf == 1.0) | (rf == 2.0))
+    def scan(idxs: range):
+        # idxs indexes the even k as k = k_lo + 2*idx.
+        float_proposals = 0
+        proposals: list[tuple[int, int]] = []
+        for start in range(idxs.start, idxs.stop, _CHUNK):
+            # Only this shard's indices of the chunk are materialized.
+            first_idx = start + (idxs.start - start) % idxs.step
+            idx = np.arange(first_idx, min(start + _CHUNK, idxs.stop), idxs.step, dtype=np.int64)
+            kf = (k_lo + 2 * idx).astype(np.float64)
+            # Exact for k < 2^53; absolute error of the window edge is far
+            # below the 1e-5 slack for k < 1e8.
+            window_lo = kf + (kf - 2.0) * np.log2(kf) - 0.1
+            first = np.floor(window_lo) - 1.0
+            kp1 = kf + 1.0
+            for off in range(5):
+                nf = first + off
+                rf = nf - kp1 * np.floor(nf / kp1)
+                keep = (
+                    (nf > window_lo - _FLOAT_SLACK)
+                    & (nf < window_lo + 2.4 + _FLOAT_SLACK)
+                    & ((rf == 1.0) | (rf == 2.0))
+                )
+                hit = np.nonzero(keep)[0]
+                float_proposals += int(hit.size)
+                for j in hit:
+                    proposals.append((int(kf[j]), int(nf[j])))
+        proposals.sort()
+
+        window_pairs: list[tuple[int, int, int, int]] = []
+        for k, n in proposals:
+            m, r = divmod(n, k + 1)
+            if r not in (1, 2):
+                continue
+            if _window_member_exact(k, n):
+                window_pairs.append((k, n, m, r))
+
+        mod = 1 << test_modulus_bits
+        mask = mod - 1
+        candidates: list[CandidatePair] = []
+        survivors = 0
+        for k, n, m, r in window_pairs:
+            if r == 1:
+                coeff = 4 * m + 1
+            else:
+                coeff = 4 * m * m + 6 * m + (1 if appendix_compat else 3)
+            alpha2 = (k - 1) * (k - 1) * coeff
+            if m & 1:
+                alpha2 = -alpha2
+            power = pow(k + 1, k + 1, mod)
+            sign_plus = (power - alpha2) & mask == 0
+            sign_minus = (power + alpha2) & mask == 0
+            flags = {"window_member", "residue_%d" % r}
+            if sign_plus:
+                flags.add("sign_plus")
+            if sign_minus:
+                flags.add("sign_minus")
+            survived = sign_plus or sign_minus
+            if survived:
+                flags.add("modulus_match")
+            candidates.append(
+                CandidatePair(
+                    k=k,
+                    n=n,
+                    r=r,
+                    m=m,
+                    a=None,
+                    stage="window_residue",
+                    verdict="survivor" if survived else "eliminated",
+                    stage_flags=frozenset(flags),
+                )
             )
-            hit = np.nonzero(keep)[0]
-            float_proposals += int(hit.size)
-            for j in hit:
-                proposals.append((int(kf[j]), int(nf[j])))
-    proposals.sort()
-
-    window_pairs: list[tuple[int, int, int, int]] = []
-    for k, n in proposals:
-        m, r = divmod(n, k + 1)
-        if r not in (1, 2):
-            continue
-        if _window_member_exact(k, n):
-            window_pairs.append((k, n, m, r))
-
-    mod = 1 << test_modulus_bits
-    mask = mod - 1
-    candidates: list[CandidatePair] = []
-    survivors: list[CandidatePair] = []
-    for k, n, m, r in window_pairs:
-        if r == 1:
-            coeff = 4 * m + 1
-        else:
-            coeff = 4 * m * m + 6 * m + (1 if appendix_compat else 3)
-        alpha2 = (k - 1) * (k - 1) * coeff
-        if m & 1:
-            alpha2 = -alpha2
-        power = pow(k + 1, k + 1, mod)
-        sign_plus = (power - alpha2) & mask == 0
-        sign_minus = (power + alpha2) & mask == 0
-        flags = {"window_member", "residue_%d" % r}
-        if sign_plus:
-            flags.add("sign_plus")
-        if sign_minus:
-            flags.add("sign_minus")
-        survived = sign_plus or sign_minus
-        if survived:
-            flags.add("modulus_match")
-        pair = CandidatePair(
-            k=k,
-            n=n,
-            r=r,
-            m=m,
-            a=None,
-            stage="window_residue",
-            verdict="survivor" if survived else "eliminated",
-            stage_flags=frozenset(flags),
-        )
-        candidates.append(pair)
-        if survived:
-            survivors.append(pair)
-
-    ranges: dict = {
-        "k_lo": k_lo,
-        "k_hi": k_hi,
-        "k_parity": "even",
-        "residues": [1, 2],
-        "test_modulus_bits": test_modulus_bits,
-        "appendix_compat": appendix_compat,
-    }
-    if of > 1:
-        ranges["shard"] = {"pieces": [piece], "of": of}
-    return CampaignReport(
-        campaign="case12",
-        ranges=ranges,
-        stage_counts=[
-            ("k_scanned", scanned),
+            survivors += survived
+        stage_counts = [
+            ("k_scanned", len(idxs)),
             ("window_residue_pairs", len(candidates)),
-            ("modulus_survivors", len(survivors)),
-        ],
-        survivors=survivors,
-        candidates=candidates,
-        elapsed=time.perf_counter() - t0,
-        notes=[
+            ("modulus_survivors", survivors),
+        ]
+        return candidates, stage_counts, {"float_proposals": float_proposals}
+
+    return _run(
+        "case12",
+        shard,
+        range(max(0, (k_hi - k_lo) // 2)),
+        scan,
+        {
+            "k_lo": k_lo,
+            "k_hi": k_hi,
+            "k_parity": "even",
+            "residues": [1, 2],
+            "test_modulus_bits": test_modulus_bits,
+            "appendix_compat": appendix_compat,
+        },
+        [
             "floats only propose candidate n near the admissible window;"
             " membership and residues are confirmed exactly",
             "stage 2 tests (k+1)^(k+1) == +/-(-1)^m (k-1)^2 coeff modulo"
             " 2^test_modulus_bits, accepting either sign",
         ],
-        extras={"float_proposals": float_proposals},
     )
 
 
@@ -444,111 +441,107 @@ def campaign_case3(
     """
     if modulus_extra_bits < 2:
         raise ValueError("need modulus_extra_bits >= 2, got %d" % (modulus_extra_bits,))
-    piece, of = _shard_args(shard)
-    t0 = time.perf_counter()
-
     m_lo, m_hi = m_range(K_CAP)
-    triples = 0
-    candidates: list[CandidatePair] = []
-    survivors: list[CandidatePair] = []
-    band_candidates = 0
-    band_survivors = 0
-    for a_minus1 in range(A_MINUS1_MAX + 1):
-        if a_minus1 % of != piece:
-            continue
-        a = a_minus1 + 1
-        for m in range(m_lo, m_hi + 1):
-            lo, hi = localize_k_by_power2(m)
-            k_start = lo + 1 + (lo & 1)  # smallest odd integer > lo
-            for k in range(k_start, hi, 2):
-                r = k - a_minus1
-                if r < 3:
-                    continue
-                triples += 1
-                q_nu, q_low = _q_val_cached(m, r)
-                if q_nu != a:
-                    continue
-                exponent = min(a + modulus_extra_bits, k)
-                mod = 1 << exponent
-                mask = mod - 1
-                if exponent <= _Q_CACHE_BITS:
-                    q_mod = q_low & mask
-                else:
-                    q_mod = l_quantity(m, r) & mask
-                lhs = (k - 1) * (k - 1) % mod * q_mod % mod
-                if m & 1:
-                    lhs = -lhs & mask
-                rhs = pow(k, k, mod) - pow((k + 1) >> 1, k + 1, mod)
-                rhs = (rhs << (a + 2)) & mask
-                survived = lhs == rhs
-                in_band = 9 <= m <= 55
-                flags = {"valuation_match"}
-                if in_band:
-                    flags.add("m_band_9_55")
-                if survived:
-                    flags.add("congruence_match")
-                pair = CandidatePair(
-                    k=k,
-                    n=m * (k + 1) + r,
-                    r=r,
-                    m=m,
-                    a=a,
-                    stage="valuation",
-                    verdict="survivor" if survived else "eliminated",
-                    stage_flags=frozenset(flags),
-                )
-                candidates.append(pair)
-                band_candidates += in_band
-                if survived:
-                    survivors.append(pair)
-                    band_survivors += in_band
 
-    candidates.sort(key=lambda c: (c.k, c.n))
-    survivors.sort(key=lambda c: (c.k, c.n))
-    ranges: dict = {
-        "k_floor": 200,
-        "k_cap": K_CAP,
-        "k_parity": "odd",
-        "m_lo": m_lo,
-        "m_hi": m_hi,
-        "a_lo": 1,
-        "a_hi": A_MINUS1_MAX + 1,
-        "r_lo": 3,
-        "modulus_extra_bits": modulus_extra_bits,
-    }
-    if of > 1:
-        ranges["shard"] = {"pieces": [piece], "of": of}
-    return CampaignReport(
-        campaign="case3",
-        ranges=ranges,
-        stage_counts=[
+    def scan(a_minus1s: range):
+        triples = 0
+        candidates: list[CandidatePair] = []
+        survivors = 0
+        band_candidates = 0
+        band_survivors = 0
+        for a_minus1 in a_minus1s:
+            a = a_minus1 + 1
+            for m in range(m_lo, m_hi + 1):
+                lo, hi = localize_k_by_power2(m)
+                k_start = lo + 1 + (lo & 1)  # smallest odd integer > lo
+                for k in range(k_start, hi, 2):
+                    r = k - a_minus1
+                    if r < 3:
+                        continue
+                    triples += 1
+                    q_nu, q_low = _q_val_cached(m, r)
+                    if q_nu != a:
+                        continue
+                    exponent = min(a + modulus_extra_bits, k)
+                    mod = 1 << exponent
+                    mask = mod - 1
+                    if exponent <= _Q_CACHE_BITS:
+                        q_mod = q_low & mask
+                    else:
+                        q_mod = l_quantity(m, r) & mask
+                    lhs = (k - 1) * (k - 1) % mod * q_mod % mod
+                    if m & 1:
+                        lhs = -lhs & mask
+                    rhs = pow(k, k, mod) - pow((k + 1) >> 1, k + 1, mod)
+                    rhs = (rhs << (a + 2)) & mask
+                    survived = lhs == rhs
+                    in_band = 9 <= m <= 55
+                    flags = {"valuation_match"}
+                    if in_band:
+                        flags.add("m_band_9_55")
+                    if survived:
+                        flags.add("congruence_match")
+                    candidates.append(
+                        CandidatePair(
+                            k=k,
+                            n=m * (k + 1) + r,
+                            r=r,
+                            m=m,
+                            a=a,
+                            stage="valuation",
+                            verdict="survivor" if survived else "eliminated",
+                            stage_flags=frozenset(flags),
+                        )
+                    )
+                    band_candidates += in_band
+                    survivors += survived
+                    band_survivors += survived and in_band
+        stage_counts = [
             ("triples_enumerated", triples),
             ("valuation_matches", len(candidates)),
-            ("congruence_survivors", len(survivors)),
-        ],
-        survivors=survivors,
-        candidates=candidates,
-        elapsed=time.perf_counter() - t0,
-        notes=[
+            ("congruence_survivors", survivors),
+        ]
+        extras = {
+            "valuation_matches_m_9_55": band_candidates,
+            "survivors_m_9_55": band_survivors,
+        }
+        return candidates, stage_counts, extras
+
+    return _run(
+        "case3",
+        shard,
+        range(A_MINUS1_MAX + 1),
+        scan,
+        {
+            "k_floor": 200,
+            "k_cap": K_CAP,
+            "k_parity": "odd",
+            "m_lo": m_lo,
+            "m_hi": m_hi,
+            "a_lo": 1,
+            "a_hi": A_MINUS1_MAX + 1,
+            "r_lo": 3,
+            "modulus_extra_bits": modulus_extra_bits,
+        },
+        [
             "filter 1 keeps triples whose congruence quantity has nu2 equal to"
             " a = k - r + 1, matching the discriminant valuation k - 1",
             "filter 2 compares odd parts modulo 2^min(a + extra, k)",
             "the m scan is one band wider on each side than the tight envelope;"
             " tallies on the tight band 9..55 are reported in extras",
         ],
-        extras={
-            "valuation_matches_m_9_55": band_candidates,
-            "survivors_m_9_55": band_survivors,
-        },
     )
 
 
+#: The campaign registry: name -> campaign function.
 _CAMPAIGNS = {
     "small": campaign_small,
     "case0": campaign_case0,
     "case12": campaign_case12,
     "case3": campaign_case3,
 }
+
+CAMPAIGN_NAMES = tuple(_CAMPAIGNS)
 
 
 def shard(campaign: str, piece: int, of: int, **params) -> CampaignReport:
@@ -560,8 +553,6 @@ def shard(campaign: str, piece: int, of: int, **params) -> CampaignReport:
     """
     if campaign not in _CAMPAIGNS:
         raise ValueError("unknown campaign %r; expected one of %s" % (campaign, CAMPAIGN_NAMES))
-    if of < 1 or not 0 <= piece < of:
-        raise ValueError("bad shard (%r, %r): need 0 <= piece < of" % (piece, of))
     return _CAMPAIGNS[campaign](shard=(piece, of), **params)
 
 
@@ -583,7 +574,6 @@ def merge_reports(reports: list[CampaignReport]) -> CampaignReport:
     counts = [0] * len(names)
     pieces: list[int] = []
     of = None
-    survivors: list[CandidatePair] = []
     candidates: list[CandidatePair] = []
     extras: dict = {}
     elapsed = 0.0
@@ -613,13 +603,11 @@ def merge_reports(reports: list[CampaignReport]) -> CampaignReport:
         pieces.extend(rep_pieces)
         for i, (_, count) in enumerate(rep.stage_counts):
             counts[i] += count
-        survivors.extend(rep.survivors)
         candidates.extend(rep.candidates)
         for key, val in rep.extras.items():
             extras[key] = extras.get(key, 0) + val
         elapsed += rep.elapsed
 
-    survivors.sort(key=lambda c: (c.k, c.n))
     candidates.sort(key=lambda c: (c.k, c.n))
     ranges = dict(base)
     assert of is not None
@@ -629,7 +617,6 @@ def merge_reports(reports: list[CampaignReport]) -> CampaignReport:
         campaign=first.campaign,
         ranges=ranges,
         stage_counts=list(zip(names, counts)),
-        survivors=survivors,
         candidates=candidates,
         elapsed=elapsed,
         notes=list(first.notes),

@@ -12,13 +12,15 @@ Subcommands::
 
 Exit codes: 0 on success (and zero survivors for ``search``), 1 when a
 search reports survivors or an invariant suite fails, 2 on usage or
-domain errors.
+domain errors, 3 when a search meets a comparison it cannot decide at
+the precision cap.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import multiprocessing
 import os
@@ -28,7 +30,7 @@ import mpmath
 
 from .sequences import FIBONACCI, LUCAS, SeqParams, term
 from .twoadic import nu2, disc_nu2
-from .roots import dominant_root
+from .roots import PrecisionError, dominant_root
 from .bounds import (
     bl_crossover_k,
     bound_profile,
@@ -39,11 +41,9 @@ from .bounds import (
     solve_matveev_k_bound,
 )
 from .campaigns import (
+    CAMPAIGN_NAMES,
     CampaignReport,
-    campaign_case0,
-    campaign_case12,
-    campaign_case3,
-    campaign_small,
+    _CAMPAIGNS,
     merge_reports,
     report_to_jsonl,
     shard,
@@ -52,40 +52,17 @@ from .lemmas import SUITES, run_suite
 
 __all__ = ["build_parser", "run", "main", "report_to_csv"]
 
-_DISPATCH = {
-    "small": campaign_small,
-    "case0": campaign_case0,
-    "case12": campaign_case12,
-    "case3": campaign_case3,
-}
-
 # Candidate rows shown by the human format before truncating (full
 # listings are always available via jsonl/csv).
 _HUMAN_CANDIDATE_CAP = 50
 
 
-def _default_workers() -> int:
-    env = os.environ.get("LUCASDISC_WORKERS")
-    if env:
-        try:
-            count = int(env)
-        except ValueError:
-            raise ValueError("LUCASDISC_WORKERS must be an integer, got %r" % (env,))
-        if count < 1:
-            raise ValueError("LUCASDISC_WORKERS must be >= 1, got %d" % (count,))
-        return count
-    return os.cpu_count() or 1
-
-
 def _parse_shard(text: str) -> tuple[int, int]:
-    piece_s, sep, of_s = text.partition("/")
+    piece, _, of = text.partition("/")
     try:
-        piece, of = int(piece_s), int(of_s)
+        return int(piece), int(of)
     except ValueError:
         raise argparse.ArgumentTypeError("shard must look like i/N, got %r" % (text,))
-    if not sep or of < 1 or not 0 <= piece < of:
-        raise argparse.ArgumentTypeError("shard must satisfy 0 <= i < N, got %r" % (text,))
-    return piece, of
 
 
 def report_to_csv(report: CampaignReport) -> str:
@@ -126,10 +103,6 @@ def _report_to_human(report: CampaignReport, include_timing: bool) -> str:
     if include_timing:
         lines.append("elapsed: %.3fs" % report.elapsed)
     return "\n".join(lines) + "\n"
-
-
-def _shard_call(campaign: str, piece: int, of: int, params: dict) -> CampaignReport:
-    return shard(campaign, piece, of, **params)
 
 
 def _cmd_term(args: argparse.Namespace) -> int:
@@ -194,13 +167,10 @@ def _campaign_params(args: argparse.Namespace, parser: argparse.ArgumentParser) 
     only_for("k-lo", args.k_lo, ("case12",), "k_lo")
     only_for("k-hi", args.k_hi, ("case12",), "k_hi")
     only_for("appendix-compat", args.appendix_compat, ("case12",), "appendix_compat")
-    only_for("modulus-extra-bits", args.modulus_extra_bits, ("case3",), "modulus_extra_bits")
     if args.modulus_bits is not None:
         if campaign == "case12":
             params["test_modulus_bits"] = args.modulus_bits
         elif campaign == "case3":
-            if "modulus_extra_bits" in params:
-                parser.error("give only one of --modulus-bits / --modulus-extra-bits")
             params["modulus_extra_bits"] = args.modulus_bits
         else:
             parser.error("--modulus-bits only applies to case12/case3")
@@ -215,15 +185,15 @@ def _cmd_search(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         piece, of = args.shard
         report = shard(args.campaign, piece, of, **params)
     else:
-        workers = args.workers if args.workers is not None else _default_workers()
+        workers = args.workers if args.workers is not None else os.cpu_count() or 1
         if workers < 1:
             parser.error("--workers must be >= 1")
         if workers == 1:
-            report = _DISPATCH[args.campaign](**params)
+            report = _CAMPAIGNS[args.campaign](**params)
         else:
-            jobs = [(args.campaign, piece, workers, params) for piece in range(workers)]
+            job = functools.partial(shard, args.campaign, of=workers, **params)
             with multiprocessing.Pool(workers) as pool:
-                reports = pool.starmap(_shard_call, jobs)
+                reports = pool.map(job, range(workers))
             report = merge_reports(reports)
 
     include_timing = not args.no_timing
@@ -288,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--suite", action="append", choices=sorted(SUITES), help="run only this suite (repeatable)")
 
     p_search = sub.add_parser("search", help="run one search campaign")
-    p_search.add_argument("campaign", choices=sorted(_DISPATCH))
+    p_search.add_argument("campaign", choices=CAMPAIGN_NAMES)
     p_search.add_argument("--k-max", type=int, help="small: largest k (default 200)")
     p_search.add_argument("--n-max", type=int, help="small: largest n (default 2529)")
     p_search.add_argument("--k-lo", type=int, help="case12: first even k (default 202)")
@@ -300,11 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
         " case3: extra bits above the matched valuation (default 150)",
     )
     p_search.add_argument(
-        "--modulus-extra-bits",
-        type=int,
-        help="case3 alias for --modulus-bits",
-    )
-    p_search.add_argument(
         "--appendix-compat",
         action="store_true",
         help="case12: use the 4m^2+6m+1 variant of the r=2 coefficient",
@@ -313,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument(
         "--workers",
         type=int,
-        help="parallel shards to run and merge (default: LUCASDISC_WORKERS or cpu count)",
+        help="parallel shards to run and merge (default: cpu count)",
     )
     p_search.add_argument("--format", choices=["jsonl", "csv", "human"], default="human")
     p_search.add_argument("--output", help="write the report here instead of stdout")
@@ -354,6 +319,9 @@ def run(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except PrecisionError as exc:
+        print("undecided: %s" % exc, file=sys.stderr)
+        return 3
     raise AssertionError("unreachable command %r" % (args.command,))
 
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from lucasdisc.cli import run
+from lucasdisc.roots import PrecisionError
 
 
 def test_term_example(capsys):
@@ -43,12 +44,9 @@ def test_usage_errors():
     assert run(["search", "bogus"]) == 2
     assert run(["search", "small", "--appendix-compat"]) == 2
     assert run(["search", "small", "--modulus-bits", "5"]) == 2
-    assert run(["search", "case12", "--modulus-extra-bits", "5"]) == 2
-    assert run(
-        ["search", "case3", "--modulus-bits", "100", "--modulus-extra-bits", "100"]
-    ) == 2
     assert run(["search", "case12", "--shard", "0/2", "--workers", "2"]) == 2
     assert run(["search", "case12", "--shard", "5"]) == 2
+    assert run(["search", "case0", "--shard", "2/2"]) == 2
     assert run(["search", "case12", "--k-lo", "201", "--k-hi", "300"]) == 2
 
 
@@ -101,22 +99,22 @@ def test_search_case12_jsonl_to_file(tmp_path):
     assert summary["survivors"] == []
 
 
-def test_search_worker_count_does_not_change_bytes(capsys):
-    base = ["search", "case12", "--k-lo", "202", "--k-hi", "10000", "--format", "jsonl", "--no-timing"]
+@pytest.mark.parametrize(
+    "search",
+    [
+        ["small", "--k-max", "30"],
+        ["case0"],
+        ["case12", "--k-lo", "202", "--k-hi", "10000"],
+    ],
+    ids=["small", "case0", "case12"],
+)
+def test_search_worker_count_does_not_change_bytes(search, capsys):
+    base = ["search"] + search + ["--format", "jsonl", "--no-timing"]
     assert run(base + ["--workers", "1"]) == 0
     one = capsys.readouterr().out
     assert run(base + ["--workers", "3"]) == 0
     three = capsys.readouterr().out
     assert one == three
-
-
-def test_workers_env_override(monkeypatch, capsys):
-    monkeypatch.setenv("LUCASDISC_WORKERS", "2")
-    assert run(["search", "case0", "--format", "jsonl", "--no-timing"]) == 0
-    summary = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
-    assert summary["stage_counts"] == [["odd_k_checked", 99], ["clashes_missing", 0]]
-    monkeypatch.setenv("LUCASDISC_WORKERS", "zero")
-    assert run(["search", "case0"]) == 2
 
 
 def test_search_shard_flag(capsys):
@@ -175,3 +173,13 @@ def test_search_survivors_exit_one(capsys):
     )
     assert code == 1
     assert "survivors: 10" in capsys.readouterr().out
+
+
+def test_search_undecided_exit_three(monkeypatch, capsys):
+    def undecided(k, n, start_bits=120):
+        raise PrecisionError("window membership for k=%d n=%d undecided" % (k, n))
+
+    monkeypatch.setattr("lucasdisc.campaigns._window_member_exact", undecided)
+    code = run(["search", "case12", "--k-lo", "202", "--k-hi", "10000", "--workers", "1"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("undecided: window membership")
