@@ -30,6 +30,7 @@ from .twoadic import (
     kummer_nu2_binomial,
     l_quantity,
     l_quantity_factored,
+    l_quantity_nu2,
     lucas_congruence,
     nu2,
     residue_decomposition,
@@ -90,6 +91,7 @@ __all__ = [
     "kummer_nu2_binomial",
     "l_quantity",
     "l_quantity_factored",
+    "l_quantity_nu2",
     "lucas_congruence",
     "nu2",
     "residue_decomposition",

@@ -8,32 +8,33 @@ modulo a power of two applies, and the campaigns split along it:
 
 * ``campaign_small``   -- exhaustive equality walk for 2 <= k <= 200;
 * ``campaign_case0``   -- r == 0, settled by a 2-adic valuation clash;
-* ``campaign_case12``  -- r in {1, 2}, even k, scan over k with a
-  modular test on the surviving (k, n) window pairs;
+* ``campaign_case12``  -- r in {1, 2}, even k, window pairs found by
+  bisecting the concave defect m(k+1) - w(k) for each m, then a
+  modular test on the surviving (k, n) pairs;
 * ``campaign_case3``   -- r >= 3, odd k localized near powers of two,
-  a two-filter scan over (a, m, k) triples.
+  a two-filter scan that reads k off the closed-form nu2(Q(m, r)).
 
 Determinism policy: every count, candidate, and survivor reported here
-is decided by exact integer arithmetic or by interval/extended-precision
-evaluation with an explicit safety margin.  Floating point (numpy) is
-used only to *propose* candidates inside a widened window; proposals are
-re-checked exactly, so reports are reproducible across shard layouts and
-worker counts.  Reports from disjoint shards merge into the same bytes
-as an unsharded run (timing aside).
+is decided by exact integer arithmetic or by extended-precision
+evaluation with an explicit safety margin; no machine float takes part.
+Bisection only narrows where the exact window test must look, and its
+margins cannot drop a member, so reports are reproducible across shard
+layouts and worker counts.  Reports from disjoint shards merge into the
+same bytes as an unsharded run (timing aside).
 """
 
 from __future__ import annotations
 
 import json
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
 import mpmath
 
 from .sequences import LUCAS, SeqParams, term_iter
-from .twoadic import l_quantity, lucas_congruence, nu2
+from .twoadic import l_quantity_factored, l_quantity_nu2, lucas_congruence, nu2
 from .bounds import discriminant, localize_k_by_power2, m_range
 from .roots import MAX_PRECISION_BITS, PrecisionError
 
@@ -58,17 +59,13 @@ K_CAP = 70_000_000_000_000_000
 #: (a is capped by the carry count of the binomials involved).
 A_MINUS1_MAX = 233
 
-# Chunk length for the vectorized k-scan (keeps peak memory ~50 MB).
-_CHUNK = 1 << 19
-
-# Widening applied to the float window test before exact confirmation.
-_FLOAT_SLACK = 1e-5
-
-# Cached congruence quantities keep this many low bits; enough for the
-# default moduli (a + extra <= 234 + 150 + headroom).
-_Q_CACHE_BITS = 1024
-
-_Q_CACHE: dict[tuple[int, int], tuple[int, int]] = {}
+# n = m(k+1) + r with r in {1, 2} lies in k's window (w, w + 2.4) only if
+# d = m(k+1) - w(k) lies in (-2, 1.4).  The case12 bisection widens that
+# by _MARGIN on both sides; _defect's rounding error (about 2^-70) stays
+# far below it, so a k the bisection rules out is outside for certain.
+_MARGIN = mpmath.mpf(2) ** -20
+_DEFECT_LO = -2 - _MARGIN
+_DEFECT_HI = mpmath.mpf(7) / 5 + _MARGIN
 
 
 @dataclass(frozen=True)
@@ -135,6 +132,17 @@ def _run(
     )
 
 
+def _defect(k: int, n: int, bits: int = 80) -> mpmath.mpf:
+    """d = n - w(k) with w(k) = k + (k-2) log2(k) - 1/10, to about 2^(8-bits).
+
+    The terms of d reach about k log2(k), so the working precision is
+    ``bits`` above k's bit length and the absolute error does not grow
+    with k.
+    """
+    with mpmath.workprec(k.bit_length() + bits):
+        return (n - k) + mpmath.mpf(1) / 10 - (k - 2) * mpmath.log(k) / mpmath.log(2)
+
+
 def _window_member_exact(k: int, n: int, start_bits: int = 120) -> bool:
     """Decide n's membership in the open admissible window for k exactly.
 
@@ -143,13 +151,13 @@ def _window_member_exact(k: int, n: int, start_bits: int = 120) -> bool:
     the safety margin 2^-(bits/2) on one side; d == 0 or d == 2.4 cannot
     occur for integer n (log2(k) is irrational unless k is a power of
     two, and then d - {0, 2.4} is a nonzero rational), so this
-    terminates.
+    terminates.  :func:`_defect` scales its precision with k, which keeps
+    the rounding error far below the margin for every k.
     """
     bits = start_bits
     while bits <= MAX_PRECISION_BITS:
-        with mpmath.workprec(bits):
-            log2k = mpmath.log(k) / mpmath.log(2)
-            defect = (n - k) + mpmath.mpf(1) / 10 - (k - 2) * log2k
+        defect = _defect(k, n, bits)
+        with mpmath.workprec(bits + k.bit_length()):
             width = mpmath.mpf(24) / 10
             eps = mpmath.ldexp(1, -(bits // 2))
             if eps < defect < width - eps:
@@ -162,19 +170,31 @@ def _window_member_exact(k: int, n: int, start_bits: int = 120) -> bool:
     )
 
 
-def _q_val_cached(m: int, r: int) -> tuple[int, int]:
-    """(nu2(Q), Q mod 2^_Q_CACHE_BITS) for the congruence quantity Q(m, r).
+def _window_pairs(ks: range, m: int) -> list[tuple[int, int, int, int]]:
+    """The (k, n, m, r) with k in ``ks``, r in {1, 2}, n = m(k+1) + r in k's window.
 
-    nu2 is reported as -1 for Q == 0 (never matches a finite target).
+    d(k) = m(k+1) - w(k) is strictly concave in k.  Where it rises,
+    m - 1 >= log2(k) + (k-2)/(k ln 2), so d(k) >= 2 log2(k) + (k-2)/ln 2
+    + m + 1/10 > 1.4 and no window is reached.  Along the k of ``ks`` the
+    tests d < 1.4 and d <= -2 therefore switch from false to true once
+    each, and bisection finds the run of k with d in (-2, 1.4).  Its ends
+    are widened by _MARGIN, and every k in the run is confirmed exactly
+    for both r.
     """
-    key = (m, r)
-    hit = _Q_CACHE.get(key)
-    if hit is None:
-        q = l_quantity(m, r)
-        val = nu2(q) if q else -1
-        hit = (val, q & ((1 << _Q_CACHE_BITS) - 1))
-        _Q_CACHE[key] = hit
-    return hit
+
+    def d(k: int) -> mpmath.mpf:
+        return _defect(k, m * (k + 1))
+
+    near = ks[
+        bisect_left(ks, True, key=lambda k: d(k) < _DEFECT_HI) :
+        bisect_left(ks, True, key=lambda k: d(k) <= _DEFECT_LO)
+    ]
+    return [
+        (k, m * (k + 1) + r, m, r)
+        for k in near
+        for r in (1, 2)
+        if _window_member_exact(k, m * (k + 1) + r)
+    ]
 
 
 def campaign_small(
@@ -295,11 +315,13 @@ def campaign_case12(
 ) -> CampaignReport:
     """Scan even k in [k_lo, k_hi) for window pairs with r in {1, 2}.
 
-    Stage 1 walks every even k, proposes the few integers n near the
-    admissible window (float arithmetic, widened by +/-1e-5), then
-    confirms window membership in escalating extended precision and the
-    residue r = n mod (k+1) exactly.  Stage 2 multiplies the Lucas
-    congruence through by (k-1)^2: an equality L(n) == |disc| would force
+    Stage 1 goes through m instead of k: the defect m(k+1) - w(k) is
+    concave in k, so bisection over this shard's even k finds the few k
+    whose admissible window can hold n = m(k+1) + r, and those are
+    confirmed in escalating extended precision (:func:`_window_pairs`).
+    Since r < k+1, n mod (k+1) == r holds by construction.  Stage 2
+    multiplies the Lucas congruence through by (k-1)^2: an equality
+    L(n) == |disc| would force
 
         (k+1)^(k+1) == alpha2 := (-1)^m (k-1)^2 coeff(m, r)
                                              (mod 2^test_modulus_bits)
@@ -320,39 +342,17 @@ def campaign_case12(
 
     def scan(idxs: range):
         # idxs indexes the even k as k = k_lo + 2*idx.
-        float_proposals = 0
-        proposals: list[tuple[int, int]] = []
-        for start in range(idxs.start, idxs.stop, _CHUNK):
-            # Only this shard's indices of the chunk are materialized.
-            first_idx = start + (idxs.start - start) % idxs.step
-            idx = np.arange(first_idx, min(start + _CHUNK, idxs.stop), idxs.step, dtype=np.int64)
-            kf = (k_lo + 2 * idx).astype(np.float64)
-            # Exact for k < 2^53; absolute error of the window edge is far
-            # below the 1e-5 slack for k < 1e8.
-            window_lo = kf + (kf - 2.0) * np.log2(kf) - 0.1
-            first = np.floor(window_lo) - 1.0
-            kp1 = kf + 1.0
-            for off in range(5):
-                nf = first + off
-                rf = nf - kp1 * np.floor(nf / kp1)
-                keep = (
-                    (nf > window_lo - _FLOAT_SLACK)
-                    & (nf < window_lo + 2.4 + _FLOAT_SLACK)
-                    & ((rf == 1.0) | (rf == 2.0))
-                )
-                hit = np.nonzero(keep)[0]
-                float_proposals += int(hit.size)
-                for j in hit:
-                    proposals.append((int(kf[j]), int(nf[j])))
-        proposals.sort()
-
+        ks = range(k_lo + 2 * idxs.start, k_lo + 2 * idxs.stop, 2 * idxs.step)
         window_pairs: list[tuple[int, int, int, int]] = []
-        for k, n in proposals:
-            m, r = divmod(n, k + 1)
-            if r not in (1, 2):
-                continue
-            if _window_member_exact(k, n):
-                window_pairs.append((k, n, m, r))
+        if ks:
+            # w(k)/(k+1) increases with k and m(k+1) = n - r lies in
+            # (w - 2, w + 2.4), so the first and the last k confine m; the
+            # extra 1 on each side absorbs rounding.  w(k) = -_defect(k, 0).
+            first, last = ks[0], ks[-1]
+            m_first = int(mpmath.floor(-_defect(first, 0) / (first + 1))) - 1
+            m_last = int(mpmath.floor((3 - _defect(last, 0)) / (last + 1))) + 1
+            for m in range(max(m_first, 0), m_last + 1):
+                window_pairs += _window_pairs(ks, m)
 
         mod = 1 << test_modulus_bits
         mask = mod - 1
@@ -395,7 +395,7 @@ def campaign_case12(
             ("window_residue_pairs", len(candidates)),
             ("modulus_survivors", survivors),
         ]
-        return candidates, stage_counts, {"float_proposals": float_proposals}
+        return candidates, stage_counts, {}
 
     return _run(
         "case12",
@@ -411,8 +411,8 @@ def campaign_case12(
             "appendix_compat": appendix_compat,
         },
         [
-            "floats only propose candidate n near the admissible window;"
-            " membership and residues are confirmed exactly",
+            "bisection over the concave defect m(k+1) - w(k) proposes the k"
+            " near each window; membership is confirmed exactly",
             "stage 2 tests (k+1)^(k+1) == +/-(-1)^m (k-1)^2 coeff modulo"
             " 2^test_modulus_bits, accepting either sign",
         ],
@@ -427,10 +427,12 @@ def campaign_case3(
 
     A solution with r >= 3 forces nu2(L(n)) == r - 2 + nu2(Q(m, r)) to
     equal the discriminant valuation k - 1, i.e. a := nu2(Q) == k - r + 1.
-    The scan enumerates a - 1 in [0, 233], m in the widened admissible
-    band, and odd k strictly inside the power-of-two localization window
-    for m.  Filter 1 keeps triples with nu2(Q(m, r)) == a; filter 2
-    compares odd parts:
+    The triples are a - 1 in [0, 233], m in the widened admissible band,
+    and odd k strictly inside the power-of-two localization window for
+    m.  Filter 1 keeps triples with nu2(Q(m, r)) == a.  Each (m, r)
+    fixes a through the closed form :func:`l_quantity_nu2`, hence the
+    only k = r + a - 1 it can match, so the scan goes through (m, r) and
+    counts the triples arithmetically.  Filter 2 compares odd parts:
 
         (-1)^m (k-1)^2 Q == 2^(a+2) (k^k - ((k+1)/2)^(k+1))
                                      (mod 2^min(a + extra, k))
@@ -443,59 +445,61 @@ def campaign_case3(
         raise ValueError("need modulus_extra_bits >= 2, got %d" % (modulus_extra_bits,))
     m_lo, m_hi = m_range(K_CAP)
 
-    def scan(a_minus1s: range):
+    def scan(ms: range):
         triples = 0
         candidates: list[CandidatePair] = []
         survivors = 0
         band_candidates = 0
         band_survivors = 0
-        for a_minus1 in a_minus1s:
-            a = a_minus1 + 1
-            for m in range(m_lo, m_hi + 1):
-                lo, hi = localize_k_by_power2(m)
-                k_start = lo + 1 + (lo & 1)  # smallest odd integer > lo
-                for k in range(k_start, hi, 2):
-                    r = k - a_minus1
-                    if r < 3:
-                        continue
-                    triples += 1
-                    q_nu, q_low = _q_val_cached(m, r)
-                    if q_nu != a:
-                        continue
-                    exponent = min(a + modulus_extra_bits, k)
-                    mod = 1 << exponent
-                    mask = mod - 1
-                    if exponent <= _Q_CACHE_BITS:
-                        q_mod = q_low & mask
-                    else:
-                        q_mod = l_quantity(m, r) & mask
-                    lhs = (k - 1) * (k - 1) % mod * q_mod % mod
-                    if m & 1:
-                        lhs = -lhs & mask
-                    rhs = pow(k, k, mod) - pow((k + 1) >> 1, k + 1, mod)
-                    rhs = (rhs << (a + 2)) & mask
-                    survived = lhs == rhs
-                    in_band = 9 <= m <= 55
-                    flags = {"valuation_match"}
-                    if in_band:
-                        flags.add("m_band_9_55")
-                    if survived:
-                        flags.add("congruence_match")
-                    candidates.append(
-                        CandidatePair(
-                            k=k,
-                            n=m * (k + 1) + r,
-                            r=r,
-                            m=m,
-                            a=a,
-                            stage="valuation",
-                            verdict="survivor" if survived else "eliminated",
-                            stage_flags=frozenset(flags),
-                        )
+        for m in ms:
+            lo, hi = localize_k_by_power2(m)
+            k_start = lo + 1 + (lo & 1)  # smallest odd integer > lo
+            if k_start >= hi:  # no odd k left (m = 57 clips away at K_CAP)
+                continue
+            # Odd k in [max(k_start, a + 2), hi) for each a; r = k - a + 1 >= 3.
+            # There are x // 2 odd integers below x.
+            triples += sum(
+                max(0, hi // 2 - max(k_start, a_minus1 + 3) // 2)
+                for a_minus1 in range(A_MINUS1_MAX + 1)
+            )
+            for r in range(max(3, k_start - A_MINUS1_MAX), hi):
+                a = l_quantity_nu2(m, r)
+                k = r + a - 1
+                if not (k & 1 and lo < k < hi and 1 <= a <= A_MINUS1_MAX + 1):
+                    continue
+                q = l_quantity_factored(m, r)
+                if nu2(q) != a:
+                    raise AssertionError("closed-form nu2(Q) wrong at m=%d r=%d" % (m, r))
+                exponent = min(a + modulus_extra_bits, k)
+                mod = 1 << exponent
+                mask = mod - 1
+                lhs = (k - 1) * (k - 1) % mod * (q & mask) % mod
+                if m & 1:
+                    lhs = -lhs & mask
+                rhs = pow(k, k, mod) - pow((k + 1) >> 1, k + 1, mod)
+                rhs = (rhs << (a + 2)) & mask
+                survived = lhs == rhs
+                in_band = 9 <= m <= 55
+                flags = {"valuation_match"}
+                if in_band:
+                    flags.add("m_band_9_55")
+                if survived:
+                    flags.add("congruence_match")
+                candidates.append(
+                    CandidatePair(
+                        k=k,
+                        n=m * (k + 1) + r,
+                        r=r,
+                        m=m,
+                        a=a,
+                        stage="valuation",
+                        verdict="survivor" if survived else "eliminated",
+                        stage_flags=frozenset(flags),
                     )
-                    band_candidates += in_band
-                    survivors += survived
-                    band_survivors += survived and in_band
+                )
+                band_candidates += in_band
+                survivors += survived
+                band_survivors += survived and in_band
         stage_counts = [
             ("triples_enumerated", triples),
             ("valuation_matches", len(candidates)),
@@ -510,7 +514,7 @@ def campaign_case3(
     return _run(
         "case3",
         shard,
-        range(A_MINUS1_MAX + 1),
+        range(m_lo, m_hi + 1),
         scan,
         {
             "k_floor": 200,

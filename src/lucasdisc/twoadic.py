@@ -27,6 +27,7 @@ __all__ = [
     "kummer_nu2_binomial",
     "l_quantity",
     "l_quantity_factored",
+    "l_quantity_nu2",
     "lucas_congruence",
     "residue_decomposition",
     "disc_nu2",
@@ -59,7 +60,7 @@ def l_quantity(m: int, r: int) -> int:
 
     with the extended convention that binomials with negative or
     undersized arguments vanish.  Exact integer arithmetic; this is the
-    production route (the factored form below is a cross-check only).
+    definition the factored forms below are checked against.
     """
     if m < 0 or r < 0:
         raise ValueError("need m >= 0 and r >= 0, got m=%d r=%d" % (m, r))
@@ -68,14 +69,8 @@ def l_quantity(m: int, r: int) -> int:
     )
 
 
-def l_quantity_factored(m: int, r: int) -> int:
-    """Single-binomial form of :func:`l_quantity`, valid for m >= 2.
-
-    Q(m, r) = binom(m+r-2, m-2) / (m (m-1) (r+1)) *
-              (3 r^3 + 10 m r^2 + 8 m^2 r + 2 m r - 3 r + 8 m^2 - 8 m)
-
-    The division is exact; an inexact division raises.
-    """
+def _factored_parts(m: int, r: int) -> tuple[int, int]:
+    """(poly, den) with Q(m, r) = binom(m+r-2, m-2) * poly / den, m >= 2."""
     if m < 2:
         raise ValueError("factored form requires m >= 2, got m=%d" % (m,))
     if r < 0:
@@ -83,12 +78,35 @@ def l_quantity_factored(m: int, r: int) -> int:
     poly = (
         3 * r**3 + 10 * m * r**2 + 8 * m**2 * r + 2 * m * r - 3 * r + 8 * m**2 - 8 * m
     )
-    num = binom_ext(m + r - 2, m - 2) * poly
-    den = m * (m - 1) * (r + 1)
-    q, rem = divmod(num, den)
+    return poly, m * (m - 1) * (r + 1)
+
+
+def l_quantity_factored(m: int, r: int) -> int:
+    """Single-binomial form of :func:`l_quantity`, valid for m >= 2.
+
+    Q(m, r) = binom(m+r-2, m-2) / (m (m-1) (r+1)) *
+              (3 r^3 + 10 m r^2 + 8 m^2 r + 2 m r - 3 r + 8 m^2 - 8 m)
+
+    The division is exact; an inexact division raises.  One binomial
+    instead of four, so the r >= 3 campaign takes Q from here.
+    """
+    poly, den = _factored_parts(m, r)
+    q, rem = divmod(binom_ext(m + r - 2, m - 2) * poly, den)
     if rem:
         raise AssertionError("factored form not integral at m=%d r=%d" % (m, r))
     return q
+
+
+def l_quantity_nu2(m: int, r: int) -> int:
+    """nu2(Q(m, r)) for m >= 2, without forming Q.
+
+    From the factored form, nu2(Q) = nu2(binom(m+r-2, m-2)) + nu2(poly)
+    - nu2(m (m-1) (r+1)), with the binomial's valuation counted by
+    Kummer's theorem.  Q > 0 for m >= 2 (poly and the binomial are
+    positive), so the valuation is always finite.
+    """
+    poly, den = _factored_parts(m, r)
+    return kummer_nu2_binomial(m + r - 2, m - 2) + nu2(poly) - nu2(den)
 
 
 def _canonical(raw: int, exponent: int) -> int:

@@ -1,12 +1,16 @@
 """Campaign behavior: frozen counts, shard determinism, filter monotonicity."""
 
 import json
+import math
 
 import pytest
 
-from lucasdisc.bounds import discriminant
+from lucasdisc.bounds import discriminant, localize_k_by_power2, m_range
 from lucasdisc.campaigns import (
+    A_MINUS1_MAX,
+    K_CAP,
     CandidatePair,
+    _window_member_exact,
     campaign_case0,
     campaign_case12,
     campaign_case3,
@@ -16,6 +20,7 @@ from lucasdisc.campaigns import (
     shard,
 )
 from lucasdisc.sequences import LUCAS, SeqParams, term_iter
+from lucasdisc.twoadic import l_quantity, nu2
 
 # Counts frozen after the first verified full runs.
 SMALL_TERMS = 157411
@@ -83,6 +88,35 @@ def test_case12_toy_frozen_pairs(case12_toy_report):
         assert c.m == c.n // (c.k + 1)
 
 
+def case12_brute_force(k_lo, k_hi):
+    """Window pairs with r in {1, 2}, testing every even k exactly.
+
+    Floats only place the integers to test; the slack of two on each
+    side dwarfs their error for k < 2^40.
+    """
+    pairs = []
+    for k in range(k_lo, k_hi, 2):
+        lo = math.floor(k + (k - 2) * math.log2(k) - 0.1)
+        for n in range(lo - 2, lo + 5):
+            if n % (k + 1) in (1, 2) and _window_member_exact(k, n):
+                pairs.append((k, n))
+    return pairs
+
+
+def test_case12_matches_brute_force(case12_toy_report):
+    assert [(c.k, c.n) for c in case12_toy_report.candidates] == case12_brute_force(202, 10_000)
+
+
+def test_case12_matches_brute_force_past_2_to_30():
+    # Far past 1e8: the bisection has no range limit.
+    k_lo = 1 << 30
+    report = campaign_case12(k_lo, k_lo + 40_000)
+    pairs = [(c.k, c.n) for c in report.candidates]
+    assert pairs == case12_brute_force(k_lo, k_lo + 40_000)
+    assert pairs
+    assert report.stage_counts[0] == ("k_scanned", 20_000)
+
+
 def test_case12_degenerate_modulus_all_survive():
     report = campaign_case12(202, 10_000, test_modulus_bits=1)
     assert report.stage_counts[1][1] == CASE12_TOY_PAIRS
@@ -136,6 +170,43 @@ def test_case3_full_run_at_150(case3_150_report):
         assert c.n == c.m * (c.k + 1) + c.r
 
 
+def case3_triple_loop(m, modulus_extra_bits):
+    """The (a, m, k) triple loop with exact l_quantity, for one m."""
+    lo, hi = localize_k_by_power2(m)
+    quantities = {}
+    triples = 0
+    rows = []
+    for a_minus1 in range(A_MINUS1_MAX + 1):
+        a = a_minus1 + 1
+        for k in range(lo + 1 + (lo & 1), hi, 2):
+            r = k - a_minus1
+            if r < 3:
+                continue
+            triples += 1
+            if r not in quantities:
+                quantities[r] = l_quantity(m, r)
+            q = quantities[r]
+            if nu2(q) != a:
+                continue
+            mod = 1 << min(a + modulus_extra_bits, k)
+            lhs = (-1) ** m * (k - 1) ** 2 * q % mod
+            rhs = (pow(k, k, mod) - pow((k + 1) // 2, k + 1, mod)) * 2 ** (a + 2) % mod
+            rows.append((k, m * (k + 1) + r, r, a, lhs == rhs))
+    return triples, sorted(rows)
+
+
+# The band's edges (m = 8 has r >= 3 cut into its triples, m = 57 is
+# clipped away by K_CAP), two inner m and one with a survivor at 100 bits.
+@pytest.mark.parametrize("m", [8, 9, 30, 55, 57])
+def test_case3_matches_triple_loop(m):
+    m_lo, m_hi = m_range(K_CAP)
+    report = campaign_case3(modulus_extra_bits=100, shard=(m - m_lo, m_hi - m_lo + 1))
+    triples, rows = case3_triple_loop(m, 100)
+    assert report.stage_counts[0] == ("triples_enumerated", triples)
+    assert [(c.k, c.n, c.r, c.a, c.verdict == "survivor") for c in report.candidates] == rows
+    assert {c.m for c in report.candidates} <= {m}
+
+
 def test_case3_survivor_monotonicity(case3_150_report, case3_100_report):
     strict = {(c.k, c.n) for c in case3_150_report.survivors}
     loose = {(c.k, c.n) for c in case3_100_report.survivors}
@@ -161,6 +232,13 @@ def test_case12_shard_merge_is_byte_identical(pieces, case12_toy_report):
     )
 
 
+def test_case12_full_range_shard_merge_is_byte_identical(case12_full_report):
+    merged = merge_reports([shard("case12", p, 2) for p in range(2)])
+    assert report_to_jsonl(merged, include_timing=False) == report_to_jsonl(
+        case12_full_report, include_timing=False
+    )
+
+
 def test_small_shard_merge_is_byte_identical(small_report):
     parts = [shard("small", p, 3) for p in range(3)]
     merged = merge_reports(parts)
@@ -169,8 +247,9 @@ def test_small_shard_merge_is_byte_identical(small_report):
     )
 
 
-def test_case3_shard_merge_is_byte_identical(case3_150_report):
-    parts = [shard("case3", p, 4, modulus_extra_bits=150) for p in range(4)]
+@pytest.mark.parametrize("pieces", [2, 3, 4])
+def test_case3_shard_merge_is_byte_identical(pieces, case3_150_report):
+    parts = [shard("case3", p, pieces, modulus_extra_bits=150) for p in range(pieces)]
     merged = merge_reports(parts)
     assert report_to_jsonl(merged, include_timing=False) == report_to_jsonl(
         case3_150_report, include_timing=False

@@ -1,11 +1,27 @@
 """CLI behavior: exit codes, output formats, worker determinism."""
 
 import json
+import os
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lucasdisc
 from lucasdisc.cli import run
 from lucasdisc.roots import PrecisionError
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_cli_examples():
+    """The lines of the sh block under README's "## CLI", searches left out."""
+    section = README.read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.split()[1] != "search"]
 
 
 def test_term_example(capsys):
@@ -183,3 +199,22 @@ def test_search_undecided_exit_three(monkeypatch, capsys):
     code = run(["search", "case12", "--k-lo", "202", "--k-hi", "10000", "--workers", "1"])
     assert code == 3
     assert capsys.readouterr().err.startswith("undecided: window membership")
+
+
+@pytest.mark.parametrize("line", readme_cli_examples())
+def test_readme_cli_example_runs(line, capsys):
+    command, _, comment = line.partition("#")
+    argv = shlex.split(command)
+    assert argv[0] == "lucasdisc"
+    assert run(argv[1:]) == 0
+    # A comment that starts with a number gives the first value printed.
+    expected = re.match(r"\s*(\d+)\b", comment)
+    if expected:
+        assert capsys.readouterr().out.split()[0] == expected.group(1)
+
+
+def test_cli_import_does_not_load_numpy():
+    src = str(Path(lucasdisc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import lucasdisc.cli, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

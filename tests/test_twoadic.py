@@ -12,11 +12,13 @@ from lucasdisc.twoadic import (
     kummer_nu2_binomial,
     l_quantity,
     l_quantity_factored,
+    l_quantity_nu2,
     lucas_congruence,
     nu2,
     residue_decomposition,
 )
 from lucasdisc.bounds import discriminant
+from lucasdisc.campaigns import A_MINUS1_MAX
 
 
 def naive_nu2(x):
@@ -69,6 +71,26 @@ def test_factored_form_agrees(m):
 @settings(max_examples=80, deadline=None)
 def test_factored_form_property(m, r):
     assert l_quantity(m, r) == l_quantity_factored(m, r)
+
+
+@pytest.mark.parametrize("m", range(2, 61))
+def test_l_quantity_nu2_grid(m):
+    for r in range(3, 301):
+        assert l_quantity_nu2(m, r) == nu2(l_quantity(m, r))
+
+
+@pytest.mark.parametrize("m", range(9, 58))
+def test_l_quantity_nu2_near_powers_of_two(m):
+    # Every r the r >= 3 campaign asks about: r = k - (a - 1) with k
+    # within 300 of 2^m and a - 1 <= A_MINUS1_MAX.
+    for r in range(max(3, (1 << m) - 300 - A_MINUS1_MAX), (1 << m) + 300):
+        assert l_quantity_nu2(m, r) == nu2(l_quantity(m, r))
+
+
+@given(st.integers(min_value=2, max_value=80), st.integers(min_value=0, max_value=1 << 64))
+@settings(max_examples=200, deadline=None)
+def test_l_quantity_nu2_property(m, r):
+    assert l_quantity_nu2(m, r) == nu2(l_quantity(m, r))
 
 
 def test_congruence_spot_values():
@@ -139,3 +161,7 @@ def test_domain_errors():
         l_quantity(-1, 3)
     with pytest.raises(ValueError):
         l_quantity_factored(1, 3)
+    with pytest.raises(ValueError):
+        l_quantity_nu2(1, 3)
+    with pytest.raises(ValueError):
+        l_quantity_nu2(5, -1)
