@@ -10,9 +10,9 @@ bound for linear forms in logarithms caps k below 7e16 (hence n below
 4e18); a 2-adic linear-forms bound tightens k below 7e7 for the
 residue classes r in {1,2}; and for r >= 3 the surviving k cluster
 within 300 of a power of two, m in a narrow band.  Each link of that
-chain is computed here, high-precision where k is astronomically big
-(double precision is only trusted for k up to ~1e8, where the window's
-absolute error stays below 1e-5).
+chain is computed here.  The window is written once, as the defect
+n - w(k) in extended precision (:func:`_defect`); its float endpoints,
+the m band at each k and the exact membership test all derive from it.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import mpmath
+
+from .roots import _escalate, _last_negative
 
 __all__ = [
     "discriminant",
@@ -40,6 +42,10 @@ __all__ = [
 ]
 
 _MP_PREC = 160
+
+#: Cap on k from the linear-forms bound (solve_matveev_k_bound's k_max
+#: rounded up); the campaigns search below it.
+K_CAP = 70_000_000_000_000_000
 
 
 def discriminant(k: int) -> int:
@@ -59,26 +65,70 @@ def discriminant(k: int) -> int:
     return delta
 
 
+def _defect(k: int, n: int, bits: int = 80) -> mpmath.mpf:
+    """d = n - w(k) with w(k) = k + (k-2) log2(k) - 1/10, to about 2^(8-bits).
+
+    The terms of d reach about k log2(k), so the working precision is
+    ``bits`` above k's bit length and the absolute error does not grow
+    with k.
+    """
+    with mpmath.workprec(k.bit_length() + bits):
+        return (n - k) + mpmath.mpf(1) / 10 - (k - 2) * mpmath.log(k) / mpmath.log(2)
+
+
+def _width() -> mpmath.mpf:
+    """Width 2.4 of the window (w(k), w(k) + 2.4), at the working precision."""
+    return mpmath.mpf(24) / 10
+
+
+def _window_member_exact(k: int, n: int, start_bits: int = 120) -> bool:
+    """Decide n's membership in the open window (w(k), w(k) + 2.4) exactly.
+
+    The defect d = n - w is evaluated in escalating precision until it
+    clears the safety margin 2^-(bits/2) on one side; d == 0 or d == 2.4
+    cannot occur for integer n (log2(k) is irrational unless k is a power
+    of two, and then d - {0, 2.4} is a nonzero rational), so this
+    terminates.  :func:`_defect` scales its precision with k, which keeps
+    the rounding error far below the margin for every k.
+    """
+
+    def decide(bits: int) -> bool | None:
+        defect = _defect(k, n, bits)
+        with mpmath.workprec(bits + k.bit_length()):
+            width = _width()
+            eps = mpmath.ldexp(1, -(bits // 2))
+            if eps < defect < width - eps:
+                return True
+            if defect < -eps or defect > width + eps:
+                return False
+        return None
+
+    return _escalate(decide, start_bits, "window membership for k=%d n=%d undecided" % (k, n))
+
+
 def n_window(k: int) -> tuple[float, float]:
     """Open interval that must contain n if L(n) = delta(k), for k > 200.
 
-    Returns (lo, lo + 2.4) with lo = k + (k-2) log2(k) - 0.1, evaluated
-    in double precision.  The absolute evaluation error is below 1e-5
-    for k up to ~1e8, absorbed by the window's built-in slack; for
-    larger k use the high-precision internal evaluation.
+    Returns (lo, lo + 2.4) with lo the double nearest to
+    w(k) = k + (k-2) log2(k) - 0.1.
     """
     if k <= 200:
         raise ValueError("window derivation needs k > 200, got k=%d" % (k,))
-    lo = k + (k - 2) * math.log2(k) - 0.1
-    return lo, lo + 2.4
+    lo = -float(_defect(k, 0))
+    return lo, lo + float(_width())
 
 
-def _n_window_mp(k: int) -> tuple[mpmath.mpf, mpmath.mpf]:
-    """High-precision window endpoints, for k far beyond double range."""
-    with mpmath.workprec(_MP_PREC):
-        center = k + (k - 2) * mpmath.log(k) / mpmath.log(2)
-        tenth = mpmath.mpf(1) / 10
-        return center - tenth, center + 23 * tenth
+def _m_envelope(k: int) -> tuple[int, int]:
+    """Least and largest m = n // (k+1) over the n in k's window.
+
+    n > w and n <= m(k+1) + k give m > (w - k)/(k+1); n < w + 2.4 gives
+    m <= (w + 2.4)/(k+1).  Both ends increase with k.
+    """
+    with mpmath.workprec(k.bit_length() + 80):
+        w = -_defect(k, 0)
+        m_lo = mpmath.ceil((w - k) / (k + 1))
+        m_hi = mpmath.floor((w + _width()) / (k + 1))
+    return int(m_lo), int(m_hi)
 
 
 def matveev_lower_bound(t: int, B: float, A: Sequence[float]) -> float:
@@ -120,24 +170,21 @@ def solve_matveev_k_bound() -> MatveevBound:
     campaigns (k below 7e16, n below 4e18).
     """
     with mpmath.workprec(_MP_PREC):
-        lo, hi = 10**3, 10**20
-        if not (_matveev_gap(lo) < 0 < _matveev_gap(hi)):
-            raise AssertionError("bisection bracket invalid")
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if _matveev_gap(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-        n_max = int(mpmath.floor(_n_window_mp(lo)[1]))
-    return MatveevBound(k_max=lo, n_max=n_max)
+        k_max = _last_negative(_matveev_gap, 10**3, 10**20)
+        n_max = int(mpmath.floor(_width() - _defect(k_max, 0)))
+    return MatveevBound(k_max=k_max, n_max=n_max)
 
 
-def _bl_B(k: int) -> float:
-    """Height parameter: max{log b' + log log 2 + 0.4, 10 log 2} with
-    b' = (k + 6.4) / (5.4 log k)."""
+def _bl_log_b(k: int) -> float:
+    """log b' + log log 2 + 0.4 with b' = (k + 6.4) / (5.4 log k)."""
     b_prime = (k + 6.4) / (5.4 * math.log(k))
-    return max(math.log(b_prime) + math.log(math.log(2)) + 0.4, 10 * math.log(2))
+    return math.log(b_prime) + math.log(math.log(2)) + 0.4
+
+
+def _bl_cap(k: int) -> float:
+    """1123 * B^2 * log(k) * log(k+1) with B = max{log b' + log log 2 + 0.4, 10 log 2}."""
+    B = max(_bl_log_b(k), 10 * math.log(2))
+    return 1123.0 * B * B * math.log(k) * math.log(k + 1)
 
 
 def bl_valuation_bound(k: int, m: int, r: int) -> float:
@@ -154,8 +201,7 @@ def bl_valuation_bound(k: int, m: int, r: int) -> float:
         raise ValueError("need m >= 1, got m=%d" % (m,))
     if r not in (1, 2):
         raise ValueError("branch covers r in {1,2}, got r=%d" % (r,))
-    B = _bl_B(k)
-    return 1123.0 * B * B * math.log(k) * math.log(k + 1)
+    return _bl_cap(k)
 
 
 @lru_cache(maxsize=1)
@@ -166,21 +212,7 @@ def bl_crossover_k() -> int:
     59000; below the returned k the valuation cap is the small-branch
     value, which already confines k.
     """
-    lo, hi = 201, 10**6
-
-    def gap(k: int) -> float:
-        b_prime = (k + 6.4) / (5.4 * math.log(k))
-        return math.log(b_prime) + math.log(math.log(2)) + 0.4 - 10 * math.log(2)
-
-    if not (gap(lo) < 0 < gap(hi)):
-        raise AssertionError("crossover bracket invalid")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if gap(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _last_negative(lambda k: _bl_log_b(k) - 10 * math.log(2), 201, 10**6)
 
 
 @lru_cache(maxsize=1)
@@ -190,59 +222,33 @@ def solve_bl_k_bound() -> int:
     Beyond this k the 2-adic valuation cap falls below k - 1 and the
     r in {1,2} case is impossible; the returned value sits below 7e7.
     """
-    lo, hi = 202, 10**9
-
-    def gap(k: int) -> float:
-        B = _bl_B(k)
-        return (k - 1) - 1123.0 * B * B * math.log(k) * math.log(k + 1)
-
-    if not (gap(lo) < 0 < gap(hi)):
-        raise AssertionError("bl bound bracket invalid")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if gap(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _last_negative(lambda k: (k - 1) - _bl_cap(k), 202, 10**9)
 
 
-def m_range(k_max: int = 70_000_000_000_000_000) -> tuple[int, int]:
+def m_range(k_max: int = K_CAP) -> tuple[int, int]:
     """Envelope of m = n // (k+1) over all k in (200, k_max] with n in
     the window.
 
-    The per-k lower bound ((k-2) log2(k) - 0.1) / (k+1) and upper bound
-    n_hi / (k+1) are both increasing in k, so the extremes sit at the
-    endpoints; the upper end is widened outward by one as a
-    conservative envelope (the extra m localizes to an empty k range
-    anyway).
+    Both ends of the per-k band (:func:`_m_envelope`) increase with k,
+    so the extremes sit at the endpoints; the upper end is widened
+    outward by one as a conservative envelope (the extra m localizes to
+    an empty k range anyway).
     """
     if k_max <= 201:
         raise ValueError("need k_max > 201, got %d" % (k_max,))
-    with mpmath.workprec(_MP_PREC):
-        log2 = mpmath.log(2)
-        k = mpmath.mpf(201)
-        low = ((k - 2) * mpmath.log(k) / log2 - mpmath.mpf(1) / 10) / (k + 1)
-        m_min = int(mpmath.ceil(low))
-        hi = _n_window_mp(k_max)[1] / (k_max + 1)
-        m_max = int(mpmath.floor(hi)) + 1
-    return m_min, m_max
+    return _m_envelope(201)[0], _m_envelope(k_max)[1] + 1
 
 
-def localize_k_by_power2(
-    m: int,
-    k_floor: int = 200,
-    k_cap: int = 70_000_000_000_000_000,
-) -> tuple[int, int]:
-    """Open interval of k with |k - 2^m| < 300, clipped to (k_floor, k_cap).
+def localize_k_by_power2(m: int) -> tuple[int, int]:
+    """Open interval of k with |k - 2^m| < 300, clipped to (200, K_CAP).
 
     Returns exclusive bounds (lo, hi); empty when lo >= hi (the m = 57
     band clips away entirely at the 7e16 cap).
     """
     if m < 8:
         raise ValueError("need m >= 8, got m=%d" % (m,))
-    lo = max((1 << m) - 300, k_floor)
-    hi = min((1 << m) + 300, k_cap)
+    lo = max((1 << m) - 300, 200)
+    hi = min((1 << m) + 300, K_CAP)
     return lo, hi
 
 
@@ -264,8 +270,7 @@ class BoundProfile:
 def bound_profile(k: int) -> BoundProfile:
     """Assemble the per-k bound profile (k > 200)."""
     n_lo, n_hi = n_window(k)
-    m_lo = math.ceil(((k - 2) * math.log2(k) - 0.1) / (k + 1))
-    m_hi = math.floor(n_hi / (k + 1))
+    m_lo, m_hi = _m_envelope(k)
     a_max = math.floor(6 * math.log(k) + 2)
     matveev = solve_matveev_k_bound()
     return BoundProfile(

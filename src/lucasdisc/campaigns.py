@@ -14,6 +14,9 @@ modulo a power of two applies, and the campaigns split along it:
 * ``campaign_case3``   -- r >= 3, odd k localized near powers of two,
   a two-filter scan that reads k off the closed-form nu2(Q(m, r)).
 
+The admissible window (w(k), w(k) + 2.4) of n, its exact membership
+test and the m band it implies at each k live in :mod:`lucasdisc.bounds`.
+
 Determinism policy: every count, candidate, and survivor reported here
 is decided by exact integer arithmetic or by extended-precision
 evaluation with an explicit safety margin; no machine float takes part.
@@ -35,8 +38,16 @@ import mpmath
 
 from .sequences import LUCAS, SeqParams, term_iter
 from .twoadic import l_quantity_factored, l_quantity_nu2, lucas_congruence, nu2
-from .bounds import discriminant, localize_k_by_power2, m_range
-from .roots import MAX_PRECISION_BITS, PrecisionError
+from .bounds import (
+    K_CAP,
+    _defect,
+    _m_envelope,
+    _width,
+    _window_member_exact,
+    discriminant,
+    localize_k_by_power2,
+    m_range,
+)
 
 __all__ = [
     "CandidatePair",
@@ -51,10 +62,6 @@ __all__ = [
     "report_to_jsonl",
 ]
 
-#: Hard cap on k for the r >= 3 campaign (beyond it the linear-forms
-#: bound already excludes solutions).
-K_CAP = 70_000_000_000_000_000
-
 #: Largest value of a - 1 = k - r that the r >= 3 campaign must consider
 #: (a is capped by the carry count of the binomials involved).
 A_MINUS1_MAX = 233
@@ -65,7 +72,7 @@ A_MINUS1_MAX = 233
 # far below it, so a k the bisection rules out is outside for certain.
 _MARGIN = mpmath.mpf(2) ** -20
 _DEFECT_LO = -2 - _MARGIN
-_DEFECT_HI = mpmath.mpf(7) / 5 + _MARGIN
+_DEFECT_HI = _width() - 1 + _MARGIN
 
 
 @dataclass(frozen=True)
@@ -129,44 +136,6 @@ def _run(
         elapsed=time.perf_counter() - t0,
         notes=notes,
         extras=extras,
-    )
-
-
-def _defect(k: int, n: int, bits: int = 80) -> mpmath.mpf:
-    """d = n - w(k) with w(k) = k + (k-2) log2(k) - 1/10, to about 2^(8-bits).
-
-    The terms of d reach about k log2(k), so the working precision is
-    ``bits`` above k's bit length and the absolute error does not grow
-    with k.
-    """
-    with mpmath.workprec(k.bit_length() + bits):
-        return (n - k) + mpmath.mpf(1) / 10 - (k - 2) * mpmath.log(k) / mpmath.log(2)
-
-
-def _window_member_exact(k: int, n: int, start_bits: int = 120) -> bool:
-    """Decide n's membership in the open admissible window for k exactly.
-
-    The window is (w, w + 2.4) with w = k + (k - 2)*log2(k) - 1/10.  The
-    defect d = n - w is evaluated in escalating precision until it clears
-    the safety margin 2^-(bits/2) on one side; d == 0 or d == 2.4 cannot
-    occur for integer n (log2(k) is irrational unless k is a power of
-    two, and then d - {0, 2.4} is a nonzero rational), so this
-    terminates.  :func:`_defect` scales its precision with k, which keeps
-    the rounding error far below the margin for every k.
-    """
-    bits = start_bits
-    while bits <= MAX_PRECISION_BITS:
-        defect = _defect(k, n, bits)
-        with mpmath.workprec(bits + k.bit_length()):
-            width = mpmath.mpf(24) / 10
-            eps = mpmath.ldexp(1, -(bits // 2))
-            if eps < defect < width - eps:
-                return True
-            if defect < -eps or defect > width + eps:
-                return False
-        bits *= 2
-    raise PrecisionError(
-        "window membership for k=%d n=%d undecided at %d bits" % (k, n, MAX_PRECISION_BITS)
     )
 
 
@@ -310,7 +279,6 @@ def campaign_case12(
     k_lo: int = 202,
     k_hi: int = 70_000_000,
     test_modulus_bits: int = 100,
-    appendix_compat: bool = False,
     shard: tuple[int, int] | None = None,
 ) -> CampaignReport:
     """Scan even k in [k_lo, k_hi) for window pairs with r in {1, 2}.
@@ -329,9 +297,6 @@ def campaign_case12(
     up to sign, because (k-1)^2 |disc| = 2^(k+1) k^k - (k+1)^(k+1) and
     the leading term vanishes modulo 2^test_modulus_bits <= 2^(k+1).
     Both signs of alpha2 are accepted.
-
-    ``appendix_compat`` switches the r == 2 coefficient from
-    4m^2 + 6m + 3 to the variant 4m^2 + 6m + 1.
     """
     if k_lo % 2 or k_hi % 2:
         raise ValueError("k range not even-aligned: (%d, %d)" % (k_lo, k_hi))
@@ -345,13 +310,10 @@ def campaign_case12(
         ks = range(k_lo + 2 * idxs.start, k_lo + 2 * idxs.stop, 2 * idxs.step)
         window_pairs: list[tuple[int, int, int, int]] = []
         if ks:
-            # w(k)/(k+1) increases with k and m(k+1) = n - r lies in
-            # (w - 2, w + 2.4), so the first and the last k confine m; the
-            # extra 1 on each side absorbs rounding.  w(k) = -_defect(k, 0).
-            first, last = ks[0], ks[-1]
-            m_first = int(mpmath.floor(-_defect(first, 0) / (first + 1))) - 1
-            m_last = int(mpmath.floor((3 - _defect(last, 0)) / (last + 1))) + 1
-            for m in range(max(m_first, 0), m_last + 1):
+            # The m band of each k grows with k, so the first and the last k
+            # confine m.  For r in {1, 2} the band has slack (k-2)/(k+1)
+            # below and 1/(k+1) above, far more than _m_envelope's rounding.
+            for m in range(_m_envelope(ks[0])[0], _m_envelope(ks[-1])[1] + 1):
                 window_pairs += _window_pairs(ks, m)
 
         mod = 1 << test_modulus_bits
@@ -362,7 +324,7 @@ def campaign_case12(
             if r == 1:
                 coeff = 4 * m + 1
             else:
-                coeff = 4 * m * m + 6 * m + (1 if appendix_compat else 3)
+                coeff = 4 * m * m + 6 * m + 3
             alpha2 = (k - 1) * (k - 1) * coeff
             if m & 1:
                 alpha2 = -alpha2
@@ -408,7 +370,6 @@ def campaign_case12(
             "k_parity": "even",
             "residues": [1, 2],
             "test_modulus_bits": test_modulus_bits,
-            "appendix_compat": appendix_compat,
         },
         [
             "bisection over the concave defect m(k+1) - w(k) proposes the k"

@@ -36,7 +36,6 @@ from .bounds import (
     bound_profile,
     discriminant,
     m_range,
-    n_window,
     solve_bl_k_bound,
     solve_matveev_k_bound,
 )
@@ -151,12 +150,13 @@ def _cmd_verify_lemmas(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _campaign_params(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
+def _campaign_params(args: argparse.Namespace) -> dict:
     campaign = args.campaign
+    parser = args.parser
     params: dict = {}
 
     def only_for(flag: str, value, campaigns: tuple[str, ...], name: str):
-        if value is None or value is False:
+        if value is None:
             return
         if campaign not in campaigns:
             parser.error("--%s only applies to %s" % (flag, "/".join(campaigns)))
@@ -166,7 +166,6 @@ def _campaign_params(args: argparse.Namespace, parser: argparse.ArgumentParser) 
     only_for("n-max", args.n_max, ("small",), "n_max")
     only_for("k-lo", args.k_lo, ("case12",), "k_lo")
     only_for("k-hi", args.k_hi, ("case12",), "k_hi")
-    only_for("appendix-compat", args.appendix_compat, ("case12",), "appendix_compat")
     if args.modulus_bits is not None:
         if campaign == "case12":
             params["test_modulus_bits"] = args.modulus_bits
@@ -177,17 +176,15 @@ def _campaign_params(args: argparse.Namespace, parser: argparse.ArgumentParser) 
     return params
 
 
-def _cmd_search(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    params = _campaign_params(args, parser)
+def _cmd_search(args: argparse.Namespace) -> int:
+    params = _campaign_params(args)
     if args.shard is not None:
-        if args.workers is not None:
-            parser.error("--shard and --workers are mutually exclusive")
         piece, of = args.shard
         report = shard(args.campaign, piece, of, **params)
     else:
         workers = args.workers if args.workers is not None else os.cpu_count() or 1
         if workers < 1:
-            parser.error("--workers must be >= 1")
+            args.parser.error("--workers must be >= 1")
         if workers == 1:
             report = _CAMPAIGNS[args.campaign](**params)
         else:
@@ -222,9 +219,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     print("m envelope up to the k cap: %d .. %d" % (m_lo, m_hi))
     if args.k is not None:
         profile = bound_profile(args.k)
-        lo, hi = n_window(args.k)
         print("k = %d:" % args.k)
-        print("  n window: (%.4f, %.4f)" % (lo, hi))
+        print("  n window: (%.4f, %.4f)" % (profile.n_lo, profile.n_hi))
         print("  m range: %d .. %d" % (profile.m_lo, profile.m_hi))
         print("  max nu2 of the congruence quantity: %d" % profile.a_max)
     return 0
@@ -242,20 +238,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_term.add_argument("--family", choices=[FIBONACCI, LUCAS], default=LUCAS)
     p_term.add_argument("--k", type=int, required=True, help="recurrence order (>= 2)")
     p_term.add_argument("--n", type=int, required=True, help="index")
+    p_term.set_defaults(func=_cmd_term)
 
     p_disc = sub.add_parser("disc", help="print |disc| and its 2-adic valuation")
     p_disc.add_argument("--k", type=int, required=True)
+    p_disc.set_defaults(func=_cmd_disc)
 
     p_nu2 = sub.add_parser("nu2", help="print the 2-adic valuation of an integer")
     p_nu2.add_argument("--x", type=int, required=True)
+    p_nu2.set_defaults(func=_cmd_nu2)
 
     p_root = sub.add_parser("root", help="print a certified dominant-root enclosure")
     p_root.add_argument("--k", type=int, required=True)
     p_root.add_argument("--precision-bits", type=int, default=128)
+    p_root.set_defaults(func=_cmd_root)
 
     p_ver = sub.add_parser("verify-lemmas", help="run the named invariant suites")
     p_ver.add_argument("--scale", type=int, default=1, help="grid size multiplier")
     p_ver.add_argument("--suite", action="append", choices=sorted(SUITES), help="run only this suite (repeatable)")
+    p_ver.set_defaults(func=_cmd_verify_lemmas)
 
     p_search = sub.add_parser("search", help="run one search campaign")
     p_search.add_argument("campaign", choices=CAMPAIGN_NAMES)
@@ -269,13 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="case12: power-of-two test modulus bits (default 100);"
         " case3: extra bits above the matched valuation (default 150)",
     )
-    p_search.add_argument(
-        "--appendix-compat",
-        action="store_true",
-        help="case12: use the 4m^2+6m+1 variant of the r=2 coefficient",
-    )
-    p_search.add_argument("--shard", type=_parse_shard, metavar="i/N", help="run only shard i of N")
-    p_search.add_argument(
+    split = p_search.add_mutually_exclusive_group()
+    split.add_argument("--shard", type=_parse_shard, metavar="i/N", help="run only shard i of N")
+    split.add_argument(
         "--workers",
         type=int,
         help="parallel shards to run and merge (default: cpu count)",
@@ -283,9 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--format", choices=["jsonl", "csv", "human"], default="human")
     p_search.add_argument("--output", help="write the report here instead of stdout")
     p_search.add_argument("--no-timing", action="store_true", help="omit elapsed time (stable bytes)")
+    p_search.set_defaults(func=_cmd_search)
 
     p_bounds = sub.add_parser("bounds", help="print derived exclusion bounds")
     p_bounds.add_argument("--k", type=int, help="also print the per-k scan envelope (k > 200)")
+    p_bounds.set_defaults(func=_cmd_bounds)
 
     parser.set_defaults(parser=parser)
     return parser
@@ -299,20 +298,7 @@ def run(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        if args.command == "term":
-            return _cmd_term(args)
-        if args.command == "disc":
-            return _cmd_disc(args)
-        if args.command == "nu2":
-            return _cmd_nu2(args)
-        if args.command == "root":
-            return _cmd_root(args)
-        if args.command == "verify-lemmas":
-            return _cmd_verify_lemmas(args)
-        if args.command == "search":
-            return _cmd_search(args, parser)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
+        return args.func(args)
     except SystemExit as exc:  # parser.error inside subcommand handling
         code = exc.code
         return code if isinstance(code, int) else 2
@@ -322,7 +308,6 @@ def run(argv: list[str] | None = None) -> int:
     except PrecisionError as exc:
         print("undecided: %s" % exc, file=sys.stderr)
         return 3
-    raise AssertionError("unreachable command %r" % (args.command,))
 
 
 def main() -> None:

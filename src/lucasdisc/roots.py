@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from .sequences import LUCAS, SeqParams, term
 
@@ -139,44 +139,52 @@ class RootEnclosure:
         return _Iv(self.lo, self.hi)
 
 
+def _last_negative(f: Callable[[int], Any], lo: int, hi: int) -> int:
+    """Last integer x in [lo, hi) with f(x) < 0, for f increasing on [lo, hi].
+
+    The bracket must straddle the sign change, f(lo) < 0 < f(hi); that is
+    checked, so the answer x is certified by f(x) < 0 <= f(x + 1).
+    """
+    if not (f(lo) < 0 < f(hi)):
+        raise AssertionError("bracket [%d, %d] does not straddle a sign change" % (lo, hi))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if f(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 @lru_cache(maxsize=None)
 def dominant_root(k: int, precision_bits: int = 128) -> RootEnclosure:
     """Bisect down to width 2^-precision_bits from the bracket
     [2(1 - 2^-k), 2].
 
-    Both endpoint signs are verified exactly before bisection, so the
-    returned enclosure is a sign-change certificate.  Endpoints are
-    dyadic rationals throughout.
+    The bisection runs over numerators p at the scale q = 2^s with
+    s = max(precision_bits, k - 1), where both ends of the bracket are
+    integers.  Both endpoint signs are verified exactly, so the returned
+    enclosure is a sign-change certificate with dyadic endpoints.
     """
     if k < 2:
         raise ValueError("need k >= 2, got k=%d" % (k,))
     if precision_bits < 16:
         raise ValueError("precision_bits must be at least 16")
-    lo = Fraction(2 * ((1 << k) - 1), 1 << k)
-    hi = Fraction(2)
-    if gk_sign(k, lo) >= 0 or gk_sign(k, hi) <= 0:
-        raise AssertionError("initial bracket does not straddle the root for k=%d" % (k,))
-    target = Fraction(1, 1 << precision_bits)
-    while hi - lo > target:
-        mid = (lo + hi) / 2
-        s = gk_sign(k, mid)
-        if s == 0:  # dyadic rationals are never roots (rational root test)
-            raise AssertionError("unexpected exact root at dyadic point")
-        if s > 0:
-            hi = mid
-        else:
-            lo = mid
-    return RootEnclosure(k, lo, hi, precision_bits)
+    s = max(precision_bits, k - 1)
+    q = 1 << s
+    p = _last_negative(lambda x: gk_sign(k, Fraction(x, q)), 2 * q - (1 << (s + 1 - k)), 2 * q)
+    return RootEnclosure(k, Fraction(p, q), Fraction(p + 1, q), precision_bits)
 
 
-def _escalate(decide: Callable[[int], Optional[bool]], precision_bits: int) -> bool:
+def _escalate(decide: Callable[[int], Optional[bool]], precision_bits: int, what: str = "undecidable") -> bool:
+    """Run ``decide`` at doubling precision until it returns a verdict; ``what`` names a failure."""
     bits = max(precision_bits, 16)
     while bits <= MAX_PRECISION_BITS:
         verdict = decide(bits)
         if verdict is not None:
             return verdict
         bits *= 2
-    raise PrecisionError("undecidable at %d bits" % (MAX_PRECISION_BITS,))
+    raise PrecisionError("%s at %d bits" % (what, MAX_PRECISION_BITS))
 
 
 def _dominant_iv(k: int, n: int, bits: int) -> _Iv:

@@ -2,9 +2,14 @@
 
 import math
 
+import mpmath
 import pytest
 
 from lucasdisc.bounds import (
+    K_CAP,
+    _bl_cap,
+    _bl_log_b,
+    _matveev_gap,
     bl_crossover_k,
     bl_valuation_bound,
     bound_profile,
@@ -52,6 +57,36 @@ def test_n_window_domain():
         n_window(200)
 
 
+# Log-spaced k from 201 to the k cap, plus the k where a double-precision
+# formula for w(k) was off by more than one ulp.
+WINDOW_GRID = sorted(
+    {round(201 * (K_CAP / 201) ** (i / 400)) for i in range(401)} | {69_997, 10**16 + 12_345}
+)
+
+
+def w_200(k):
+    """w(k) = k + (k-2) log2(k) - 1/10 in 200-bit arithmetic."""
+    with mpmath.workprec(200):
+        return k + (k - 2) * mpmath.log(k, 2) - mpmath.mpf(1) / 10
+
+
+def test_n_window_is_correctly_rounded():
+    for k in WINDOW_GRID:
+        lo, hi = n_window(k)
+        assert lo == float(w_200(k)), k
+        assert hi == lo + 2.4
+
+
+def test_bound_profile_m_band_matches_200_bit_formula():
+    for k in WINDOW_GRID:
+        profile = bound_profile(k)
+        with mpmath.workprec(200):
+            w = w_200(k)
+            m_lo = int(mpmath.ceil((w - k) / (k + 1)))
+            m_hi = int(mpmath.floor((w + mpmath.mpf(12) / 5) / (k + 1)))
+        assert (profile.m_lo, profile.m_hi) == (m_lo, m_hi), k
+
+
 def test_n_window_monotone_in_k():
     prev = n_window(201)[0]
     for k in [250, 300, 1000, 10_000, 1_000_000]:
@@ -66,6 +101,10 @@ def test_matveev_solver_caps():
     assert caps.n_max == 3745158725196720903
     assert caps.k_max < 7 * 10**16
     assert caps.n_max < 4 * 10**18
+    # The cap is the last k before the gap turns nonnegative.
+    with mpmath.workprec(160):
+        assert _matveev_gap(caps.k_max) < 0 <= _matveev_gap(caps.k_max + 1)
+        assert caps.n_max == int(mpmath.floor(w_200(caps.k_max) + mpmath.mpf(12) / 5))
 
 
 def test_bl_chain_caps():
@@ -73,6 +112,12 @@ def test_bl_chain_caps():
     assert bl_crossover_k() < 59000
     assert solve_bl_k_bound() == 65964094
     assert solve_bl_k_bound() < 7 * 10**7
+    # Each cap is the last k before its gap turns nonnegative.
+    k = bl_crossover_k()
+    assert _bl_log_b(k) - 10 * math.log(2) < 0 <= _bl_log_b(k + 1) - 10 * math.log(2)
+    k = solve_bl_k_bound()
+    assert (k - 1) - _bl_cap(k) < 0 <= k - _bl_cap(k + 1)
+    assert bl_valuation_bound(k, 1, 1) == _bl_cap(k)
 
 
 def test_matveev_lower_bound_behaviour():

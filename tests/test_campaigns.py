@@ -5,12 +5,11 @@ import math
 
 import pytest
 
-from lucasdisc.bounds import discriminant, localize_k_by_power2, m_range
+from lucasdisc.bounds import _window_member_exact, discriminant, localize_k_by_power2, m_range
 from lucasdisc.campaigns import (
     A_MINUS1_MAX,
     K_CAP,
     CandidatePair,
-    _window_member_exact,
     campaign_case0,
     campaign_case12,
     campaign_case3,
@@ -121,13 +120,6 @@ def test_case12_degenerate_modulus_all_survive():
     report = campaign_case12(202, 10_000, test_modulus_bits=1)
     assert report.stage_counts[1][1] == CASE12_TOY_PAIRS
     assert report.stage_counts[2][1] == CASE12_TOY_PAIRS
-
-
-def test_case12_appendix_compat_variant_runs():
-    report = campaign_case12(202, 10_000, appendix_compat=True)
-    # stage 1 is unaffected by the coefficient variant
-    assert report.stage_counts[1][1] == CASE12_TOY_PAIRS
-    assert report.ranges["appendix_compat"] is True
 
 
 def test_case12_validation():

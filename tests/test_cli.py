@@ -58,7 +58,6 @@ def test_usage_errors():
     assert run(["term", "--k", "5"]) == 2
     assert run(["term", "--k", "1", "--n", "3"]) == 2
     assert run(["search", "bogus"]) == 2
-    assert run(["search", "small", "--appendix-compat"]) == 2
     assert run(["search", "small", "--modulus-bits", "5"]) == 2
     assert run(["search", "case12", "--shard", "0/2", "--workers", "2"]) == 2
     assert run(["search", "case12", "--shard", "5"]) == 2

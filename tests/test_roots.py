@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lucasdisc.roots import (
     MAX_PRECISION_BITS,
     RootEnclosure,
+    _last_negative,
     binet_dominant,
     binet_error_check,
     binet_vs_power2_check,
@@ -41,6 +44,55 @@ def test_enclosure_brackets_sign_change(k):
     # endpoints stay inside the a-priori bracket [2*(1 - 2^(1-k)), 2]; for large k
     # that bracket is already narrower than the requested width, so hi may equal 2
     assert 2 - Fraction(2, 2 ** (k - 1)) <= enc.lo < enc.hi <= 2
+
+
+def fraction_bisection_root(k, bits):
+    """The enclosure by halving Fraction brackets from [2(1 - 2^-k), 2]."""
+    lo, hi = Fraction(2 * (2**k - 1), 2**k), Fraction(2)
+    while hi - lo > Fraction(1, 2**bits):
+        mid = (lo + hi) / 2
+        if gk_sign(k, mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+@pytest.mark.parametrize(
+    "k, bits",
+    [(2, 16), (2, 128), (3, 300), (5, 64), (16, 16), (17, 16), (18, 16), (40, 39), (40, 40),
+     (40, 128), (120, 128), (129, 128), (130, 128), (200, 256), (300, 128), (455, 512)],
+)
+def test_enclosure_equals_fraction_bisection(k, bits):
+    # bits < k - 1 included: the starting bracket is already narrow enough.
+    enc = dominant_root(k, bits)
+    assert (enc.lo, enc.hi) == fraction_bisection_root(k, bits)
+    assert enc.precision_bits == bits
+
+
+@given(st.integers(min_value=-(2**80), max_value=2**80), st.integers(0, 2**70), st.integers(1, 2**70))
+@settings(max_examples=200, deadline=None)
+def test_last_negative_finds_threshold(threshold, below, above):
+    # f(x) = -1 for x < threshold, +1 from it on; the bracket straddles it.
+    lo, hi = threshold - 1 - below, threshold + above - 1
+    assert _last_negative(lambda x: -1 if x < threshold else 1, lo, hi) == threshold - 1
+
+
+@pytest.mark.parametrize("threshold", [10**3 + 1, 2**63, 2**63 + 1, 65854579697213342, 10**20 - 1])
+def test_last_negative_on_brackets_wider_than_2_to_63(threshold):
+    assert _last_negative(lambda x: x - threshold, 10**3, 10**20) == threshold - 1
+    assert _last_negative(lambda x: x - threshold, -(2**100), 2**100) == threshold - 1
+
+
+def test_last_negative_rejects_invalid_bracket():
+    with pytest.raises(AssertionError):
+        _last_negative(lambda x: x - 5, 5, 10)  # f(lo) == 0
+    with pytest.raises(AssertionError):
+        _last_negative(lambda x: x - 5, 0, 5)  # f(hi) == 0
+    with pytest.raises(AssertionError):
+        _last_negative(lambda x: 5 - x, 0, 10)  # decreasing
+    with pytest.raises(AssertionError):
+        _last_negative(lambda x: x - 50, 0, 10)  # crossing beyond hi
 
 
 def test_enclosure_precision_escalation():
