@@ -17,7 +17,6 @@ from .sequences import (
     FIBONACCI,
     LUCAS,
     SeqParams,
-    SeqWindow,
     binom_ext,
     cooper_howard_fib,
     lucas_from_fib,
@@ -26,12 +25,14 @@ from .sequences import (
     term_iter,
 )
 from .twoadic import (
+    disc_match,
     disc_nu2,
     kummer_nu2_binomial,
     l_quantity,
     l_quantity_factored,
     l_quantity_nu2,
     lucas_congruence,
+    lucas_congruence_parts,
     nu2,
     residue_decomposition,
 )
@@ -39,7 +40,6 @@ from .roots import (
     MAX_PRECISION_BITS,
     PrecisionError,
     RootEnclosure,
-    binet_dominant,
     binet_error_check,
     binet_vs_power2_check,
     dominant_root,
@@ -50,7 +50,6 @@ from .bounds import (
     BoundProfile,
     MatveevBound,
     bl_crossover_k,
-    bl_valuation_bound,
     bound_profile,
     discriminant,
     localize_k_by_power2,
@@ -80,25 +79,25 @@ __all__ = [
     "FIBONACCI",
     "LUCAS",
     "SeqParams",
-    "SeqWindow",
     "binom_ext",
     "cooper_howard_fib",
     "lucas_from_fib",
     "shift_identity_check",
     "term",
     "term_iter",
+    "disc_match",
     "disc_nu2",
     "kummer_nu2_binomial",
     "l_quantity",
     "l_quantity_factored",
     "l_quantity_nu2",
     "lucas_congruence",
+    "lucas_congruence_parts",
     "nu2",
     "residue_decomposition",
     "MAX_PRECISION_BITS",
     "PrecisionError",
     "RootEnclosure",
-    "binet_dominant",
     "binet_error_check",
     "binet_vs_power2_check",
     "dominant_root",
@@ -107,7 +106,6 @@ __all__ = [
     "BoundProfile",
     "MatveevBound",
     "bl_crossover_k",
-    "bl_valuation_bound",
     "bound_profile",
     "discriminant",
     "localize_k_by_power2",

@@ -32,7 +32,6 @@ __all__ = [
     "matveev_lower_bound",
     "MatveevBound",
     "solve_matveev_k_bound",
-    "bl_valuation_bound",
     "bl_crossover_k",
     "solve_bl_k_bound",
     "m_range",
@@ -185,23 +184,6 @@ def _bl_cap(k: int) -> float:
     """1123 * B^2 * log(k) * log(k+1) with B = max{log b' + log log 2 + 0.4, 10 log 2}."""
     B = max(_bl_log_b(k), 10 * math.log(2))
     return 1123.0 * B * B * math.log(k) * math.log(k + 1)
-
-
-def bl_valuation_bound(k: int, m: int, r: int) -> float:
-    """Cap 1123 * B^2 * log(k) * log(k+1) on nu2 of the residue-class
-    linear form for r in {1, 2}.
-
-    The r in {1,2} branch only arises for even k > 200 and m >= 1 (and
-    m below 3 k log k, always true on the search ranges); the bound
-    itself depends only on k.
-    """
-    if k <= 200 or k % 2:
-        raise ValueError("branch requires even k > 200, got k=%d" % (k,))
-    if m < 1:
-        raise ValueError("need m >= 1, got m=%d" % (m,))
-    if r not in (1, 2):
-        raise ValueError("branch covers r in {1,2}, got r=%d" % (r,))
-    return _bl_cap(k)
 
 
 @lru_cache(maxsize=1)

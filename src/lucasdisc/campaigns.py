@@ -37,7 +37,7 @@ from typing import Callable
 import mpmath
 
 from .sequences import LUCAS, SeqParams, term_iter
-from .twoadic import l_quantity_factored, l_quantity_nu2, lucas_congruence, nu2
+from .twoadic import disc_match, disc_nu2, l_quantity_nu2, lucas_congruence_parts
 from .bounds import (
     K_CAP,
     _defect,
@@ -237,15 +237,10 @@ def campaign_case0(shard: tuple[int, int] | None = None) -> CampaignReport:
     def scan(ks: range):
         gaps: list[CandidatePair] = []
         for k in ks:
-            ok = True
-            for m in (0, 1):
-                residue, exponent = lucas_congruence(k, m, 0)
-                # The residue pins nu2(L(n)) at 1 only if the modulus sees
-                # past it, and the clash needs the discriminant valuation
-                # k - 1 to differ from 1.
-                if exponent < 2 or residue == 0 or nu2(residue) != 1 or k - 1 == 1:
-                    ok = False
-            if not ok:
+            # The congruence pins nu2(L(n)) at shift only if shift < E, and
+            # the clash needs that valuation to differ from nu2(|disc|).
+            shifts = [lucas_congruence_parts(k, m, 0)[2:] for m in (0, 1)]
+            if not all(shift < e and shift != disc_nu2(k) for shift, e in shifts):
                 gaps.append(
                     CandidatePair(
                         k=k,
@@ -288,22 +283,23 @@ def campaign_case12(
     whose admissible window can hold n = m(k+1) + r, and those are
     confirmed in escalating extended precision (:func:`_window_pairs`).
     Since r < k+1, n mod (k+1) == r holds by construction.  Stage 2
-    multiplies the Lucas congruence through by (k-1)^2: an equality
-    L(n) == |disc| would force
+    multiplies the Lucas congruence through by (k-1)^2 (:func:`disc_match`):
+    an equality L(n) == +/-|disc| would force
 
-        (k+1)^(k+1) == alpha2 := (-1)^m (k-1)^2 coeff(m, r)
+        (k+1)^(k+1) == -/+ alpha2,  alpha2 := (-1)^m (k-1)^2 coeff(m, r)
                                              (mod 2^test_modulus_bits)
 
-    up to sign, because (k-1)^2 |disc| = 2^(k+1) k^k - (k+1)^(k+1) and
-    the leading term vanishes modulo 2^test_modulus_bits <= 2^(k+1).
-    Both signs of alpha2 are accepted.
+    because (k-1)^2 |disc| = 2^(k+1) k^k - (k+1)^(k+1) and the leading
+    term vanishes modulo 2^test_modulus_bits.  Both signs are accepted.
+    The r = 1 congruence holds modulo 2^(k-1), which caps
+    test_modulus_bits at k_lo - 1.
     """
     if k_lo % 2 or k_hi % 2:
         raise ValueError("k range not even-aligned: (%d, %d)" % (k_lo, k_hi))
     if k_lo <= 200:
         raise ValueError("need k_lo > 200, got %d" % (k_lo,))
-    if test_modulus_bits < 1:
-        raise ValueError("need test_modulus_bits >= 1, got %d" % (test_modulus_bits,))
+    if not 1 <= test_modulus_bits <= k_lo - 1:
+        raise ValueError("need 1 <= test_modulus_bits <= k_lo - 1, got %d" % (test_modulus_bits,))
 
     def scan(idxs: range):
         # idxs indexes the even k as k = k_lo + 2*idx.
@@ -316,21 +312,12 @@ def campaign_case12(
             for m in range(_m_envelope(ks[0])[0], _m_envelope(ks[-1])[1] + 1):
                 window_pairs += _window_pairs(ks, m)
 
-        mod = 1 << test_modulus_bits
-        mask = mod - 1
         candidates: list[CandidatePair] = []
         survivors = 0
         for k, n, m, r in window_pairs:
-            if r == 1:
-                coeff = 4 * m + 1
-            else:
-                coeff = 4 * m * m + 6 * m + 3
-            alpha2 = (k - 1) * (k - 1) * coeff
-            if m & 1:
-                alpha2 = -alpha2
-            power = pow(k + 1, k + 1, mod)
-            sign_plus = (power - alpha2) & mask == 0
-            sign_minus = (power + alpha2) & mask == 0
+            # L == +|disc| is (k+1)^(k+1) == -alpha2, L == -|disc| is +alpha2.
+            parts = lucas_congruence_parts(k, m, r)
+            sign_minus, sign_plus = disc_match(k, r, parts, test_modulus_bits)
             flags = {"window_member", "residue_%d" % r}
             if sign_plus:
                 flags.add("sign_plus")
@@ -393,7 +380,8 @@ def campaign_case3(
     m.  Filter 1 keeps triples with nu2(Q(m, r)) == a.  Each (m, r)
     fixes a through the closed form :func:`l_quantity_nu2`, hence the
     only k = r + a - 1 it can match, so the scan goes through (m, r) and
-    counts the triples arithmetically.  Filter 2 compares odd parts:
+    counts the triples arithmetically.  Filter 2 (:func:`disc_match`,
+    the + sign) compares odd parts:
 
         (-1)^m (k-1)^2 Q == 2^(a+2) (k^k - ((k+1)/2)^(k+1))
                                      (mod 2^min(a + extra, k))
@@ -428,18 +416,10 @@ def campaign_case3(
                 k = r + a - 1
                 if not (k & 1 and lo < k < hi and 1 <= a <= A_MINUS1_MAX + 1):
                     continue
-                q = l_quantity_factored(m, r)
-                if nu2(q) != a:
+                parts = lucas_congruence_parts(k, m, r)
+                if parts[2] - (r - 2) != a:
                     raise AssertionError("closed-form nu2(Q) wrong at m=%d r=%d" % (m, r))
-                exponent = min(a + modulus_extra_bits, k)
-                mod = 1 << exponent
-                mask = mod - 1
-                lhs = (k - 1) * (k - 1) % mod * (q & mask) % mod
-                if m & 1:
-                    lhs = -lhs & mask
-                rhs = pow(k, k, mod) - pow((k + 1) >> 1, k + 1, mod)
-                rhs = (rhs << (a + 2)) & mask
-                survived = lhs == rhs
+                survived = disc_match(k, r, parts, a + modulus_extra_bits)[0]
                 in_band = 9 <= m <= 55
                 flags = {"valuation_match"}
                 if in_band:

@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument(
         "--modulus-bits",
         type=int,
-        help="case12: power-of-two test modulus bits (default 100);"
+        help="case12: power-of-two test modulus bits (default 100, at most k-lo - 1);"
         " case3: extra bits above the matched valuation (default 150)",
     )
     split = p_search.add_mutually_exclusive_group()

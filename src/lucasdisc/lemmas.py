@@ -28,6 +28,7 @@ from .twoadic import (
     l_quantity,
     l_quantity_factored,
     lucas_congruence,
+    lucas_congruence_parts,
     nu2,
     residue_decomposition,
     disc_nu2,
@@ -136,40 +137,29 @@ def check_congruence_table(scale: int = 1) -> list[Failure]:
     k_hi = 8 + 4 * scale
     m_hi = 2 + 2 * scale
     for k in range(2, k_hi + 1):
-        params = SeqParams(k=k, family=LUCAS)
-        for m in range(0, m_hi + 1):
-            for r in range(0, k + 1):
-                n = m * (k + 1) + r
-                residue, exponent = lucas_congruence(k, m, r)
-                if exponent <= 0:
-                    continue
-                if (term(params, n) - residue) % (1 << exponent):
-                    out.append(
-                        _fail("congruence_table", "L(n) != residue mod 2^E", k=k, m=m, r=r, n=n)
-                    )
+        for n, value in term_iter(SeqParams(k=k, family=LUCAS), 0):
+            m, r = residue_decomposition(n, k)
+            if m > m_hi:
+                break
+            residue, exponent = lucas_congruence(k, m, r)
+            if exponent > 0 and (value - residue) % (1 << exponent):
+                out.append(_fail("congruence_table", "L(n) != residue mod 2^E", k=k, m=m, r=r, n=n))
     return out
 
 
 def check_valuation_law(scale: int = 1) -> list[Failure]:
-    """nu2(L(n)) == r - 2 + nu2(Q(m, r)) when the modulus can see it."""
+    """nu2(L(n)) == shift wherever lucas_congruence_parts pins it (shift < E)."""
     out = []
     k_hi = 8 + 4 * scale
     m_hi = 2 + 2 * scale
     for k in range(4, k_hi + 1):
-        params = SeqParams(k=k, family=LUCAS)
-        for m in range(1, m_hi + 1):
-            for r in range(3, k + 1):
-                q = l_quantity(m, r)
-                if q == 0:
-                    continue
-                a = nu2(q)
-                # The congruence holds mod 2^(k+r-2); it pins the
-                # valuation only while r - 2 + a < k + r - 2.
-                if a >= k:
-                    continue
-                n = m * (k + 1) + r
-                if nu2(term(params, n)) != r - 2 + a:
-                    out.append(_fail("valuation_law", "nu2(L(n)) != r - 2 + nu2(Q)", k=k, m=m, r=r))
+        for n, value in term_iter(SeqParams(k=k, family=LUCAS), 0):
+            m, r = residue_decomposition(n, k)
+            if m > m_hi:
+                break
+            _, _, shift, exponent = lucas_congruence_parts(k, m, r)
+            if shift < exponent and nu2(value) != shift:
+                out.append(_fail("valuation_law", "nu2(L(n)) != pinned shift", k=k, m=m, r=r))
     return out
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "RootEnclosure",
     "gk_sign",
     "dominant_root",
-    "binet_dominant",
     "growth_bounds_check",
     "binet_error_check",
     "binet_vs_power2_check",
@@ -197,12 +196,6 @@ def _dominant_iv(k: int, n: int, bits: int) -> _Iv:
         raise AssertionError("denominator interval not positive for k=%d" % (k,))
     f = (alpha - one) / den
     return f * (two * alpha - one) * alpha.pow_int(n - 1)
-
-
-def binet_dominant(k: int, n: int, precision_bits: int = 128) -> tuple[Fraction, Fraction]:
-    """Certified rational bounds on the dominant term f(alpha)(2 alpha - 1) alpha^(n-1)."""
-    iv = _dominant_iv(k, n, max(precision_bits, 16))
-    return iv.lo, iv.hi
 
 
 def _lucas_term(k: int, n: int) -> int:

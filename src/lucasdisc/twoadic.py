@@ -9,9 +9,11 @@ one congruence per residue class of r:
     r >= 3:  L(n) == (-1)^m 2^(r-2) Q(m, r)         (mod 2^(k+r-2))
 
 where Q(m, r) is the integer combination of binomials computed by
-:func:`l_quantity`.  When nu2(Q(m,r)) = a < k this pins the exact
-2-adic valuation nu2(L(n)) = r - 2 + a, the workhorse of the r >= 3
-search campaign.
+:func:`l_quantity`.  The table is written once, in
+:func:`lucas_congruence_parts`, as sign * odd * 2^shift; when
+shift < E that pins nu2(L(n)) = shift.  :func:`disc_match` compares it
+with |disc| = (2^(k+1) k^k - (k+1)^(k+1)) / (k-1)^2.  The campaigns
+and the lemma suites read both.
 
 Valuations use the convention nu2(0) = infinity (``math.inf``).
 """
@@ -28,7 +30,9 @@ __all__ = [
     "l_quantity",
     "l_quantity_factored",
     "l_quantity_nu2",
+    "lucas_congruence_parts",
     "lucas_congruence",
+    "disc_match",
     "residue_decomposition",
     "disc_nu2",
 ]
@@ -117,13 +121,11 @@ def _canonical(raw: int, exponent: int) -> int:
     return ((raw + half) & ((half << 1) - 1)) - half
 
 
-def lucas_congruence(k: int, m: int, r: int) -> tuple[int, int]:
-    """Predicted residue of L(r + m(k+1)) and its modulus exponent E.
+def lucas_congruence_parts(k: int, m: int, r: int) -> tuple[int, int, int, int]:
+    """``(sign, odd, shift, E)`` with L(r + m(k+1)) == sign * odd * 2^shift (mod 2^E).
 
-    Returns ``(residue, E)`` meaning L(n) == residue (mod 2^E) for
-    n = r + m(k+1).  The residue is the signed representative in
-    [-2^(E-1), 2^(E-1)); at k = 2, r = 0 the modulus is 2^0 and the
-    congruence is vacuous, returned as (0, 0).
+    sign = (-1)^m and ``odd`` is odd.  For r >= 3, Q(m, r) comes from the
+    single-binomial form when m >= 2; Q is never 0 for m >= 0, r >= 3.
     """
     if k < 2:
         raise ValueError("need k >= 2, got k=%d" % (k,))
@@ -133,14 +135,63 @@ def lucas_congruence(k: int, m: int, r: int) -> tuple[int, int]:
         raise ValueError("need 0 <= r <= k, got r=%d k=%d" % (r, k))
     sign = -1 if m % 2 else 1
     if r == 0:
-        raw, exponent = 2 * sign, k - 2
-    elif r == 1:
-        raw, exponent = (4 * m + 1) * sign, k - 1
-    elif r == 2:
-        raw, exponent = (4 * m * m + 6 * m + 3) * sign, k
-    else:
-        raw, exponent = sign * (l_quantity(m, r) << (r - 2)), k + r - 2
-    return _canonical(raw, exponent), exponent
+        return sign, 1, 1, k - 2
+    if r == 1:
+        return sign, 4 * m + 1, 0, k - 1
+    if r == 2:
+        return sign, 4 * m * m + 6 * m + 3, 0, k
+    q = l_quantity_factored(m, r) if m >= 2 else l_quantity(m, r)
+    a = nu2(q)
+    return sign, q >> a, r - 2 + a, k + r - 2
+
+
+def lucas_congruence(k: int, m: int, r: int) -> tuple[int, int]:
+    """Predicted residue of L(r + m(k+1)) and its modulus exponent E.
+
+    Returns ``(residue, E)`` meaning L(n) == residue (mod 2^E) for
+    n = r + m(k+1), read from :func:`lucas_congruence_parts`.  The
+    residue is the signed representative in [-2^(E-1), 2^(E-1)); at
+    k = 2, r = 0 the modulus is 2^0 and the congruence is vacuous,
+    returned as (0, 0).
+    """
+    sign, odd, shift, exponent = lucas_congruence_parts(k, m, r)
+    return _canonical(sign * odd << shift, exponent), exponent
+
+
+def _scaled_disc_residue(k: int, s: int, e: int) -> int:
+    """((k-1)^2 |disc(k)|) >> s modulo 2^e, for 0 <= s <= k+1 and e >= 0.
+
+    (k-1)^2 |disc| = 2^(k+1) k^k - (k+1)^(k+1).  For odd k, 2^(k+1)
+    comes out of both terms first, so the modulus stays 2^(e - (k+1-s))
+    however large s is.  For even k the numerator is reduced mod 2^(e+s).
+    """
+    if k % 2:
+        t = k + 1 - s
+        if e <= t:
+            return 0
+        mod = 1 << (e - t)
+        return (pow(k, k, mod) - pow((k + 1) >> 1, k + 1, mod)) % mod << t
+    mod = 1 << (e + s)
+    return ((pow(k, k, mod) << (k + 1)) - pow(k + 1, k + 1, mod)) % mod >> s
+
+
+def disc_match(k: int, r: int, parts: tuple[int, int, int, int], bits: int) -> tuple[bool, bool]:
+    """Whether L(n) == +|disc(k)| and L(n) == -|disc(k)| pass the congruence.
+
+    ``parts`` is :func:`lucas_congruence_parts` for n = r + m(k+1).  Both
+    sides are multiplied by (k-1)^2 and divided by 2^s, s = max(r-2, 0),
+    which divides the Lucas side: (k-1)^2 sign odd 2^(shift-s) is compared
+    with ((k-1)^2 |disc|) >> s modulo 2^min(bits, E - s).
+    """
+    sign, odd, shift, exponent = parts
+    s = max(r - 2, 0)
+    e = min(bits, exponent - s)
+    if e <= 0:
+        return True, True
+    mask = (1 << e) - 1
+    lhs = (k - 1) * (k - 1) * sign * odd << (shift - s)
+    rhs = _scaled_disc_residue(k, s, e)
+    return (lhs - rhs) & mask == 0, (lhs + rhs) & mask == 0
 
 
 def residue_decomposition(n: int, k: int) -> tuple[int, int]:

@@ -11,7 +11,6 @@ from lucasdisc.bounds import (
     _bl_log_b,
     _matveev_gap,
     bl_crossover_k,
-    bl_valuation_bound,
     bound_profile,
     discriminant,
     localize_k_by_power2,
@@ -117,7 +116,6 @@ def test_bl_chain_caps():
     assert _bl_log_b(k) - 10 * math.log(2) < 0 <= _bl_log_b(k + 1) - 10 * math.log(2)
     k = solve_bl_k_bound()
     assert (k - 1) - _bl_cap(k) < 0 <= k - _bl_cap(k + 1)
-    assert bl_valuation_bound(k, 1, 1) == _bl_cap(k)
 
 
 def test_matveev_lower_bound_behaviour():
@@ -131,17 +129,6 @@ def test_matveev_lower_bound_behaviour():
         matveev_lower_bound(2, 10.0, [2.0])
     with pytest.raises(ValueError):
         matveev_lower_bound(2, 1.0, [2.0, 3.0])
-
-
-def test_bl_valuation_bound_domain():
-    value = bl_valuation_bound(60000, 10, 1)
-    assert value > 0
-    with pytest.raises(ValueError):
-        bl_valuation_bound(60001, 10, 1)  # odd k
-    with pytest.raises(ValueError):
-        bl_valuation_bound(200, 10, 1)
-    with pytest.raises(ValueError):
-        bl_valuation_bound(60000, 10, 3)
 
 
 def test_m_range_envelope():

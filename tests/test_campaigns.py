@@ -1,5 +1,6 @@
 """Campaign behavior: frozen counts, shard determinism, filter monotonicity."""
 
+import hashlib
 import json
 import math
 
@@ -28,6 +29,16 @@ CASE12_FULL_PAIRS = 32
 CASE3_TRIPLES = 3340584
 CASE3_VALUATION_MATCHES = 12219
 CASE3_SURVIVORS_AT_100 = 14
+
+# sha256 of report_to_jsonl(report, include_timing=False) per campaign run,
+# keyed by the conftest fixture that holds the run (None: case0, run here).
+REPORT_SHA256 = {
+    "small": ("small_report", "679a98b5476770028ef146ee54d488633541e7006fd1803ca0f913f027b27cc9"),
+    "case0": (None, "d4e05d658008bd327a27c76ce6b5ce90ad6800d52f2a6bad6f2fe69fef9fd0bf"),
+    "case12": ("case12_full_report", "0ebf9e52fce47e30bce6444231e1a325620a55f0da89729a91e6dc2cfdabd960"),
+    "case3_150": ("case3_150_report", "16c98191ce00b9164262f3c8447e2b8520a60f4e39ae647ca964be772e942cf7"),
+    "case3_100": ("case3_100_report", "735df6d711ff26ca58bd7bd92aae21b58d803e87c6c09d83098c77b12923d86c"),
+}
 
 
 def test_small_campaign_frozen_counts(small_report):
@@ -131,6 +142,15 @@ def test_case12_validation():
         campaign_case12(200, 10_000)
     with pytest.raises(ValueError):
         campaign_case12(202, 10_000, test_modulus_bits=0)
+    with pytest.raises(ValueError, match="test_modulus_bits <= k_lo - 1"):
+        campaign_case12(202, 10_000, test_modulus_bits=202)
+
+
+def test_case12_accepts_modulus_up_to_k_lo_minus_one():
+    # The r = 1 congruence holds modulo 2^(k-1), and k >= k_lo.
+    report = campaign_case12(202, 10_000, test_modulus_bits=201)
+    assert report.ranges["test_modulus_bits"] == 201
+    assert report.stage_counts[1:] == [("window_residue_pairs", CASE12_TOY_PAIRS), ("modulus_survivors", 0)]
 
 
 def test_case12_empty_range():
@@ -299,6 +319,14 @@ def test_stage_counts_non_increasing(small_report, case12_toy_report, case3_150_
         assert {(c.k, c.n) for c in report.survivors} <= {
             (c.k, c.n) for c in report.candidates
         }
+
+
+@pytest.mark.parametrize("run", sorted(REPORT_SHA256))
+def test_report_bytes_are_pinned(run, request):
+    fixture, digest = REPORT_SHA256[run]
+    report = campaign_case0() if fixture is None else request.getfixturevalue(fixture)
+    data = report_to_jsonl(report, include_timing=False).encode()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_candidate_pair_is_frozen():

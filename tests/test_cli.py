@@ -65,6 +65,14 @@ def test_usage_errors():
     assert run(["search", "case12", "--k-lo", "201", "--k-hi", "300"]) == 2
 
 
+def test_search_case12_modulus_past_k_lo_minus_one_exit_two(capsys):
+    argv = ["search", "case12", "--k-lo", "202", "--k-hi", "300", "--workers", "1", "--no-timing"]
+    assert run(argv + ["--modulus-bits", "201"]) == 0
+    capsys.readouterr()
+    assert run(argv + ["--modulus-bits", "202"]) == 2
+    assert "test_modulus_bits <= k_lo - 1" in capsys.readouterr().err
+
+
 def test_verify_lemmas_subset(capsys):
     assert run(["verify-lemmas", "--suite", "recurrence", "--suite", "congruence_table"]) == 0
     out = capsys.readouterr().out

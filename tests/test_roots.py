@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from lucasdisc.roots import (
     MAX_PRECISION_BITS,
     RootEnclosure,
+    _dominant_iv,
     _last_negative,
-    binet_dominant,
     binet_error_check,
     binet_vs_power2_check,
     dominant_root,
@@ -111,7 +111,8 @@ def test_gk_sign_values():
 
 
 def test_binet_dominant_is_a_tight_interval():
-    lo, hi = binet_dominant(5, 9)
+    iv = _dominant_iv(5, 9, 128)
+    lo, hi = iv.lo, iv.hi
     assert lo <= hi
     # The dominant term should sit within 3/2 of the exact value 352.
     assert abs(352 - lo) < 2 and abs(352 - hi) < 2

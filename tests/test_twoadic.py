@@ -1,6 +1,7 @@
 """2-adic valuation and congruence tests against exact recurrence values."""
 
 import math
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -8,12 +9,15 @@ from hypothesis import strategies as st
 
 from lucasdisc.sequences import LUCAS, SeqParams, term
 from lucasdisc.twoadic import (
+    _scaled_disc_residue,
+    disc_match,
     disc_nu2,
     kummer_nu2_binomial,
     l_quantity,
     l_quantity_factored,
     l_quantity_nu2,
     lucas_congruence,
+    lucas_congruence_parts,
     nu2,
     residue_decomposition,
 )
@@ -113,6 +117,75 @@ def test_congruence_grid_against_exact_terms(k):
             if exponent > 0:
                 half = 1 << (exponent - 1)
                 assert -half <= residue < half
+
+
+def lucas_mod(k, count, bits):
+    """L(0), ..., L(count - 1) modulo 2^bits, walked by the order-k recurrence."""
+    mask = (1 << bits) - 1
+    window = deque([0] * (k - 2) + [2, 1])  # L(2-k), ..., L(1)
+    total = 3
+    out = [2, 1]
+    while len(out) < count:
+        nxt = total & mask
+        total += nxt - window.popleft()
+        window.append(nxt)
+        out.append(nxt)
+    return out[:count]
+
+
+def assert_parts_hold(k, m_hi, rs, bits):
+    values = lucas_mod(k, (m_hi + 1) * (k + 1), bits)
+    for m in range(m_hi + 1):
+        for r in rs:
+            sign, odd, shift, exponent = lucas_congruence_parts(k, m, r)
+            assert odd % 2 == 1 and sign == (-1) ** m
+            assert exponent <= bits
+            assert (values[m * (k + 1) + r] - sign * odd * (1 << shift)) % (1 << exponent) == 0, (k, m, r)
+
+
+@pytest.mark.parametrize("k", range(202, 401, 2))
+def test_congruence_parts_at_campaign_scale_r_1_2(k):
+    # case12's classes at the sizes it runs: even k 202..400, m <= 12.
+    assert_parts_hold(k, 12, (1, 2), k + 40)
+
+
+@pytest.mark.parametrize("k", [255, 257, 511, 513])
+def test_congruence_parts_at_campaign_scale_every_r(k):
+    # Odd k next to powers of two, as in case3; E reaches 2k - 2.
+    assert_parts_hold(k, 3, range(k + 1), 2 * k + 40)
+
+
+def test_congruence_parts_spot_values():
+    assert lucas_congruence_parts(5, 1, 0) == (-1, 1, 1, 3)
+    assert lucas_congruence_parts(5, 1, 3) == (-1, 1, 5, 6)  # Q(1, 3) = 16
+    assert lucas_congruence_parts(4, 2, 1) == (1, 9, 0, 3)
+    assert lucas_congruence_parts(4, 2, 2) == (1, 31, 0, 4)
+    assert lucas_congruence_parts(7, 0, 5) == (1, 3, 3, 10)
+
+
+@pytest.mark.parametrize("k", range(3, 260))
+def test_scaled_disc_residue_against_exact(k):
+    scaled = (k - 1) ** 2 * discriminant(k)
+    for s in sorted({0, 1, 2, 3, min(7, k), k // 2, k - 2, k - 1, k, k + 1}):
+        for e in (1, 5, 40, k - 1, k, k + 1, k + 30):
+            assert _scaled_disc_residue(k, s, e) == (scaled >> s) % (1 << e), (s, e)
+
+
+@pytest.mark.parametrize("k", range(3, 31))
+def test_disc_match_equals_comparison_with_exact_terms(k):
+    # The same comparison made with the exact L(n) instead of its congruence.
+    scaled = (k - 1) ** 2 * discriminant(k)
+    params = SeqParams(k=k, family=LUCAS)
+    for m in range(4):
+        for r in range(k + 1):
+            parts = lucas_congruence_parts(k, m, r)
+            s = max(r - 2, 0)
+            value = (k - 1) ** 2 * term(params, m * (k + 1) + r)
+            assert value % (1 << s) == 0
+            for bits in (1, 8, 1000):
+                mod = 1 << max(min(bits, parts[3] - s), 0)
+                expect = ((value >> s) - (scaled >> s)) % mod == 0, ((value >> s) + (scaled >> s)) % mod == 0
+                assert disc_match(k, r, parts, bits) == expect, (m, r, bits)
 
 
 def test_valuation_law_witness():
