@@ -54,7 +54,6 @@ from .bounds import (
     discriminant,
     localize_k_by_power2,
     m_range,
-    matveev_lower_bound,
     n_window,
     solve_bl_k_bound,
     solve_matveev_k_bound,
@@ -110,7 +109,6 @@ __all__ = [
     "discriminant",
     "localize_k_by_power2",
     "m_range",
-    "matveev_lower_bound",
     "n_window",
     "solve_bl_k_bound",
     "solve_matveev_k_bound",

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import mpmath
 
@@ -29,7 +29,6 @@ from .roots import _escalate, _last_negative
 __all__ = [
     "discriminant",
     "n_window",
-    "matveev_lower_bound",
     "MatveevBound",
     "solve_matveev_k_bound",
     "bl_crossover_k",
@@ -130,31 +129,17 @@ def _m_envelope(k: int) -> tuple[int, int]:
     return int(m_lo), int(m_hi)
 
 
-def matveev_lower_bound(t: int, B: float, A: Sequence[float]) -> float:
-    """Lower bound -1.4 * 30^(t+3) * t^4.5 * (1 + log B) * prod(A) on
-    log |Gamma| for a nonzero linear form Gamma in t logarithms.
-
-    B bounds the coefficient heights (B >= 3 required here), each A_i
-    bounds a logarithmic height and must be positive.
-    """
-    if t < 1:
-        raise ValueError("need t >= 1, got t=%d" % (t,))
-    if B < 3:
-        raise ValueError("need B >= 3, got B=%r" % (B,))
-    if len(A) != t:
-        raise ValueError("need exactly t height bounds, got %d for t=%d" % (len(A), t))
-    if any(a <= 0 for a in A):
-        raise ValueError("height bounds must be positive")
-    return -1.4 * 30 ** (t + 3) * t**4.5 * (1 + math.log(B)) * math.prod(A)
-
-
 class MatveevBound(NamedTuple):
     k_max: int
     n_max: int
 
 
 def _matveev_gap(k: int) -> mpmath.mpf:
-    """(k/2) log 2 - 3.5e11 (log k)^2 log(3 k log k); negative while k survives."""
+    """(k/2) log 2 - 3.5e11 (log k)^2 log(3 k log k); negative while k survives.
+
+    3.5e11 is the paper's aggregated linear-forms constant, taken as given;
+    it is not derived here.
+    """
     logk = mpmath.log(k)
     return k * mpmath.log(2) / 2 - 3.5e11 * logk**2 * mpmath.log(3 * k * logk)
 

@@ -1,13 +1,13 @@
 """Certified enclosures of the dominant root of x^k - x^(k-1) - ... - 1.
 
 The polynomial has a unique real root alpha(k) in (2(1 - 2^-k), 2).
-Everything here is exact: enclosures come from bisection over dyadic
-rationals (sign evaluations are integer arithmetic, so the bracket is a
-certificate), and the inequality checks run in exact rational interval
-arithmetic.  A ``True``/``False`` answer is therefore proved, not
-sampled.  When an interval is too wide to decide a strict inequality
-the computation retries with doubled precision up to a hard cap and
-then raises :class:`PrecisionError`.
+Enclosures come from bisection over dyadic rationals (sign evaluations
+are integer arithmetic, so the bracket is a certificate), and the
+inequality checks run in outward-rounded mpmath interval arithmetic over
+those exact dyadic root brackets.  A ``True``/``False`` answer is
+therefore proved, not sampled.  When an interval is too wide to decide a
+strict inequality the computation retries with doubled precision up to
+a hard cap and then raises :class:`PrecisionError`.
 
 The checks certify three growth facts about the Lucas-type terms:
 
@@ -24,8 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
 from typing import Any, Callable, Optional
+
+from mpmath.ctx_iv import MPIntervalContext
 
 from .sequences import LUCAS, SeqParams, term
 
@@ -44,66 +45,6 @@ MAX_PRECISION_BITS = 4096
 
 class PrecisionError(RuntimeError):
     """A strict comparison stayed undecidable at the precision cap."""
-
-
-class _Iv:
-    """Closed interval with exact rational endpoints."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo, hi=None):
-        self.lo = Fraction(lo)
-        self.hi = self.lo if hi is None else Fraction(hi)
-        if self.lo > self.hi:
-            raise ValueError("interval endpoints out of order")
-
-    def __add__(self, other: "_Iv") -> "_Iv":
-        return _Iv(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other: "_Iv") -> "_Iv":
-        return _Iv(self.lo - other.hi, self.hi - other.lo)
-
-    def __mul__(self, other: "_Iv") -> "_Iv":
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return _Iv(min(products), max(products))
-
-    def __truediv__(self, other: "_Iv") -> "_Iv":
-        if other.lo <= 0 <= other.hi:
-            raise ZeroDivisionError("divisor interval contains zero")
-        quotients = (
-            self.lo / other.lo,
-            self.lo / other.hi,
-            self.hi / other.lo,
-            self.hi / other.hi,
-        )
-        return _Iv(min(quotients), max(quotients))
-
-    def pow_int(self, e: int) -> "_Iv":
-        if e == 0:
-            return _Iv(1)
-        if e < 0:
-            if self.lo <= 0:
-                raise ZeroDivisionError("negative power of interval touching zero")
-            return _Iv(self.hi**e, self.lo**e)
-        if self.lo >= 0:
-            return _Iv(self.lo**e, self.hi**e)
-        if e % 2:
-            return _Iv(self.lo**e, self.hi**e)
-        top = max(-self.lo, self.hi) ** e
-        bot = Fraction(0) if self.hi >= 0 else self.hi**e
-        return _Iv(min(bot, top), top)
-
-    def abs(self) -> "_Iv":
-        if self.lo >= 0:
-            return self
-        if self.hi <= 0:
-            return _Iv(-self.hi, -self.lo)
-        return _Iv(0, max(-self.lo, self.hi))
 
 
 def gk_sign(k: int, x: Fraction) -> int:
@@ -133,9 +74,6 @@ class RootEnclosure:
 
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    def interval(self) -> _Iv:
-        return _Iv(self.lo, self.hi)
 
 
 def _last_negative(f: Callable[[int], Any], lo: int, hi: int) -> int:
@@ -186,35 +124,43 @@ def _escalate(decide: Callable[[int], Optional[bool]], precision_bits: int, what
     raise PrecisionError("%s at %d bits" % (what, MAX_PRECISION_BITS))
 
 
-def _dominant_iv(k: int, n: int, bits: int) -> _Iv:
-    """Interval enclosing f(alpha) (2 alpha - 1) alpha^(n-1)."""
-    alpha = dominant_root(k, bits).interval()
-    one = _Iv(1)
-    two = _Iv(2)
-    den = two + _Iv(k + 1) * (alpha - two)
-    if den.lo <= 0:
+# Private interval context; the global ``mpmath.iv`` precision is never touched.  Each decision
+# sets it to max(bits, k) + 8 plus the bit length of its integer operand, so that operand and the
+# endpoints of dominant_root(k, bits) (at most max(bits, k) + 1 significant bits) convert exactly.
+_IV = MPIntervalContext()
+
+
+def _alpha_iv(k: int, bits: int):
+    """``dominant_root(k, bits)`` as an ``_IV`` interval (``mpmath.mpf(p) / q`` would round to 53 bits)."""
+    enc = dominant_root(k, bits)
+    lo = _IV.mpf(enc.lo.numerator) / enc.lo.denominator
+    hi = _IV.mpf(enc.hi.numerator) / enc.hi.denominator
+    return _IV.mpf([lo.a, hi.b])
+
+
+def _dominant_iv(k: int, n: int, bits: int):
+    """Interval enclosing f(alpha) (2 alpha - 1) alpha^(n-1) at the current ``_IV`` precision."""
+    alpha = _alpha_iv(k, bits)
+    den = 2 + (k + 1) * (alpha - 2)
+    if not den.a > 0:
         raise AssertionError("denominator interval not positive for k=%d" % (k,))
-    f = (alpha - one) / den
-    return f * (two * alpha - one) * alpha.pow_int(n - 1)
-
-
-def _lucas_term(k: int, n: int) -> int:
-    return term(SeqParams(k, LUCAS), n)
+    return (alpha - 1) / den * (2 * alpha - 1) * alpha ** (n - 1)
 
 
 def growth_bounds_check(k: int, n: int, precision_bits: int = 128) -> bool:
     """Certify alpha^(n-1) <= L(n) <= 2 alpha^n for n >= 0."""
     if n < 0:
         raise ValueError("growth bounds stated for n >= 0, got n=%d" % (n,))
-    value = _Iv(_lucas_term(k, n))
+    value = term(SeqParams(k, LUCAS), n)
 
     def decide(bits: int) -> Optional[bool]:
-        alpha = dominant_root(k, bits).interval()
-        low = alpha.pow_int(n - 1)
-        high = _Iv(2) * alpha.pow_int(n)
-        if low.hi <= value.lo and value.hi <= high.lo:
+        _IV.prec = max(bits, k) + value.bit_length() + 8
+        alpha = _alpha_iv(k, bits)
+        low = alpha ** (n - 1)
+        high = 2 * alpha**n
+        if low.b <= value <= high.a:
             return True
-        if low.lo > value.hi or high.hi < value.lo:
+        if low.a > value or high.b < value:
             return False
         return None
 
@@ -225,46 +171,37 @@ def binet_error_check(k: int, n: int, precision_bits: int = 128) -> bool:
     """Certify |L(n) - f(alpha)(2 alpha - 1) alpha^(n-1)| < 3/2 for n >= 2-k."""
     if n < 2 - k:
         raise ValueError("index %d below domain minimum %d" % (n, 2 - k))
-    value = _Iv(_lucas_term(k, n))
-    bound = Fraction(3, 2)
+    value = term(SeqParams(k, LUCAS), n)
 
     def decide(bits: int) -> Optional[bool]:
-        err = (value - _dominant_iv(k, n, bits)).abs()
-        if err.hi < bound:
+        _IV.prec = max(bits, k) + value.bit_length() + 8
+        err = abs(value - _dominant_iv(k, n, bits))
+        if 2 * err.b < 3:
             return True
-        if err.lo >= bound:
+        if 2 * err.a >= 3:
             return False
         return None
 
     return _escalate(decide, precision_bits)
 
 
-def _sqrt2_iv(bits: int) -> _Iv:
-    scale = 1 << bits
-    a = isqrt(2 * scale * scale)
-    return _Iv(Fraction(a, scale), Fraction(a + 1, scale))
-
-
 def binet_vs_power2_check(k: int, n: int, precision_bits: int = 128) -> bool:
     """Certify |dominant term - 3*2^(n-2)| < 3*2^(n-2) * 36/2^(k/2).
 
     Valid only under the stated proviso n < 2^(k/2); other n are a
-    domain error.  For odd k the right side involves sqrt(2), enclosed
-    by integer-square-root rationals at working precision.
+    domain error.
     """
     if n > 0 and n * n >= (1 << k):
         raise ValueError("requires n < 2^(k/2), got n=%d k=%d" % (n, k))
-    target = _Iv(3 * Fraction(2) ** (n - 2))
 
     def decide(bits: int) -> Optional[bool]:
-        lhs = (_dominant_iv(k, n, bits) - target).abs()
-        scale = _Iv(Fraction(36, 1 << (k // 2)))
-        if k % 2:
-            scale = scale / _sqrt2_iv(bits)
-        rhs = target * scale
-        if lhs.hi < rhs.lo:
+        _IV.prec = max(bits, k) + 8
+        target = _IV.ldexp(3, n - 2)
+        lhs = abs(_dominant_iv(k, n, bits) - target)
+        rhs = 36 * target / _IV.sqrt(2) ** k
+        if lhs.b < rhs.a:
             return True
-        if lhs.lo >= rhs.hi:
+        if lhs.a >= rhs.b:
             return False
         return None
 

@@ -58,64 +58,35 @@ def _initial_term(params: SeqParams, n: int) -> int:
     return {0: 2, 1: 1}.get(n, 0)
 
 
-class SeqWindow:
-    """Sliding window of the k most recent terms with a running sum.
-
-    ``index`` is the index of the newest term in ``window``; stepping
-    appends sum(window) and evicts the oldest term, so each step costs
-    one big-integer addition and one subtraction.
-    """
-
-    __slots__ = ("params", "index", "window", "window_sum")
-
-    def __init__(self, params: SeqParams) -> None:
-        self.params = params
-        self.index = 1
-        init = [_initial_term(params, n) for n in range(params.min_index, 2)]
-        self.window: deque[int] = deque(init, maxlen=params.k)
-        self.window_sum = sum(init)
-
-    def current(self) -> int:
-        return self.window[-1]
-
-    def step(self) -> tuple[int, int]:
-        """Advance one index; returns (new index, new term)."""
-        new = self.window_sum
-        evicted = self.window[0]
-        self.window.append(new)  # maxlen=k drops the oldest entry
-        self.window_sum += new - evicted
-        self.index += 1
-        return self.index, new
-
-
 def term(params: SeqParams, n: int) -> int:
     """Exact term at index ``n`` (``n >= 2 - k``)."""
     if n < params.min_index:
         raise ValueError("index %d below domain minimum %d" % (n, params.min_index))
-    if n <= 1:
-        return _initial_term(params, n)
-    w = SeqWindow(params)
-    value = w.current()
-    while w.index < n:
-        _, value = w.step()
-    return value
+    return next(term_iter(params, n))[1]
 
 
 def term_iter(params: SeqParams, n_start: int = 0) -> Iterator[tuple[int, int]]:
     """Yield ``(n, term)`` pairs for n = n_start, n_start + 1, ...
 
-    The walk is incremental: total cost to reach index n is O(n + k)
-    big-integer additions.
+    The walk keeps the k most recent terms and their running sum, so each
+    step costs one big-integer addition and one subtraction: total cost to
+    reach index n is O(n + k) big-integer additions.
     """
     if n_start < params.min_index:
         raise ValueError("start index %d below domain minimum %d" % (n_start, params.min_index))
+    init = [_initial_term(params, n) for n in range(params.min_index, 2)]
     for n in range(n_start, 2):
-        yield n, _initial_term(params, n)
-    w = SeqWindow(params)
+        yield n, init[n - params.min_index]
+    window = deque(init, maxlen=params.k)  # appending drops the oldest term
+    window_sum = sum(init)
+    n = 1
     while True:
-        n, value = w.step()
-        if n >= max(n_start, 2):
-            yield n, value
+        n += 1
+        new = window_sum
+        window_sum += new - window[0]
+        window.append(new)
+        if n >= n_start:
+            yield n, new
 
 
 def lucas_from_fib(k: int, n: int) -> int:

@@ -15,7 +15,6 @@ from lucasdisc.bounds import (
     discriminant,
     localize_k_by_power2,
     m_range,
-    matveev_lower_bound,
     n_window,
     solve_bl_k_bound,
     solve_matveev_k_bound,
@@ -116,19 +115,6 @@ def test_bl_chain_caps():
     assert _bl_log_b(k) - 10 * math.log(2) < 0 <= _bl_log_b(k + 1) - 10 * math.log(2)
     k = solve_bl_k_bound()
     assert (k - 1) - _bl_cap(k) < 0 <= k - _bl_cap(k + 1)
-
-
-def test_matveev_lower_bound_behaviour():
-    weak = matveev_lower_bound(2, 10.0, [2.0, 3.0])
-    strong = matveev_lower_bound(2, 1000.0, [2.0, 3.0])
-    assert weak < 0 and strong < 0
-    assert strong < weak  # larger B weakens the lower bound
-    with pytest.raises(ValueError):
-        matveev_lower_bound(0, 10.0, [])
-    with pytest.raises(ValueError):
-        matveev_lower_bound(2, 10.0, [2.0])
-    with pytest.raises(ValueError):
-        matveev_lower_bound(2, 1.0, [2.0, 3.0])
 
 
 def test_m_range_envelope():

@@ -2,14 +2,18 @@
 
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import to_rational
 
 from lucasdisc.roots import (
+    _IV,
     MAX_PRECISION_BITS,
     RootEnclosure,
+    _alpha_iv,
     _dominant_iv,
     _last_negative,
     binet_error_check,
@@ -112,10 +116,47 @@ def test_gk_sign_values():
 
 def test_binet_dominant_is_a_tight_interval():
     iv = _dominant_iv(5, 9, 128)
-    lo, hi = iv.lo, iv.hi
+    lo, hi = iv.a, iv.b
     assert lo <= hi
     # The dominant term should sit within 3/2 of the exact value 352.
     assert abs(352 - lo) < 2 and abs(352 - hi) < 2
+
+
+def exact_endpoints(x):
+    """The endpoints of an mpmath interval as Fractions."""
+    return tuple(Fraction(*to_rational(e)) for e in x._mpi_)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 12, 20, 29, 30])
+@pytest.mark.parametrize("bits", [16, 128, 256])
+def test_interval_power_encloses_exact_powers(k, bits):
+    # At 53 bits the dyadic endpoints round outward on conversion; at the
+    # second precision they convert exactly.  Both must enclose.
+    enc = dominant_root(k, bits)
+    for n in sorted({2 - k, 0, 1, 2, 3, 50, 700, 3000}):
+        exact = (enc.lo ** (n - 1), enc.hi ** (n - 1))
+        for prec in (53, max(bits, k) + max(n, 0) + 8):
+            _IV.prec = prec
+            lo, hi = exact_endpoints(_alpha_iv(k, bits) ** (n - 1))
+            assert all(lo <= x <= hi for x in exact), (n, prec)
+
+
+def test_dominant_iv_encloses_exact_dominant_terms():
+    enc = dominant_root(5, 128)
+    _IV.prec = 128 + 9 + 8
+    lo, hi = exact_endpoints(_dominant_iv(5, 9, 128))
+    for x in (enc.lo, enc.hi):
+        assert lo <= (x - 1) / (2 + 6 * (x - 2)) * (2 * x - 1) * x**8 <= hi
+
+
+def test_checks_leave_global_mpmath_precision_alone():
+    saved = mpmath.iv.prec, mpmath.mp.prec
+    try:
+        mpmath.iv.prec, mpmath.mp.prec = 71, 67
+        assert growth_bounds_check(7, 30) and binet_error_check(7, 30) and binet_vs_power2_check(13, 20)
+        assert (mpmath.iv.prec, mpmath.mp.prec) == (71, 67)
+    finally:
+        mpmath.iv.prec, mpmath.mp.prec = saved
 
 
 @pytest.mark.parametrize("k", range(2, 13))

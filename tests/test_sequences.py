@@ -8,7 +8,6 @@ from lucasdisc.sequences import (
     FIBONACCI,
     LUCAS,
     SeqParams,
-    SeqWindow,
     binom_ext,
     cooper_howard_fib,
     lucas_from_fib,
@@ -72,19 +71,6 @@ def test_term_iter_start_offsets():
     assert walked == [(0, 2), (1, 1), (2, 3), (3, 6)]
     n, value = next(term_iter(params, 7))
     assert (n, value) == (7, term(params, 7))
-
-
-def test_seq_window_steps_match_term():
-    params = SeqParams(k=4, family=LUCAS)
-    window = SeqWindow(params)
-    seen = {}
-    while True:
-        n, value = window.step()
-        seen[n] = value
-        if n >= 30:
-            break
-    for n in range(max(seen) - 10, max(seen) + 1):
-        assert seen[n] == term(params, n)
 
 
 @pytest.mark.parametrize("k", range(2, 11))
