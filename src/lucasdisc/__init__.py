@@ -55,6 +55,7 @@ from .bounds import (
     localize_k_by_power2,
     m_range,
     n_window,
+    window_integers,
     solve_bl_k_bound,
     solve_matveev_k_bound,
 )
@@ -110,6 +111,7 @@ __all__ = [
     "localize_k_by_power2",
     "m_range",
     "n_window",
+    "window_integers",
     "solve_bl_k_bound",
     "solve_matveev_k_bound",
     "CAMPAIGN_NAMES",

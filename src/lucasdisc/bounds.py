@@ -12,7 +12,8 @@ residue classes r in {1,2}; and for r >= 3 the surviving k cluster
 within 300 of a power of two, m in a narrow band.  Each link of that
 chain is computed here.  The window is written once, as the defect
 n - w(k) in extended precision (:func:`_defect`); its float endpoints,
-the m band at each k and the exact membership test all derive from it.
+the m band at each k, the exact membership test and the integers in the
+window all derive from it.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .roots import _escalate, _last_negative
 __all__ = [
     "discriminant",
     "n_window",
+    "window_integers",
     "MatveevBound",
     "solve_matveev_k_bound",
     "bl_crossover_k",
@@ -114,6 +116,20 @@ def n_window(k: int) -> tuple[float, float]:
         raise ValueError("window derivation needs k > 200, got k=%d" % (k,))
     lo = -float(_defect(k, 0))
     return lo, lo + float(_width())
+
+
+def window_integers(k: int) -> list[int]:
+    """The integers n in k's open window (w(k), w(k) + 2.4), for k > 200.
+
+    Each is decided by :func:`_window_member_exact`.  floor(w) as computed is
+    within one of the exact floor and the window holds at most three integers,
+    so every member lies in floor(w) .. floor(w) + 4.
+    """
+    if k <= 200:
+        raise ValueError("window derivation needs k > 200, got k=%d" % (k,))
+    with mpmath.workprec(k.bit_length() + 80):
+        start = int(mpmath.floor(-_defect(k, 0)))
+    return [n for n in range(start, start + 5) if _window_member_exact(k, n)]
 
 
 def _m_envelope(k: int) -> tuple[int, int]:

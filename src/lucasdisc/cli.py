@@ -22,9 +22,11 @@ import argparse
 import csv
 import functools
 import io
+import math
 import multiprocessing
 import os
 import sys
+from fractions import Fraction
 
 import mpmath
 
@@ -32,12 +34,15 @@ from .sequences import FIBONACCI, LUCAS, SeqParams, term
 from .twoadic import nu2, disc_nu2
 from .roots import PrecisionError, dominant_root
 from .bounds import (
+    _defect,
+    _width,
     bl_crossover_k,
     bound_profile,
     discriminant,
     m_range,
     solve_bl_k_bound,
     solve_matveev_k_bound,
+    window_integers,
 )
 from .campaigns import (
     CAMPAIGN_NAMES,
@@ -122,15 +127,21 @@ def _cmd_nu2(args: argparse.Namespace) -> int:
     return 0
 
 
+def _decimal(x: Fraction, places: int, round_up: bool) -> str:
+    """Positive x to ``places`` decimals, rounded down or up in integer arithmetic."""
+    scaled = x * 10**places
+    whole, frac = divmod(math.ceil(scaled) if round_up else math.floor(scaled), 10**places)
+    return "%d.%0*d" % (whole, places, frac)
+
+
 def _cmd_root(args: argparse.Namespace) -> int:
     enc = dominant_root(args.k, args.precision_bits)
-    digits = max(20, args.precision_bits * 30 // 100)
-    with mpmath.workprec(args.precision_bits + 32):
-        lo = mpmath.mpf(enc.lo.numerator) / enc.lo.denominator
-        hi = mpmath.mpf(enc.hi.numerator) / enc.hi.denominator
-        print("k = %d" % args.k)
-        print("lo = %s" % mpmath.nstr(lo, digits, strip_zeros=False))
-        print("hi = %s" % mpmath.nstr(hi, digits, strip_zeros=False))
+    # 10^-places <= 2^-precision_bits / 10, so the printed bracket is barely wider than
+    # enc; lo rounded down and hi rounded up keep it an enclosure with lo < hi.
+    places = max(20, args.precision_bits * 30103 // 100000 + 2)
+    print("k = %d" % args.k)
+    print("lo = %s" % _decimal(enc.lo, places, round_up=False))
+    print("hi = %s" % _decimal(enc.hi, places, round_up=True))
     print("width <= 2^-%d" % enc.precision_bits)
     return 0
 
@@ -210,6 +221,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    k = args.k
+    profile = None if k is None else bound_profile(k)  # rejects k <= 200 before anything prints
     caps = solve_matveev_k_bound()
     print("linear-forms k cap: %d" % caps.k_max)
     print("linear-forms n cap: %d" % caps.n_max)
@@ -217,10 +230,13 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     print("2-adic k cap (r in {1,2}): %d" % solve_bl_k_bound())
     m_lo, m_hi = m_range()
     print("m envelope up to the k cap: %d .. %d" % (m_lo, m_hi))
-    if args.k is not None:
-        profile = bound_profile(args.k)
-        print("k = %d:" % args.k)
-        print("  n window: (%.4f, %.4f)" % (profile.n_lo, profile.n_hi))
+    if profile is not None:
+        print("k = %d:" % k)
+        with mpmath.workprec(k.bit_length() + 80):
+            w = -_defect(k, 0)
+            digits = len(str(int(w))) + 10
+            print("  n window: (%s, %s)" % (mpmath.nstr(w, digits), mpmath.nstr(w + _width(), digits)))
+        print("  n in the window: %s" % ", ".join(map(str, window_integers(k))))
         print("  m range: %d .. %d" % (profile.m_lo, profile.m_hi))
         print("  max nu2 of the congruence quantity: %d" % profile.a_max)
     return 0

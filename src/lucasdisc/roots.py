@@ -1,8 +1,9 @@
 """Certified enclosures of the dominant root of x^k - x^(k-1) - ... - 1.
 
 The polynomial has a unique real root alpha(k) in (2(1 - 2^-k), 2).
-Enclosures come from bisection over dyadic rationals (sign evaluations
-are integer arithmetic, so the bracket is a certificate), and the
+An enclosure is a dyadic bracket whose endpoint signs are evaluated in
+integer arithmetic, so the bracket is a certificate; a Newton seed only
+says where to put it, and a wrong seed costs time, never the answer.  The
 inequality checks run in outward-rounded mpmath interval arithmetic over
 those exact dyadic root brackets.  A ``True``/``False`` answer is
 therefore proved, not sampled.  When an interval is too wide to decide a
@@ -23,9 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Any, Callable, Optional
 
+import mpmath
 from mpmath.ctx_iv import MPIntervalContext
 
 from .sequences import LUCAS, SeqParams, term
@@ -93,15 +95,39 @@ def _last_negative(f: Callable[[int], Any], lo: int, hi: int) -> int:
     return lo
 
 
+def _seed_numerator(k: int, s: int) -> int:
+    """A guess at floor(alpha(k) 2^s): Newton on x^k (x - 2) + 1 from x = 2, at s + 64 bits.
+
+    The function is increasing and convex on [alpha, 2], so the iterates fall
+    monotonically to alpha.  alpha = 2 - 2^-k - k 2^(-2k-1) - ... is 2 minus
+    a series in 2^-k with dyadic coefficients, so alpha 2^s often lies just
+    below an integer, and then the guess comes out one too high.  Nothing
+    rests on it: :func:`dominant_root` certifies it with exact signs.
+    """
+    with mpmath.workprec(s + 64):
+        x = mpmath.mpf(2)
+        tol = mpmath.ldexp(1, -(s + 32))
+        for _ in range(2 * s.bit_length() + 16):
+            xk1 = x ** (k - 1)
+            step = (xk1 * x * (x - 2) + 1) / (xk1 * ((k + 1) * x - 2 * k))
+            x -= step
+            if step < tol:
+                break
+        return int(mpmath.floor(mpmath.ldexp(x, s)))
+
+
 @lru_cache(maxsize=None)
 def dominant_root(k: int, precision_bits: int = 128) -> RootEnclosure:
-    """Bisect down to width 2^-precision_bits from the bracket
-    [2(1 - 2^-k), 2].
+    """Certified dyadic enclosure of alpha(k) of width 2^-precision_bits.
 
-    The bisection runs over numerators p at the scale q = 2^s with
-    s = max(precision_bits, k - 1), where both ends of the bracket are
-    integers.  Both endpoint signs are verified exactly, so the returned
-    enclosure is a sign-change certificate with dyadic endpoints.
+    The endpoints are p/q and (p+1)/q at the scale q = 2^s with
+    s = max(precision_bits, k - 1), where the a-priori bracket
+    [2(1 - 2^-k), 2] has integer ends.  A Newton seed guesses p; the bracket
+    [p - 1, p + 1] doubles its radius, clipped to the a-priori bracket, until
+    exact signs show it straddles the sign change, and :func:`_last_negative`
+    narrows it to one unit.  alpha is irrational, so exactly one p has
+    gk_sign(p/q) < 0 < gk_sign((p+1)/q): a poor seed costs time, never the
+    answer, and the enclosure is a sign-change certificate.
     """
     if k < 2:
         raise ValueError("need k >= 2, got k=%d" % (k,))
@@ -109,7 +135,15 @@ def dominant_root(k: int, precision_bits: int = 128) -> RootEnclosure:
         raise ValueError("precision_bits must be at least 16")
     s = max(precision_bits, k - 1)
     q = 1 << s
-    p = _last_negative(lambda x: gk_sign(k, Fraction(x, q)), 2 * q - (1 << (s + 1 - k)), 2 * q)
+    sign = cache(lambda x: gk_sign(k, Fraction(x, q)))
+    bottom, top = 2 * q - (1 << (s + 1 - k)), 2 * q
+    p = min(max(_seed_numerator(k, s), bottom), top)
+    radius = 1
+    lo, hi = max(p - radius, bottom), min(p + radius, top)
+    while not (sign(lo) < 0 < sign(hi)) and (lo, hi) != (bottom, top):
+        radius *= 2
+        lo, hi = max(p - radius, bottom), min(p + radius, top)
+    p = _last_negative(sign, lo, hi)
     return RootEnclosure(k, Fraction(p, q), Fraction(p + 1, q), precision_bits)
 
 

@@ -18,6 +18,7 @@ from lucasdisc.bounds import (
     n_window,
     solve_bl_k_bound,
     solve_matveev_k_bound,
+    window_integers,
 )
 from lucasdisc.twoadic import nu2
 
@@ -83,6 +84,18 @@ def test_bound_profile_m_band_matches_200_bit_formula():
             m_lo = int(mpmath.ceil((w - k) / (k + 1)))
             m_hi = int(mpmath.floor((w + mpmath.mpf(12) / 5) / (k + 1)))
         assert (profile.m_lo, profile.m_hi) == (m_lo, m_hi), k
+
+
+def test_window_integers_match_200_bit_formula():
+    for k in WINDOW_GRID[::10] + [1024]:
+        w = w_200(k)
+        with mpmath.workprec(200):
+            start = int(mpmath.floor(w))
+            expected = [n for n in range(start, start + 4) if w < n < w + mpmath.mpf(12) / 5]
+        assert window_integers(k) == expected, k
+    assert window_integers(1024) == [11244, 11245, 11246]
+    with pytest.raises(ValueError):
+        window_integers(200)
 
 
 def test_n_window_monotone_in_k():

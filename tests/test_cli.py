@@ -6,13 +6,15 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import lucasdisc
+from lucasdisc.bounds import K_CAP, _window_member_exact
 from lucasdisc.cli import run
-from lucasdisc.roots import PrecisionError
+from lucasdisc.roots import PrecisionError, dominant_root
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -53,6 +55,16 @@ def test_root(capsys):
     assert "1.96594823664548" in out
 
 
+@pytest.mark.parametrize("k, bits", [(3, 128), (300, 16), (1001, 1024)])
+def test_root_prints_an_enclosure(k, bits, capsys):
+    assert run(["root", "--k", str(k), "--precision-bits", str(bits)]) == 0
+    lines = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines() if " = " in line)
+    lo, hi = Fraction(lines["lo"]), Fraction(lines["hi"])
+    enc = dominant_root(k, bits)
+    assert lo <= enc.lo < enc.hi <= hi
+    assert hi - lo < Fraction(2, 2**bits)
+
+
 def test_usage_errors():
     assert run([]) == 2
     assert run(["term", "--k", "5"]) == 2
@@ -88,6 +100,29 @@ def test_bounds(capsys):
     assert "65964094" in out
     assert "8 .. 57" in out
     assert "11243.9" in out
+    assert "n in the window: 11244, 11245, 11246" in out
+
+
+def test_bounds_rejects_small_k_before_printing(capsys):
+    assert run(["bounds", "--k", "200"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "k > 200" in err
+
+
+@pytest.mark.parametrize("k", [10**15, K_CAP])
+def test_bounds_lists_the_exact_window_integers(k, capsys):
+    assert run(["bounds", "--k", str(k)]) == 0
+    out = capsys.readouterr().out
+    window = re.search(r"n window: \((\S+), (\S+)\)", out)
+    lo, hi = Fraction(window.group(1)), Fraction(window.group(2))
+    assert abs(hi - lo - Fraction(12, 5)) < Fraction(1, 10**9)
+    listed = [int(n) for n in re.search(r"n in the window: (.*)", out).group(1).split(", ")]
+    assert listed == list(range(listed[0], listed[-1] + 1))
+    assert lo < listed[0] and listed[-1] < hi
+    assert all(_window_member_exact(k, n) for n in listed)
+    assert not _window_member_exact(k, listed[0] - 1)
+    assert not _window_member_exact(k, listed[-1] + 1)
 
 
 def test_search_small_exit_zero(capsys):

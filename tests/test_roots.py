@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import to_rational
 
+from lucasdisc import roots
 from lucasdisc.roots import (
     _IV,
     MAX_PRECISION_BITS,
@@ -16,6 +17,7 @@ from lucasdisc.roots import (
     _alpha_iv,
     _dominant_iv,
     _last_negative,
+    _seed_numerator,
     binet_error_check,
     binet_vs_power2_check,
     dominant_root,
@@ -65,13 +67,33 @@ def fraction_bisection_root(k, bits):
 @pytest.mark.parametrize(
     "k, bits",
     [(2, 16), (2, 128), (3, 300), (5, 64), (16, 16), (17, 16), (18, 16), (40, 39), (40, 40),
-     (40, 128), (120, 128), (129, 128), (130, 128), (200, 256), (300, 128), (455, 512)],
+     (40, 128), (120, 128), (129, 128), (130, 128), (200, 256), (300, 128), (455, 512), (1001, 1024)],
 )
 def test_enclosure_equals_fraction_bisection(k, bits):
     # bits < k - 1 included: the starting bracket is already narrow enough.
     enc = dominant_root(k, bits)
     assert (enc.lo, enc.hi) == fraction_bisection_root(k, bits)
     assert enc.precision_bits == bits
+
+
+@given(st.integers(2, 260), st.integers(16, 300))
+@settings(max_examples=150, deadline=None)
+def test_enclosure_equals_fraction_bisection_property(k, bits):
+    enc = dominant_root(k, bits)
+    assert (enc.lo, enc.hi) == fraction_bisection_root(k, bits)
+    # The Newton seed lands within one unit of the certified numerator, so the
+    # first bracket [p - 1, p + 1] already straddles the sign change.
+    s = max(bits, k - 1)
+    assert abs(_seed_numerator(k, s) - enc.lo * 2**s) <= 1
+
+
+@pytest.mark.parametrize("offset", [1, -1, 7, -7, 2**20, -(2**20)])
+@pytest.mark.parametrize("k, bits", [(2, 128), (5, 64), (40, 39), (130, 128), (300, 128)])
+def test_enclosure_survives_a_poor_seed(monkeypatch, k, bits, offset):
+    expected = dominant_root(k, bits)
+    seed = roots._seed_numerator
+    monkeypatch.setattr(roots, "_seed_numerator", lambda k, s: seed(k, s) + offset)
+    assert dominant_root.__wrapped__(k, bits) == expected
 
 
 @given(st.integers(min_value=-(2**80), max_value=2**80), st.integers(0, 2**70), st.integers(1, 2**70))
@@ -154,6 +176,7 @@ def test_checks_leave_global_mpmath_precision_alone():
     try:
         mpmath.iv.prec, mpmath.mp.prec = 71, 67
         assert growth_bounds_check(7, 30) and binet_error_check(7, 30) and binet_vs_power2_check(13, 20)
+        assert dominant_root.__wrapped__(9, 200) == dominant_root(9, 200)
         assert (mpmath.iv.prec, mpmath.mp.prec) == (71, 67)
     finally:
         mpmath.iv.prec, mpmath.mp.prec = saved
