@@ -26,6 +26,7 @@ import math
 import multiprocessing
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -109,14 +110,19 @@ def _report_to_human(report: CampaignReport, include_timing: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _digits(value: int) -> str:
+    """All decimal digits of ``value``; ``str`` refuses ints above 4,300 digits."""
+    return str(Decimal(value))
+
+
 def _cmd_term(args: argparse.Namespace) -> int:
     params = SeqParams(k=args.k, family=args.family)
-    print(term(params, args.n))
+    print(_digits(term(params, args.n)))
     return 0
 
 
 def _cmd_disc(args: argparse.Namespace) -> int:
-    print(discriminant(args.k))
+    print(_digits(discriminant(args.k)))
     print("nu2 = %d" % disc_nu2(args.k))
     return 0
 

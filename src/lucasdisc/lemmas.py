@@ -57,7 +57,12 @@ def _fail(suite: str, detail: str, **params) -> Failure:
 
 
 def check_recurrence(scale: int = 1) -> list[Failure]:
-    """Every term equals the sum of its k predecessors (both families)."""
+    """Every term equals the sum of its k predecessors (both families).
+
+    Each walked term is also compared with ``term()``.  For k >= 8 that
+    is the generating-function sum, so the comparison checks two
+    independent computations; below 8 ``term()`` is the same walk.
+    """
     out = []
     k_hi = 4 + 4 * scale
     n_hi = 30 * scale

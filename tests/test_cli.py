@@ -6,15 +6,17 @@ import re
 import shlex
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import lucasdisc
-from lucasdisc.bounds import K_CAP, _window_member_exact
+from lucasdisc.bounds import K_CAP, _window_member_exact, discriminant
 from lucasdisc.cli import run
 from lucasdisc.roots import PrecisionError, dominant_root
+from lucasdisc.sequences import FIBONACCI, LUCAS, SeqParams, term_iter
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -34,6 +36,26 @@ def test_term_example(capsys):
 def test_term_fibonacci(capsys):
     assert run(["term", "--family", "fibonacci", "--k", "2", "--n", "10"]) == 0
     assert capsys.readouterr().out.strip() == "55"
+
+
+@pytest.mark.parametrize(
+    "command,family,k,n",
+    [
+        ("term --k 60 --n 50000", LUCAS, 60, 50_000),
+        ("term --family fibonacci --k 46 --n 47614", FIBONACCI, 46, 47_614),
+    ],
+)
+def test_term_prints_a_large_term_in_full(command, family, k, n, capsys):
+    # Over 14,000 digits: past the 4,300 that str(int) accepts.
+    assert run(command.split()) == 0
+    assert Decimal(capsys.readouterr().out.strip()) == next(term_iter(SeqParams(k, family), n))[1]
+
+
+def test_disc_prints_a_large_discriminant_in_full(capsys):
+    assert run(["disc", "--k", "2000"]) == 0
+    value, nu2_line = capsys.readouterr().out.splitlines()
+    assert Decimal(value) == discriminant(2000)
+    assert nu2_line == "nu2 = 0"
 
 
 def test_disc_example(capsys):

@@ -56,13 +56,40 @@ def test_term_matches_naive_oracle(family, k):
         assert term(params, n) == oracle[n]
 
 
+def walked(params, n):
+    """The n-th term by the walk, the oracle for the closed-form ``term``."""
+    return next(term_iter(params, n))[1]
+
+
 @pytest.mark.parametrize("family", [FIBONACCI, LUCAS])
 def test_term_iter_agrees_with_term(family):
-    params = SeqParams(k=5, family=family)
-    for n, value in term_iter(params, params.min_index):
-        if n > 40:
-            break
-        assert value == term(params, n)
+    # Every n from 2 - k to 600 on both sides of the closed-form switch at k = 8.
+    for k in range(2, 71):
+        params = SeqParams(k=k, family=family)
+        for n, value in term_iter(params, params.min_index):
+            if n > 600:
+                break
+            assert term(params, n) == value, (k, n)
+
+
+@pytest.mark.parametrize("family", [FIBONACCI, LUCAS])
+@pytest.mark.parametrize("k", [2, 7, 8, 9, 46, 60])
+def test_term_equals_walk_at_n_50000(family, k):
+    params = SeqParams(k=k, family=family)
+    assert term(params, 50_000) == walked(params, 50_000)
+
+
+@given(
+    st.sampled_from([FIBONACCI, LUCAS]),
+    st.integers(min_value=2, max_value=120).flatmap(
+        lambda k: st.tuples(st.just(k), st.integers(min_value=2 - k, max_value=3000))
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_term_equals_walk_property(family, k_n):
+    k, n = k_n
+    params = SeqParams(k=k, family=family)
+    assert term(params, n) == walked(params, n)
 
 
 def test_term_iter_start_offsets():
@@ -73,11 +100,13 @@ def test_term_iter_start_offsets():
     assert (n, value) == (7, term(params, 7))
 
 
-@pytest.mark.parametrize("k", range(2, 11))
+@pytest.mark.parametrize("k", range(2, 61))
 def test_cooper_howard_closed_form(k):
     params = SeqParams(k=k, family=FIBONACCI)
-    for n in range(0, 80):
-        assert cooper_howard_fib(k, n) == term(params, n)
+    for n, value in term_iter(params, 0):
+        if n >= 80:
+            break
+        assert cooper_howard_fib(k, n) == term(params, n) == value, n
 
 
 def test_lucas_from_fib_bridge():
