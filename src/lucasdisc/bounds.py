@@ -81,14 +81,14 @@ def _width() -> mpmath.mpf:
     return mpmath.mpf(24) / 10
 
 
-def _window_member_exact(k: int, n: int, start_bits: int = 120) -> bool:
+def _window_member_exact(k: int, n: int) -> bool:
     """Decide n's membership in the open window (w(k), w(k) + 2.4) exactly.
 
-    The defect d = n - w is evaluated in escalating precision until it
-    clears the safety margin 2^-(bits/2) on one side; d == 0 or d == 2.4
-    cannot occur for integer n (log2(k) is irrational unless k is a power
-    of two, and then d - {0, 2.4} is a nonzero rational), so this
-    terminates.  :func:`_defect` scales its precision with k, which keeps
+    The defect d = n - w is evaluated in precision escalating from 120
+    bits until it clears the safety margin 2^-(bits/2) on one side;
+    d == 0 or d == 2.4 cannot occur for integer n (log2(k) is irrational
+    unless k is a power of two, and then d - {0, 2.4} is a nonzero
+    rational), so this terminates.  :func:`_defect` scales its precision with k, which keeps
     the rounding error far below the margin for every k.
     """
 
@@ -103,7 +103,7 @@ def _window_member_exact(k: int, n: int, start_bits: int = 120) -> bool:
                 return False
         return None
 
-    return _escalate(decide, start_bits, "window membership for k=%d n=%d undecided" % (k, n))
+    return _escalate(decide, 120, "window membership for k=%d n=%d undecided" % (k, n))
 
 
 def n_window(k: int) -> tuple[float, float]:

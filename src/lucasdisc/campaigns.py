@@ -296,14 +296,14 @@ def campaign_case12(
     """
     if k_lo % 2 or k_hi % 2:
         raise ValueError("k range not even-aligned: (%d, %d)" % (k_lo, k_hi))
+    if k_hi < k_lo:
+        raise ValueError("need k_lo <= k_hi, got (%d, %d)" % (k_lo, k_hi))
     if k_lo <= 200:
         raise ValueError("need k_lo > 200, got %d" % (k_lo,))
     if not 1 <= test_modulus_bits <= k_lo - 1:
         raise ValueError("need 1 <= test_modulus_bits <= k_lo - 1, got %d" % (test_modulus_bits,))
 
-    def scan(idxs: range):
-        # idxs indexes the even k as k = k_lo + 2*idx.
-        ks = range(k_lo + 2 * idxs.start, k_lo + 2 * idxs.stop, 2 * idxs.step)
+    def scan(ks: range):
         window_pairs: list[tuple[int, int, int, int]] = []
         if ks:
             # The m band of each k grows with k, so the first and the last k
@@ -340,7 +340,7 @@ def campaign_case12(
             )
             survivors += survived
         stage_counts = [
-            ("k_scanned", len(idxs)),
+            ("k_scanned", len(ks)),
             ("window_residue_pairs", len(candidates)),
             ("modulus_survivors", survivors),
         ]
@@ -349,7 +349,7 @@ def campaign_case12(
     return _run(
         "case12",
         shard,
-        range(max(0, (k_hi - k_lo) // 2)),
+        range(k_lo, k_hi, 2),
         scan,
         {
             "k_lo": k_lo,

@@ -12,8 +12,8 @@ Subcommands::
 
 Exit codes: 0 on success (and zero survivors for ``search``), 1 when a
 search reports survivors or an invariant suite fails, 2 on usage or
-domain errors, 3 when a search meets a comparison it cannot decide at
-the precision cap.
+domain errors and on an output file that cannot be written, 3 when a
+search meets a comparison it cannot decide at the precision cap.
 """
 
 from __future__ import annotations
@@ -313,18 +313,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except SystemExit as exc:  # parser.error inside subcommand handling
+    except SystemExit as exc:  # parse errors and parser.error in a subcommand
         code = exc.code
         return code if isinstance(code, int) else 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except PrecisionError as exc:

@@ -7,8 +7,8 @@ says where to put it, and a wrong seed costs time, never the answer.  The
 inequality checks run in outward-rounded mpmath interval arithmetic over
 those exact dyadic root brackets.  A ``True``/``False`` answer is
 therefore proved, not sampled.  When an interval is too wide to decide a
-strict inequality the computation retries with doubled precision up to
-a hard cap and then raises :class:`PrecisionError`.
+strict inequality the computation retries with doubled precision, from
+128 bits up to a hard cap, and then raises :class:`PrecisionError`.
 
 The checks certify three growth facts about the Lucas-type terms:
 
@@ -33,6 +33,7 @@ from mpmath.ctx_iv import MPIntervalContext
 from .sequences import LUCAS, SeqParams, term
 
 __all__ = [
+    "MAX_PRECISION_BITS",
     "PrecisionError",
     "RootEnclosure",
     "gk_sign",
@@ -147,9 +148,8 @@ def dominant_root(k: int, precision_bits: int = 128) -> RootEnclosure:
     return RootEnclosure(k, Fraction(p, q), Fraction(p + 1, q), precision_bits)
 
 
-def _escalate(decide: Callable[[int], Optional[bool]], precision_bits: int, what: str = "undecidable") -> bool:
-    """Run ``decide`` at doubling precision until it returns a verdict; ``what`` names a failure."""
-    bits = max(precision_bits, 16)
+def _escalate(decide: Callable[[int], Optional[bool]], bits: int = 128, what: str = "undecidable") -> bool:
+    """Run ``decide`` from ``bits`` at doubling precision until it returns a verdict; ``what`` names a failure."""
     while bits <= MAX_PRECISION_BITS:
         verdict = decide(bits)
         if verdict is not None:
@@ -181,7 +181,7 @@ def _dominant_iv(k: int, n: int, bits: int):
     return (alpha - 1) / den * (2 * alpha - 1) * alpha ** (n - 1)
 
 
-def growth_bounds_check(k: int, n: int, precision_bits: int = 128) -> bool:
+def growth_bounds_check(k: int, n: int) -> bool:
     """Certify alpha^(n-1) <= L(n) <= 2 alpha^n for n >= 0."""
     if n < 0:
         raise ValueError("growth bounds stated for n >= 0, got n=%d" % (n,))
@@ -198,10 +198,10 @@ def growth_bounds_check(k: int, n: int, precision_bits: int = 128) -> bool:
             return False
         return None
 
-    return _escalate(decide, precision_bits)
+    return _escalate(decide)
 
 
-def binet_error_check(k: int, n: int, precision_bits: int = 128) -> bool:
+def binet_error_check(k: int, n: int) -> bool:
     """Certify |L(n) - f(alpha)(2 alpha - 1) alpha^(n-1)| < 3/2 for n >= 2-k."""
     if n < 2 - k:
         raise ValueError("index %d below domain minimum %d" % (n, 2 - k))
@@ -216,10 +216,10 @@ def binet_error_check(k: int, n: int, precision_bits: int = 128) -> bool:
             return False
         return None
 
-    return _escalate(decide, precision_bits)
+    return _escalate(decide)
 
 
-def binet_vs_power2_check(k: int, n: int, precision_bits: int = 128) -> bool:
+def binet_vs_power2_check(k: int, n: int) -> bool:
     """Certify |dominant term - 3*2^(n-2)| < 3*2^(n-2) * 36/2^(k/2).
 
     Valid only under the stated proviso n < 2^(k/2); other n are a
@@ -239,4 +239,4 @@ def binet_vs_power2_check(k: int, n: int, precision_bits: int = 128) -> bool:
             return False
         return None
 
-    return _escalate(decide, precision_bits)
+    return _escalate(decide)

@@ -36,6 +36,18 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
+__all__ = [
+    "FIBONACCI",
+    "LUCAS",
+    "SeqParams",
+    "term",
+    "term_iter",
+    "lucas_from_fib",
+    "binom_ext",
+    "cooper_howard_fib",
+    "shift_identity_check",
+]
+
 FIBONACCI = "fibonacci"
 LUCAS = "lucas"
 

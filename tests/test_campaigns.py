@@ -162,6 +162,11 @@ def test_case12_empty_range():
     ]
 
 
+def test_case12_rejects_an_inverted_range():
+    with pytest.raises(ValueError, match="k_lo <= k_hi"):
+        campaign_case12(1000, 500)
+
+
 def test_case3_validation():
     with pytest.raises(ValueError):
         campaign_case3(modulus_extra_bits=1)

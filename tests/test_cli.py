@@ -97,6 +97,7 @@ def test_usage_errors():
     assert run(["search", "case12", "--shard", "5"]) == 2
     assert run(["search", "case0", "--shard", "2/2"]) == 2
     assert run(["search", "case12", "--k-lo", "201", "--k-hi", "300"]) == 2
+    assert run(["search", "case12", "--k-lo", "1000", "--k-hi", "500", "--workers", "1"]) == 2
 
 
 def test_search_case12_modulus_past_k_lo_minus_one_exit_two(capsys):
@@ -105,6 +106,14 @@ def test_search_case12_modulus_past_k_lo_minus_one_exit_two(capsys):
     capsys.readouterr()
     assert run(argv + ["--modulus-bits", "202"]) == 2
     assert "test_modulus_bits <= k_lo - 1" in capsys.readouterr().err
+
+
+def test_search_unwritable_output_exit_two(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.jsonl"
+    assert run(["search", "case0", "--workers", "1", "--output", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(target) in captured.err
 
 
 def test_verify_lemmas_subset(capsys):
@@ -256,7 +265,7 @@ def test_search_survivors_exit_one(capsys):
 
 
 def test_search_undecided_exit_three(monkeypatch, capsys):
-    def undecided(k, n, start_bits=120):
+    def undecided(k, n):
         raise PrecisionError("window membership for k=%d n=%d undecided" % (k, n))
 
     monkeypatch.setattr("lucasdisc.campaigns._window_member_exact", undecided)
