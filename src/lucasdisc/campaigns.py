@@ -12,7 +12,7 @@ modulo a power of two applies, and the campaigns split along it:
   bisecting the concave defect m(k+1) - w(k) for each m, then a
   modular test on the surviving (k, n) pairs;
 * ``campaign_case3``   -- r >= 3, odd k localized near powers of two,
-  a two-filter scan that reads k off the closed-form nu2(Q(m, r)).
+  a two-filter scan that reads k off the closed-form nu2(B(m, r)).
 
 The admissible window (w(k), w(k) + 2.4) of n, its exact membership
 test and the m band it implies at each k live in :mod:`lucasdisc.bounds`.
@@ -373,17 +373,17 @@ def campaign_case3(
 ) -> CampaignReport:
     """Two-filter scan over (a, m, k) triples for r >= 3 and odd k.
 
-    A solution with r >= 3 forces nu2(L(n)) == r - 2 + nu2(Q(m, r)) to
-    equal the discriminant valuation k - 1, i.e. a := nu2(Q) == k - r + 1.
+    A solution with r >= 3 forces nu2(L(n)) == r - 2 + nu2(B(m, r)) to
+    equal the discriminant valuation k - 1, i.e. a := nu2(B) == k - r + 1.
     The triples are a - 1 in [0, 233], m in the widened admissible band,
     and odd k strictly inside the power-of-two localization window for
-    m.  Filter 1 keeps triples with nu2(Q(m, r)) == a.  Each (m, r)
+    m.  Filter 1 keeps triples with nu2(B(m, r)) == a.  Each (m, r)
     fixes a through the closed form :func:`l_quantity_nu2`, hence the
     only k = r + a - 1 it can match, so the scan goes through (m, r) and
     counts the triples arithmetically.  Filter 2 (:func:`disc_match`,
     the + sign) compares odd parts:
 
-        (-1)^m (k-1)^2 Q == 2^(a+2) (k^k - ((k+1)/2)^(k+1))
+        (-1)^m (k-1)^2 B == 2^(a+2) (k^k - ((k+1)/2)^(k+1))
                                      (mod 2^min(a + extra, k))
 
     The clamp at 2^k keeps the modulus no stronger than the underlying
@@ -418,7 +418,7 @@ def campaign_case3(
                     continue
                 parts = lucas_congruence_parts(k, m, r)
                 if parts[2] - (r - 2) != a:
-                    raise AssertionError("closed-form nu2(Q) wrong at m=%d r=%d" % (m, r))
+                    raise AssertionError("closed-form nu2(B) wrong at m=%d r=%d" % (m, r))
                 survived = disc_match(k, r, parts, a + modulus_extra_bits)[0]
                 in_band = 9 <= m <= 55
                 flags = {"valuation_match"}

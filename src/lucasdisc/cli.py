@@ -19,9 +19,7 @@ search meets a comparison it cannot decide at the precision cap.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import math
 import multiprocessing
 import os
@@ -55,10 +53,10 @@ from .campaigns import (
 )
 from .lemmas import SUITES, run_suite
 
-__all__ = ["build_parser", "run", "main", "report_to_csv"]
+__all__ = ["build_parser", "run", "main"]
 
 # Candidate rows shown by the human format before truncating (full
-# listings are always available via jsonl/csv).
+# listings are always available via jsonl).
 _HUMAN_CANDIDATE_CAP = 50
 
 
@@ -68,18 +66,6 @@ def _parse_shard(text: str) -> tuple[int, int]:
         return int(piece), int(of)
     except ValueError:
         raise argparse.ArgumentTypeError("shard must look like i/N, got %r" % (text,))
-
-
-def report_to_csv(report: CampaignReport) -> str:
-    """Candidate rows as CSV: scalar columns only, no nested fields."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["campaign", "stage", "k", "n", "r", "m", "a", "verdict"])
-    for c in report.candidates:
-        writer.writerow(
-            [report.campaign, c.stage, c.k, c.n, c.r, c.m, "" if c.a is None else c.a, c.verdict]
-        )
-    return buf.getvalue()
 
 
 def _report_to_human(report: CampaignReport, include_timing: bool) -> str:
@@ -96,7 +82,7 @@ def _report_to_human(report: CampaignReport, include_timing: bool) -> str:
         lines.append("  k=%d n=%d r=%d m=%d%s %s" % (c.k, c.n, c.r, c.m, extra, c.verdict))
     hidden = len(report.candidates) - _HUMAN_CANDIDATE_CAP
     if hidden > 0:
-        lines.append("  ... %d more (use jsonl or csv for the full list)" % hidden)
+        lines.append("  ... %d more (use jsonl for the full list)" % hidden)
     if report.survivors:
         lines.append("survivors: %d" % len(report.survivors))
         for c in report.survivors:
@@ -213,8 +199,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
     include_timing = not args.no_timing
     if args.format == "jsonl":
         text = report_to_jsonl(report, include_timing=include_timing)
-    elif args.format == "csv":
-        text = report_to_csv(report)
     else:
         text = _report_to_human(report, include_timing)
 
@@ -299,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help="parallel shards to run and merge (default: cpu count)",
     )
-    p_search.add_argument("--format", choices=["jsonl", "csv", "human"], default="human")
+    p_search.add_argument("--format", choices=["jsonl", "human"], default="human")
     p_search.add_argument("--output", help="write the report here instead of stdout")
     p_search.add_argument("--no-timing", action="store_true", help="omit elapsed time (stable bytes)")
     p_search.set_defaults(func=_cmd_search)

@@ -18,7 +18,8 @@ from .sequences import (
     FIBONACCI,
     LUCAS,
     SeqParams,
-    cooper_howard_fib,
+    _closed_form,
+    binom_ext,
     lucas_from_fib,
     shift_identity_check,
     term,
@@ -26,8 +27,7 @@ from .sequences import (
 )
 from .twoadic import (
     l_quantity,
-    l_quantity_factored,
-    lucas_congruence,
+    l_quantity_nu2,
     lucas_congruence_parts,
     nu2,
     residue_decomposition,
@@ -105,15 +105,23 @@ def check_doubling_and_bridges(scale: int = 1) -> list[Failure]:
 
 
 def check_closed_form(scale: int = 1) -> list[Failure]:
-    """Signed-binomial closed form reproduces the Fibonacci branch."""
+    """The generating-function sum reproduces the walk (both families, from k = 2).
+
+    ``term()`` takes the sum only from k = 8 on, so it is called directly.
+    """
     out = []
     k_hi = 4 + 4 * scale
     n_hi = 40 * scale
-    for k in range(2, k_hi + 1):
-        params = SeqParams(k=k, family=FIBONACCI)
-        for n in range(0, n_hi + 1):
-            if cooper_howard_fib(k, n) != term(params, n):
-                out.append(_fail("closed_form", "binomial closed form mismatch", k=k, n=n))
+    for family in (FIBONACCI, LUCAS):
+        for k in range(2, k_hi + 1):
+            params = SeqParams(k=k, family=family)
+            for n, value in term_iter(params, 2):
+                if n > n_hi:
+                    break
+                if _closed_form(params, n) != value:
+                    out.append(
+                        _fail("closed_form", "generating-function sum mismatch", k=k, n=n, family=family)
+                    )
     return out
 
 
@@ -146,8 +154,8 @@ def check_congruence_table(scale: int = 1) -> list[Failure]:
             m, r = residue_decomposition(n, k)
             if m > m_hi:
                 break
-            residue, exponent = lucas_congruence(k, m, r)
-            if exponent > 0 and (value - residue) % (1 << exponent):
+            sign, odd, shift, exponent = lucas_congruence_parts(k, m, r)
+            if (value - (sign * odd << shift)) % (1 << exponent):
                 out.append(_fail("congruence_table", "L(n) != residue mod 2^E", k=k, m=m, r=r, n=n))
     return out
 
@@ -169,13 +177,16 @@ def check_valuation_law(scale: int = 1) -> list[Failure]:
 
 
 def check_quantity_factorization(scale: int = 1) -> list[Failure]:
-    """Binomial and factored forms of the congruence quantity agree."""
+    """The congruence quantity and its valuation match the three-binomial B(m, r)."""
     out = []
     hi = 8 + 8 * scale
-    for m in range(2, hi + 1):
-        for r in range(3, hi + 1):
-            if l_quantity(m, r) != l_quantity_factored(m, r):
-                out.append(_fail("quantity_factorization", "factored form mismatch", m=m, r=r))
+    for m in range(hi + 1):
+        for r in range(hi + 1):
+            b = 8 * binom_ext(m + r, m) - 6 * binom_ext(m + r - 1, m) + binom_ext(m + r - 2, m)
+            if l_quantity(m, r) != b:
+                out.append(_fail("quantity_factorization", "one-binomial form mismatch", m=m, r=r))
+            if l_quantity_nu2(m, r) != nu2(b):
+                out.append(_fail("quantity_factorization", "closed-form valuation mismatch", m=m, r=r))
     return out
 
 
@@ -246,8 +257,8 @@ def check_small_k_cross_validation(scale: int = 1) -> list[Failure]:
             if n >= 2 and value > delta:
                 break
             m, r = residue_decomposition(n, k)
-            residue, exponent = lucas_congruence(k, m, r)
-            if exponent > 0 and (value - residue) % (1 << exponent):
+            sign, odd, shift, exponent = lucas_congruence_parts(k, m, r)
+            if (value - (sign * odd << shift)) % (1 << exponent):
                 out.append(_fail("small_k_cross_validation", "congruence violated", k=k, n=n))
             if value == delta:
                 out.append(_fail("small_k_cross_validation", "unexpected equality with |disc|", k=k, n=n))

@@ -44,7 +44,6 @@ __all__ = [
     "term_iter",
     "lucas_from_fib",
     "binom_ext",
-    "cooper_howard_fib",
     "shift_identity_check",
 ]
 
@@ -110,13 +109,26 @@ def term(params: SeqParams, n: int) -> int:
     return _closed_form(params, n)
 
 
+def _bracket_ratio(family: str, N: int, j: int) -> tuple[int, int]:
+    """``(weight, den)`` with C(N, j) * weight / den the bracket of step j, 0 <= j <= N.
+
+    The bracket is 4 c0 C(N, j) + 2 c1 C(N-1, j) + c2 C(N-2, j), with
+    binomials that vanish for a negative top.  For N >= 2 it is C(N, j)
+    times (N-j)/N for C(N-1, j) and (N-1-j)/(N-1) for C(N-2, j), over
+    the common denominator N(N-1).  For N < 2, C(N-2, j) = 0 and
+    C(N-1, j) = N - j, so the denominator is 1.
+    """
+    c0, c1, c2 = _NUMERATOR[family]
+    if N < 2:
+        return 4 * c0 + 2 * c1 * (N - j), 1
+    return 4 * c0 * N * (N - 1) + 2 * c1 * (N - j) * (N - 1) + c2 * (N - j) * (N - 1 - j), N * (N - 1)
+
+
 def _closed_form(params: SeqParams, n: int) -> int:
     """Term n >= 2 from the generating-function sum, in exact integers.
 
-    Step j holds C(N, j) with N = n - jk.  Its bracket is C(N, j) times
-    (N-j)/N for C(N-1, j) and (N-1-j)/(N-1) for C(N-2, j), put over the
-    common denominator N(N-1); only the last j can have N < 2, and then
-    N = j = 1 and the bracket is 4 c0.  The next binomial is
+    Step j holds C(N, j) with N = n - jk, and its bracket is
+    :func:`_bracket_ratio` of that binomial.  The next binomial is
     C(N-k, j+1) = C(N, j) perm(N-j, k+1) / ((j+1) perm(N, k)).  The
     signed brackets are accumulated Horner-style, shifted k + 1 bits per
     step, and the last power 2^(n - j(k+1)) is one final shift.  Every
@@ -124,16 +136,12 @@ def _closed_form(params: SeqParams, n: int) -> int:
     divisible by 4.
     """
     k = params.k
-    c0, c1, c2 = _NUMERATOR[params.family]
     acc, binom, j, N = 0, 1, 0, n
     while True:
-        if N >= 2:
-            weight = 4 * c0 * N * (N - 1) + 2 * c1 * (N - j) * (N - 1) + c2 * (N - j) * (N - 1 - j)
-            bracket, rem = divmod(binom * weight, N * (N - 1))
-            if rem:
-                raise AssertionError("inexact bracket for k=%d n=%d j=%d" % (k, n, j))
-        else:
-            bracket = 4 * c0 * binom
+        weight, den = _bracket_ratio(params.family, N, j)
+        bracket, rem = divmod(binom * weight, den)
+        if rem:
+            raise AssertionError("inexact bracket for k=%d n=%d j=%d" % (k, n, j))
         acc = (acc << (k + 1)) + (-bracket if j & 1 else bracket)
         if N - k < j + 1:
             break
@@ -182,34 +190,6 @@ def binom_ext(a: int, b: int) -> int:
     if b < 0 or a < 0 or a < b:
         return 0
     return math.comb(a, b)
-
-
-def cooper_howard_fib(k: int, n: int) -> int:
-    """Fibonacci-type term from the binomial expansion around 2^(n-2).
-
-    For n >= 2,
-
-        F(n) = 2^(n-2) + sum_{j=1}^{floor((n+k)/(k+1)) - 1} C_j * 2^(n-j(k+1)-2)
-
-    with C_j = (-1)^j * (binom(n-jk, j) - binom(n-jk-2, j-2)) under the
-    extended binomial convention.  The smallest exponent reached is -2,
-    so the sum is accumulated as an integer scaled by 4 and divided out
-    at the end (the scaled accumulator is signed along the way).
-    Indices n < 2 return the stored initial values.
-    """
-    if n < 2:
-        return term(SeqParams(k, FIBONACCI), n)
-    j_max = (n + k) // (k + 1) - 1
-    scaled = 1 << n  # 4 * 2^(n-2)
-    for j in range(1, j_max + 1):
-        coeff = binom_ext(n - j * k, j) - binom_ext(n - j * k - 2, j - 2)
-        if j % 2:
-            coeff = -coeff
-        exponent = n - j * (k + 1)  # >= 1 because j <= (n-1)/(k+1)
-        scaled += coeff << exponent
-    if scaled < 0 or scaled % 4:
-        raise AssertionError("binomial expansion accumulator invalid for k=%d n=%d" % (k, n))
-    return scaled >> 2
 
 
 def shift_identity_check(k: int, n: int) -> bool:

@@ -1,19 +1,25 @@
 """2-adic valuations and power-of-two congruences for the Lucas-type family.
 
-Writing n = r + m(k+1) with 0 <= r <= k, the Lucas-type term L(n) obeys
-one congruence per residue class of r:
+Writing n = m(k+1) + r with 0 <= r <= k, every Lucas-type term obeys
 
-    r = 0:   L(n) ==  2 (-1)^m                      (mod 2^(k-2))
-    r = 1:   L(n) == (4m+1) (-1)^m                  (mod 2^(k-1))
-    r = 2:   L(n) == (4m^2+6m+3) (-1)^m             (mod 2^k)
-    r >= 3:  L(n) == (-1)^m 2^(r-2) Q(m, r)         (mod 2^(k+r-2))
+    L(n) == (-1)^m 2^(r-2) B(m, r)          (mod 2^(k+r-2)),
+    B(m, r) = 8 C(m+r, m) - 6 C(m+r-1, m) + C(m+r-2, m),
 
-where Q(m, r) is the integer combination of binomials computed by
-:func:`l_quantity`.  The table is written once, in
-:func:`lucas_congruence_parts`, as sign * odd * 2^shift; when
-shift < E that pins nu2(L(n)) = shift.  :func:`disc_match` compares it
-with |disc| = (2^(k+1) k^k - (k+1)^(k+1)) / (k-1)^2.  The campaigns
-and the lemma suites read both.
+with binomials that vanish for a negative top (:func:`l_quantity`).
+Proof: the Lucas generating function (2 - 3x + x^2) / (1 - 2x + x^(k+1))
+gives 4 L(n) = sum_j (-1)^j 2^(n - j(k+1)) [8 C(N, j) - 6 C(N-1, j)
++ C(N-2, j)] with N = n - jk, the sum ``sequences._closed_form`` takes.
+No term has j > m, each term with j < m carries 2^(k+1+r), and the
+j = m term is (-1)^m 2^r B(m, r).  So 4 L(n) == (-1)^m 2^r B(m, r)
+modulo 2^(k+1+r); the stated modulus 2^(k+r-2) is one bit weaker than
+that proves.  B(m, 0) = 8, B(m, 1) = 8m + 2 and B(m, 2) = 4m^2 + 6m + 3
+make the factor 2^(r-2) integral for every r.
+
+:func:`lucas_congruence_parts` writes the congruence as
+sign * odd * 2^shift; when shift < E that pins nu2(L(n)) = shift.
+:func:`disc_match` compares it with
+|disc| = (2^(k+1) k^k - (k+1)^(k+1)) / (k-1)^2.  The campaigns and the
+lemma suites read both.
 
 Valuations use the convention nu2(0) = infinity (``math.inf``).
 """
@@ -22,16 +28,14 @@ from __future__ import annotations
 
 import math
 
-from .sequences import binom_ext
+from .sequences import LUCAS, _bracket_ratio
 
 __all__ = [
     "nu2",
     "kummer_nu2_binomial",
     "l_quantity",
-    "l_quantity_factored",
     "l_quantity_nu2",
     "lucas_congruence_parts",
-    "lucas_congruence",
     "disc_match",
     "residue_decomposition",
     "disc_nu2",
@@ -56,76 +60,40 @@ def kummer_nu2_binomial(n: int, m: int) -> int:
     return m.bit_count() + (n - m).bit_count() - n.bit_count()
 
 
-def l_quantity(m: int, r: int) -> int:
-    """The binomial combination driving the r >= 3 congruence.
-
-    Q(m, r) = 4*(binom(m+r+1, m) - binom(m+r-1, m-2))
-                - (binom(m+r, m) - binom(m+r-2, m-2))
-
-    with the extended convention that binomials with negative or
-    undersized arguments vanish.  Exact integer arithmetic; this is the
-    definition the factored forms below are checked against.
-    """
+def _lucas_bracket(m: int, r: int) -> tuple[int, int]:
+    """(weight, den) with B(m, r) = C(m+r, m) * weight / den."""
     if m < 0 or r < 0:
         raise ValueError("need m >= 0 and r >= 0, got m=%d r=%d" % (m, r))
-    return 4 * (binom_ext(m + r + 1, m) - binom_ext(m + r - 1, m - 2)) - (
-        binom_ext(m + r, m) - binom_ext(m + r - 2, m - 2)
-    )
+    return _bracket_ratio(LUCAS, m + r, m)
 
 
-def _factored_parts(m: int, r: int) -> tuple[int, int]:
-    """(poly, den) with Q(m, r) = binom(m+r-2, m-2) * poly / den, m >= 2."""
-    if m < 2:
-        raise ValueError("factored form requires m >= 2, got m=%d" % (m,))
-    if r < 0:
-        raise ValueError("need r >= 0, got r=%d" % (r,))
-    poly = (
-        3 * r**3 + 10 * m * r**2 + 8 * m**2 * r + 2 * m * r - 3 * r + 8 * m**2 - 8 * m
-    )
-    return poly, m * (m - 1) * (r + 1)
+def l_quantity(m: int, r: int) -> int:
+    """B(m, r) = 8 C(m+r, m) - 6 C(m+r-1, m) + C(m+r-2, m), for m, r >= 0.
 
-
-def l_quantity_factored(m: int, r: int) -> int:
-    """Single-binomial form of :func:`l_quantity`, valid for m >= 2.
-
-    Q(m, r) = binom(m+r-2, m-2) / (m (m-1) (r+1)) *
-              (3 r^3 + 10 m r^2 + 8 m^2 r + 2 m r - 3 r + 8 m^2 - 8 m)
-
-    The division is exact; an inexact division raises.  One binomial
-    instead of four, so the r >= 3 campaign takes Q from here.
+    The j = m bracket of the generating-function sum at N = m + r: one
+    binomial times (8m^2 + 10mr + 3r^2 - 8m - 3r) / ((m+r)(m+r-1)) when
+    m + r >= 2, an exact division.  B > 0 everywhere.
     """
-    poly, den = _factored_parts(m, r)
-    q, rem = divmod(binom_ext(m + r - 2, m - 2) * poly, den)
-    if rem:
-        raise AssertionError("factored form not integral at m=%d r=%d" % (m, r))
-    return q
+    weight, den = _lucas_bracket(m, r)
+    return math.comb(m + r, m) * weight // den
 
 
 def l_quantity_nu2(m: int, r: int) -> int:
-    """nu2(Q(m, r)) for m >= 2, without forming Q.
+    """nu2(B(m, r)) for m, r >= 0, without forming B.
 
-    From the factored form, nu2(Q) = nu2(binom(m+r-2, m-2)) + nu2(poly)
-    - nu2(m (m-1) (r+1)), with the binomial's valuation counted by
-    Kummer's theorem.  Q > 0 for m >= 2 (poly and the binomial are
-    positive), so the valuation is always finite.
+    nu2(C(m+r, m)) by Kummer's theorem, plus nu2 of the bracket's
+    positive weight, minus nu2 of its denominator: (m+r)(m+r-1), or 1
+    when m + r < 2.
     """
-    poly, den = _factored_parts(m, r)
-    return kummer_nu2_binomial(m + r - 2, m - 2) + nu2(poly) - nu2(den)
-
-
-def _canonical(raw: int, exponent: int) -> int:
-    """Representative of raw mod 2^exponent in [-2^(E-1), 2^(E-1))."""
-    if exponent <= 0:
-        return 0
-    half = 1 << (exponent - 1)
-    return ((raw + half) & ((half << 1) - 1)) - half
+    weight, den = _lucas_bracket(m, r)
+    return kummer_nu2_binomial(m + r, m) + nu2(weight) - nu2(den)
 
 
 def lucas_congruence_parts(k: int, m: int, r: int) -> tuple[int, int, int, int]:
     """``(sign, odd, shift, E)`` with L(r + m(k+1)) == sign * odd * 2^shift (mod 2^E).
 
-    sign = (-1)^m and ``odd`` is odd.  For r >= 3, Q(m, r) comes from the
-    single-binomial form when m >= 2; Q is never 0 for m >= 0, r >= 3.
+    sign = (-1)^m, odd * 2^(shift - r + 2) = B(m, r) with ``odd`` odd,
+    and E = k + r - 2: the module's one congruence, for every r.
     """
     if k < 2:
         raise ValueError("need k >= 2, got k=%d" % (k,))
@@ -133,29 +101,10 @@ def lucas_congruence_parts(k: int, m: int, r: int) -> tuple[int, int, int, int]:
         raise ValueError("need m >= 0, got m=%d" % (m,))
     if not 0 <= r <= k:
         raise ValueError("need 0 <= r <= k, got r=%d k=%d" % (r, k))
-    sign = -1 if m % 2 else 1
-    if r == 0:
-        return sign, 1, 1, k - 2
-    if r == 1:
-        return sign, 4 * m + 1, 0, k - 1
-    if r == 2:
-        return sign, 4 * m * m + 6 * m + 3, 0, k
-    q = l_quantity_factored(m, r) if m >= 2 else l_quantity(m, r)
+    q = l_quantity(m, r)
     a = nu2(q)
+    sign = -1 if m % 2 else 1
     return sign, q >> a, r - 2 + a, k + r - 2
-
-
-def lucas_congruence(k: int, m: int, r: int) -> tuple[int, int]:
-    """Predicted residue of L(r + m(k+1)) and its modulus exponent E.
-
-    Returns ``(residue, E)`` meaning L(n) == residue (mod 2^E) for
-    n = r + m(k+1), read from :func:`lucas_congruence_parts`.  The
-    residue is the signed representative in [-2^(E-1), 2^(E-1)); at
-    k = 2, r = 0 the modulus is 2^0 and the congruence is vacuous,
-    returned as (0, 0).
-    """
-    sign, odd, shift, exponent = lucas_congruence_parts(k, m, r)
-    return _canonical(sign * odd << shift, exponent), exponent
 
 
 def _scaled_disc_residue(k: int, s: int, e: int) -> int:

@@ -24,7 +24,7 @@ from lucasdisc.campaigns import (
 )
 from lucasdisc.roots import binet_error_check, binet_vs_power2_check
 from lucasdisc.sequences import LUCAS, SeqParams, term
-from lucasdisc.twoadic import l_quantity, lucas_congruence, nu2
+from lucasdisc.twoadic import l_quantity, lucas_congruence_parts, nu2
 
 
 def test_criterion_01_small_campaign_zero_survivors(small_report):
@@ -64,8 +64,8 @@ def test_criterion_04_congruence_brute_force_grid():
         params = SeqParams(k=k, family=LUCAS)
         for m in range(0, 7):
             for r in range(0, k + 1):
-                residue, exponent = lucas_congruence(k, m, r)
-                assert (term(params, r + m * (k + 1)) - residue) % (1 << exponent) == 0
+                sign, odd, shift, exponent = lucas_congruence_parts(k, m, r)
+                assert (term(params, r + m * (k + 1)) - (sign * odd << shift)) % (1 << exponent) == 0
                 checked += 1
     print("criterion 4: %d congruence cells verified against exact terms" % checked)
 

@@ -20,7 +20,9 @@ from lucasdisc.campaigns import (
     shard,
 )
 from lucasdisc.sequences import LUCAS, SeqParams, term_iter
-from lucasdisc.twoadic import l_quantity, nu2
+from lucasdisc.twoadic import nu2
+
+from test_twoadic import four_binomial_q
 
 # Counts frozen after the first verified full runs.
 SMALL_TERMS = 157411
@@ -188,7 +190,7 @@ def test_case3_full_run_at_150(case3_150_report):
 
 
 def case3_triple_loop(m, modulus_extra_bits):
-    """The (a, m, k) triple loop with exact l_quantity, for one m."""
+    """The (a, m, k) triple loop with the four-binomial Q, for one m."""
     lo, hi = localize_k_by_power2(m)
     quantities = {}
     triples = 0
@@ -201,7 +203,7 @@ def case3_triple_loop(m, modulus_extra_bits):
                 continue
             triples += 1
             if r not in quantities:
-                quantities[r] = l_quantity(m, r)
+                quantities[r] = four_binomial_q(m, r)
             q = quantities[r]
             if nu2(q) != a:
                 continue

@@ -226,20 +226,10 @@ def test_search_shard_flag(capsys):
     assert summary["ranges"]["shard"] == {"of": 3, "pieces": [1]}
 
 
-def test_search_csv_format(capsys):
-    assert run(
-        ["search", "case12", "--k-lo", "202", "--k-hi", "10000", "--workers", "1", "--format", "csv"]
-    ) == 0
-    lines = capsys.readouterr().out.strip().split("\n")
-    assert lines[0] == "campaign,stage,k,n,r,m,a,verdict"
-    assert len(lines) == 11
-    assert lines[1].startswith("case12,window_residue,274,2477,2,9,,")
-
-
 def test_human_format_caps_candidate_listing(capsys):
     assert run(["search", "case3", "--workers", "1", "--no-timing"]) == 0
     out = capsys.readouterr().out
-    assert "more (use jsonl or csv for the full list)" in out
+    assert "more (use jsonl for the full list)" in out
     assert "survivors: none" in out
 
 

@@ -11,13 +11,12 @@ import lucasdisc
 # The public names of each module; the package exports these and __version__.
 PUBLIC = {
     "sequences": [
-        "FIBONACCI", "LUCAS", "SeqParams", "binom_ext", "cooper_howard_fib",
-        "lucas_from_fib", "shift_identity_check", "term", "term_iter",
+        "FIBONACCI", "LUCAS", "SeqParams", "binom_ext", "lucas_from_fib",
+        "shift_identity_check", "term", "term_iter",
     ],
     "twoadic": [
-        "disc_match", "disc_nu2", "kummer_nu2_binomial", "l_quantity", "l_quantity_factored",
-        "l_quantity_nu2", "lucas_congruence", "lucas_congruence_parts", "nu2",
-        "residue_decomposition",
+        "disc_match", "disc_nu2", "kummer_nu2_binomial", "l_quantity", "l_quantity_nu2",
+        "lucas_congruence_parts", "nu2", "residue_decomposition",
     ],
     "roots": [
         "MAX_PRECISION_BITS", "PrecisionError", "RootEnclosure", "binet_error_check",
@@ -38,7 +37,7 @@ PUBLIC = {
 
 def test_package_exports_each_public_name_once():
     expected = [name for names in PUBLIC.values() for name in names] + ["__version__"]
-    assert len(expected) == 53
+    assert len(expected) == 50
     assert len(lucasdisc.__all__) == len(set(lucasdisc.__all__))
     assert sorted(lucasdisc.__all__) == sorted(expected)
 

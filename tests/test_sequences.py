@@ -8,8 +8,8 @@ from lucasdisc.sequences import (
     FIBONACCI,
     LUCAS,
     SeqParams,
+    _closed_form,
     binom_ext,
-    cooper_howard_fib,
     lucas_from_fib,
     shift_identity_check,
     term,
@@ -102,11 +102,14 @@ def test_term_iter_start_offsets():
 
 @pytest.mark.parametrize("k", range(2, 61))
 def test_cooper_howard_closed_form(k):
-    params = SeqParams(k=k, family=FIBONACCI)
-    for n, value in term_iter(params, 0):
-        if n >= 80:
-            break
-        assert cooper_howard_fib(k, n) == term(params, n) == value, n
+    # The signed-binomial (generating-function) sum against the walk, also
+    # below k = 8, where term() does not take it.
+    for family in (FIBONACCI, LUCAS):
+        params = SeqParams(k=k, family=family)
+        for n, value in term_iter(params, 2):
+            if n >= 80:
+                break
+            assert _closed_form(params, n) == term(params, n) == value, (family, n)
 
 
 def test_lucas_from_fib_bridge():

@@ -7,22 +7,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lucasdisc.sequences import LUCAS, SeqParams, term
+from lucasdisc.sequences import LUCAS, SeqParams, term, term_iter
 from lucasdisc.twoadic import (
     _scaled_disc_residue,
     disc_match,
     disc_nu2,
     kummer_nu2_binomial,
     l_quantity,
-    l_quantity_factored,
     l_quantity_nu2,
-    lucas_congruence,
     lucas_congruence_parts,
     nu2,
     residue_decomposition,
 )
 from lucasdisc.bounds import discriminant
 from lucasdisc.campaigns import A_MINUS1_MAX
+
+
+def binom(a, b):
+    """Binomial that vanishes when the top is negative or below the bottom."""
+    return math.comb(a, b) if 0 <= b <= a else 0
+
+
+def four_binomial_q(m, r):
+    """Q(m, r), the oracle for the congruence quantity; equals B(m, r) once m + r >= 2.
+
+    Q = 4 (C(m+r+1, m) - C(m+r-1, m-2)) - (C(m+r, m) - C(m+r-2, m-2)).
+    """
+    return 4 * (binom(m + r + 1, m) - binom(m + r - 1, m - 2)) - (binom(m + r, m) - binom(m + r - 2, m - 2))
 
 
 def naive_nu2(x):
@@ -63,18 +74,29 @@ def test_l_quantity_spot_values():
     assert l_quantity(1, 3) == 16
     assert l_quantity(0, 7) == 3
     assert l_quantity(2, 3) == 47
+    # m + r < 2, where Q differs: B(0, 0) = B(1, 0) = 8 and B(0, 1) = 2.
+    assert [l_quantity(0, 0), l_quantity(1, 0), l_quantity(0, 1)] == [8, 8, 2]
+    assert [l_quantity_nu2(0, 0), l_quantity_nu2(1, 0), l_quantity_nu2(0, 1)] == [3, 3, 1]
+    # r = 1, 2: B = 8m + 2 and 4m^2 + 6m + 3.
+    for m in range(50):
+        assert l_quantity(m, 1) == 8 * m + 2
+        assert l_quantity(m, 2) == 4 * m * m + 6 * m + 3
 
 
-@pytest.mark.parametrize("m", range(2, 30))
+@pytest.mark.parametrize("m", range(60))
 def test_factored_form_agrees(m):
-    for r in range(3, 30):
-        assert l_quantity(m, r) == l_quantity_factored(m, r)
+    # The one-binomial form C(m+r, m) P / ((m+r)(m+r-1)) against the four binomials.
+    for r in range(max(0, 2 - m), 80):
+        q = four_binomial_q(m, r)
+        assert l_quantity(m, r) == q, r
+        assert l_quantity_nu2(m, r) == nu2(q), r
 
 
-@given(st.integers(min_value=2, max_value=60), st.integers(min_value=3, max_value=60))
+@given(st.integers(min_value=0, max_value=200), st.integers(min_value=0, max_value=200))
 @settings(max_examples=80, deadline=None)
 def test_factored_form_property(m, r):
-    assert l_quantity(m, r) == l_quantity_factored(m, r)
+    if m + r >= 2:
+        assert l_quantity(m, r) == four_binomial_q(m, r)
 
 
 @pytest.mark.parametrize("m", range(2, 61))
@@ -88,7 +110,7 @@ def test_l_quantity_nu2_near_powers_of_two(m):
     # Every r the r >= 3 campaign asks about: r = k - (a - 1) with k
     # within 300 of 2^m and a - 1 <= A_MINUS1_MAX.
     for r in range(max(3, (1 << m) - 300 - A_MINUS1_MAX), (1 << m) + 300):
-        assert l_quantity_nu2(m, r) == nu2(l_quantity(m, r))
+        assert l_quantity_nu2(m, r) == nu2(four_binomial_q(m, r))
 
 
 @given(st.integers(min_value=2, max_value=80), st.integers(min_value=0, max_value=1 << 64))
@@ -97,11 +119,18 @@ def test_l_quantity_nu2_property(m, r):
     assert l_quantity_nu2(m, r) == nu2(l_quantity(m, r))
 
 
+def residue(parts):
+    sign, odd, shift, _ = parts
+    return sign * odd << shift
+
+
 def test_congruence_spot_values():
-    assert lucas_congruence(5, 1, 0) == (-2, 3)
-    assert lucas_congruence(5, 1, 3) == (-32, 6)
-    assert lucas_congruence(4, 0, 2) == (3, 4)
-    assert lucas_congruence(2, 0, 0) == (0, 0)
+    # (k, m, r): L(n) == residue (mod 2^E), as (residue, E).
+    cells = {(5, 1, 0): (-2, 3), (5, 1, 3): (-32, 6), (4, 0, 2): (3, 4), (2, 0, 0): (0, 0)}
+    for (k, m, r), (expect, exponent) in cells.items():
+        parts = lucas_congruence_parts(k, m, r)
+        assert parts[3] == exponent
+        assert (residue(parts) - expect) % (1 << exponent) == 0
 
 
 @pytest.mark.parametrize("k", range(5, 17))
@@ -109,14 +138,32 @@ def test_congruence_grid_against_exact_terms(k):
     params = SeqParams(k=k, family=LUCAS)
     for m in range(0, 7):
         for r in range(0, k + 1):
-            residue, exponent = lucas_congruence(k, m, r)
+            parts = lucas_congruence_parts(k, m, r)
             n = m * (k + 1) + r
-            if exponent > 0:
-                assert (term(params, n) - residue) % (1 << exponent) == 0
-            # canonical residue representative
-            if exponent > 0:
-                half = 1 << (exponent - 1)
-                assert -half <= residue < half
+            assert (term(params, n) - residue(parts)) % (1 << parts[3]) == 0
+
+
+def assert_truncation(k, m, r, value):
+    # Dropping the j < m terms of the generating-function sum leaves
+    # 4 L(n) == (-1)^m 2^r B(m, r) modulo 2^(k+1+r): one bit past E = k + r - 2.
+    assert (4 * value - (-1) ** m * (l_quantity(m, r) << r)) % (1 << (k + 1 + r)) == 0, (k, m, r)
+
+
+@pytest.mark.parametrize("k", [8, 9, 64, 65, 1023, 1024, 10**4, 10**4 + 1])
+def test_truncation_one_bit_past_e(k):
+    params = SeqParams(k=k, family=LUCAS)
+    for m in range(7):
+        for r in sorted({0, 1, 2, 3, k // 2, k - 1, k}):
+            assert_truncation(k, m, r, term(params, m * (k + 1) + r))
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_truncation_one_bit_past_e_walked(k):
+    for n, value in term_iter(SeqParams(k=k, family=LUCAS), 0):
+        m, r = residue_decomposition(n, k)
+        if m > 6:
+            break
+        assert_truncation(k, m, r, value)
 
 
 def lucas_mod(k, count, bits):
@@ -157,7 +204,7 @@ def test_congruence_parts_at_campaign_scale_every_r(k):
 
 def test_congruence_parts_spot_values():
     assert lucas_congruence_parts(5, 1, 0) == (-1, 1, 1, 3)
-    assert lucas_congruence_parts(5, 1, 3) == (-1, 1, 5, 6)  # Q(1, 3) = 16
+    assert lucas_congruence_parts(5, 1, 3) == (-1, 1, 5, 6)  # B(1, 3) = 16
     assert lucas_congruence_parts(4, 2, 1) == (1, 9, 0, 3)
     assert lucas_congruence_parts(4, 2, 2) == (1, 31, 0, 4)
     assert lucas_congruence_parts(7, 0, 5) == (1, 3, 3, 10)
@@ -225,16 +272,17 @@ def test_residue_decomposition_round_trip(n, k):
 
 def test_domain_errors():
     with pytest.raises(ValueError):
-        lucas_congruence(1, 0, 0)
+        lucas_congruence_parts(1, 0, 0)
     with pytest.raises(ValueError):
-        lucas_congruence(5, -1, 0)
+        lucas_congruence_parts(5, -1, 0)
     with pytest.raises(ValueError):
-        lucas_congruence(5, 0, 6)
+        lucas_congruence_parts(5, 0, 6)
     with pytest.raises(ValueError):
         l_quantity(-1, 3)
     with pytest.raises(ValueError):
-        l_quantity_factored(1, 3)
+        l_quantity(3, -1)
     with pytest.raises(ValueError):
-        l_quantity_nu2(1, 3)
+        l_quantity_nu2(-1, 3)
     with pytest.raises(ValueError):
         l_quantity_nu2(5, -1)
+    assert l_quantity_nu2(1, 3) == 4  # inside the domain: B(1, 3) = 16
