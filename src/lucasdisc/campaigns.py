@@ -28,6 +28,7 @@ same bytes as an unsharded run (timing aside).
 
 from __future__ import annotations
 
+import inspect
 import json
 import time
 from bisect import bisect_left
@@ -103,6 +104,15 @@ class CampaignReport:
     def survivors(self) -> list[CandidatePair]:
         """Candidates whose verdict is ``survivor``, in (k, n) order."""
         return [c for c in self.candidates if c.verdict == "survivor"]
+
+
+# The work units of each campaign as a function of its parameters; shards slice these ranges.
+_UNITS: dict[str, Callable[..., range]] = {
+    "small": lambda k_max, **_: range(2, k_max + 1),
+    "case0": lambda **_: range(5, 202, 2),
+    "case12": lambda k_lo, k_hi, **_: range(k_lo, k_hi, 2),
+    "case3": lambda **_: range(m_range(K_CAP)[0], m_range(K_CAP)[1] + 1),
+}
 
 
 def _run(
@@ -214,7 +224,7 @@ def campaign_small(
     return _run(
         "small",
         shard,
-        range(2, k_max + 1),
+        _UNITS["small"](k_max),
         scan,
         {"k_lo": 2, "k_hi": k_max, "n_lo": 0, "n_hi": n_max},
         [
@@ -258,7 +268,7 @@ def campaign_case0(shard: tuple[int, int] | None = None) -> CampaignReport:
     return _run(
         "case0",
         shard,
-        range(5, 202, 2),
+        _UNITS["case0"](),
         scan,
         {"k_lo": 5, "k_hi": 201, "k_parity": "odd", "residue": 0},
         [
@@ -349,7 +359,7 @@ def campaign_case12(
     return _run(
         "case12",
         shard,
-        range(k_lo, k_hi, 2),
+        _UNITS["case12"](k_lo, k_hi),
         scan,
         {
             "k_lo": k_lo,
@@ -392,7 +402,7 @@ def campaign_case3(
     """
     if modulus_extra_bits < 2:
         raise ValueError("need modulus_extra_bits >= 2, got %d" % (modulus_extra_bits,))
-    m_lo, m_hi = m_range(K_CAP)
+    units = _UNITS["case3"]()
 
     def scan(ms: range):
         triples = 0
@@ -455,14 +465,14 @@ def campaign_case3(
     return _run(
         "case3",
         shard,
-        range(m_lo, m_hi + 1),
+        units,
         scan,
         {
             "k_floor": 200,
             "k_cap": K_CAP,
             "k_parity": "odd",
-            "m_lo": m_lo,
-            "m_hi": m_hi,
+            "m_lo": units[0],
+            "m_hi": units[-1],
             "a_lo": 1,
             "a_hi": A_MINUS1_MAX + 1,
             "r_lo": 3,
@@ -499,6 +509,16 @@ def shard(campaign: str, piece: int, of: int, **params) -> CampaignReport:
     if campaign not in _CAMPAIGNS:
         raise ValueError("unknown campaign %r; expected one of %s" % (campaign, CAMPAIGN_NAMES))
     return _CAMPAIGNS[campaign](shard=(piece, of), **params)
+
+
+def _unit_count(campaign: str, **params) -> int:
+    """Number of work units that the shards of ``campaign`` split, with these parameters.
+
+    A layout with more pieces than units leaves some pieces empty.
+    """
+    args = inspect.signature(_CAMPAIGNS[campaign]).bind(**params)
+    args.apply_defaults()
+    return len(_UNITS[campaign](**args.arguments))
 
 
 def merge_reports(reports: list[CampaignReport]) -> CampaignReport:

@@ -47,6 +47,7 @@ from .campaigns import (
     CAMPAIGN_NAMES,
     CampaignReport,
     _CAMPAIGNS,
+    _unit_count,
     merge_reports,
     report_to_jsonl,
     shard,
@@ -188,6 +189,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
         workers = args.workers if args.workers is not None else os.cpu_count() or 1
         if workers < 1:
             args.parser.error("--workers must be >= 1")
+        # Pieces beyond the campaign's work units would be empty, so no process is started for them.
+        workers = max(1, min(workers, _unit_count(args.campaign, **params)))
         if workers == 1:
             report = _CAMPAIGNS[args.campaign](**params)
         else:

@@ -1,9 +1,12 @@
 """Certified enclosures of the dominant root of x^k - x^(k-1) - ... - 1.
 
 The polynomial has a unique real root alpha(k) in (2(1 - 2^-k), 2).
-An enclosure is a dyadic bracket whose endpoint signs are evaluated in
+An enclosure is a dyadic bracket whose endpoint signs are decided in
 integer arithmetic, so the bracket is a certificate; a Newton seed only
-says where to put it, and a wrong seed costs time, never the answer.  The
+says where to put it, and a wrong seed costs time, never the answer.
+Each sign compares two integer powers through rounded-down and
+rounded-up truncations of them, widened until the two intervals
+separate, so it stays exact without forming the (k*s)-bit powers.  The
 inequality checks run in outward-rounded mpmath interval arithmetic over
 those exact dyadic root brackets.  A ``True``/``False`` answer is
 therefore proved, not sampled.  When an interval is too wide to decide a
@@ -50,20 +53,67 @@ class PrecisionError(RuntimeError):
     """A strict comparison stayed undecidable at the precision cap."""
 
 
+def _pow_bounds(x: int, n: int, w: int) -> tuple[int, int, int]:
+    """(lo, hi, e) with lo 2^e <= x^n <= hi 2^e, for x >= 1 and n >= 0.
+
+    Square-and-multiply on two mantissas under one shared exponent e: after
+    each step both are cut by the shift that brings hi to w bits, lo rounded
+    down and hi up.  While nothing has been cut, lo == hi == x^n and e == 0.
+    """
+    lo = hi = 1
+    e = 0
+    for bit in bin(n)[2:]:
+        lo, hi, e = lo * lo, hi * hi, 2 * e
+        if bit == "1":
+            lo, hi = lo * x, hi * x
+        cut = hi.bit_length() - w
+        if cut > 0:
+            lo, hi, e = lo >> cut, -(-hi >> cut), e + cut
+    return lo, hi, e
+
+
+def _gap_sign(k: int, p: int, q: int, w: int) -> int:
+    """Sign of q^(k+1) - p^k (2q - p) for 0 < p < 2q, from w-bit power bounds.
+
+    w doubles until the bounds of the two sides separate.  Once w covers
+    the bit length of both powers nothing is cut and the bounds are exact,
+    so the loop ends whenever the two sides differ.
+    """
+    d = 2 * q - p
+    while True:
+        a_lo, a_hi, a_e = _pow_bounds(q, k + 1, w)
+        b_lo, b_hi, b_e = _pow_bounds(p, k, w)
+        e = min(a_e, b_e)
+        a_lo, a_hi = a_lo << (a_e - e), a_hi << (a_e - e)
+        b_lo, b_hi = b_lo * d << (b_e - e), b_hi * d << (b_e - e)
+        if a_lo > b_hi:
+            return 1
+        if a_hi < b_lo:
+            return -1
+        w *= 2
+
+
 def gk_sign(k: int, x: Fraction) -> int:
     """Exact sign of x^k - x^(k-1) - ... - x - 1 at a rational x > 1.
 
     Uses the telescoped numerator x^k (x - 2) + 1 of
     (x^(k+1) - 2 x^k + 1) / (x - 1); the divisor is positive for x > 1
-    so only the numerator's sign matters, and that is one big-integer
-    expression in the fraction's parts.
+    so only the numerator's sign matters.  With x = p/q that is the sign
+    of p^k (p - 2q) + q^(k+1): +1 when p >= 2q, and otherwise the
+    comparison of q^(k+1) with p^k (2q - p), decided by :func:`_gap_sign`
+    from integer bounds of the two powers instead of the (k*bitlen(p))-bit
+    products.  It is never 0: the only rational root of
+    x^(k+1) - 2 x^k + 1 is 1.
     """
     x = Fraction(x)
     if x <= 1:
         raise ValueError("sign evaluation defined for x > 1 only")
+    if k < 1:
+        raise ValueError("need k >= 1, got k=%d" % (k,))
     p, q = x.numerator, x.denominator
-    value = p**k * (p - 2 * q) + q ** (k + 1)
-    return (value > 0) - (value < 0)
+    if p >= 2 * q:
+        return 1
+    return _gap_sign(k, p, q, p.bit_length() + q.bit_length() + 2 * k.bit_length() + 64)
 
 
 @dataclass(frozen=True)

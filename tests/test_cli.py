@@ -10,10 +10,13 @@ from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
+import multiprocessing
+
 import pytest
 
 import lucasdisc
-from lucasdisc.bounds import K_CAP, _window_member_exact, discriminant
+from lucasdisc.bounds import K_CAP, _window_member_exact, discriminant, m_range
+from lucasdisc.campaigns import _unit_count
 from lucasdisc.cli import run
 from lucasdisc.roots import PrecisionError, dominant_root
 from lucasdisc.sequences import FIBONACCI, LUCAS, SeqParams, term_iter
@@ -85,6 +88,64 @@ def test_root_prints_an_enclosure(k, bits, capsys):
     enc = dominant_root(k, bits)
     assert lo <= enc.lo < enc.hi <= hi
     assert hi - lo < Fraction(2, 2**bits)
+
+
+def test_root_at_large_k(capsys):
+    assert run(["root", "--k", "20001"]) == 0
+    lines = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines() if " = " in line)
+    assert Fraction(lines["lo"]) < Fraction(lines["hi"])
+
+
+def test_unit_count_matches_the_campaign_ranges():
+    m_lo, m_hi = m_range(K_CAP)
+    assert _unit_count("small") == 199 and _unit_count("small", k_max=3) == 2
+    assert _unit_count("case0") == 99
+    assert _unit_count("case12") == (70_000_000 - 202) // 2
+    assert _unit_count("case12", k_lo=202, k_hi=210) == 4
+    assert _unit_count("case12", k_lo=300, k_hi=300) == 0
+    assert _unit_count("case3", modulus_extra_bits=100) == m_hi - m_lo + 1 == 50
+
+
+class RecordingPool:
+    """Stands in for multiprocessing.Pool: records its size and maps in this process."""
+
+    sizes: list = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, items):
+        return list(map(func, items))
+
+
+@pytest.mark.parametrize(
+    "search, pool_size",
+    [
+        (["small", "--k-max", "2"], None),
+        (["small", "--k-max", "5"], 4),
+        (["case12", "--k-lo", "202", "--k-hi", "210"], 4),
+        (["case12", "--k-lo", "300", "--k-hi", "300"], None),
+        (["case0"], 99),
+        (["case3", "--modulus-bits", "2"], 50),
+    ],
+    ids=["small-1", "small-4", "case12-4", "case12-empty", "case0", "case3"],
+)
+def test_workers_clamped_to_work_units(monkeypatch, search, pool_size, capsys):
+    # A pool larger than the unit count would only start processes with empty shards.
+    base = ["search"] + search + ["--format", "jsonl", "--no-timing"]
+    assert run(base + ["--workers", "1"]) in (0, 1)
+    one = capsys.readouterr().out
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    RecordingPool.sizes.clear()
+    assert run(base + ["--workers", "500"]) in (0, 1)
+    assert RecordingPool.sizes == ([] if pool_size is None else [pool_size])
+    assert capsys.readouterr().out == one
 
 
 def test_usage_errors():

@@ -2,11 +2,14 @@
 
 from fractions import Fraction
 
+import time
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import to_rational
 
 from lucasdisc import roots
@@ -16,7 +19,9 @@ from lucasdisc.roots import (
     RootEnclosure,
     _alpha_iv,
     _dominant_iv,
+    _gap_sign,
     _last_negative,
+    _pow_bounds,
     _seed_numerator,
     binet_error_check,
     binet_vs_power2_check,
@@ -24,6 +29,13 @@ from lucasdisc.roots import (
     gk_sign,
     growth_bounds_check,
 )
+
+
+def exact_sign(k, x):
+    """Sign of x^k (x - 2) + 1 at x = p/q from the full integer p^k (p - 2q) + q^(k+1)."""
+    p, q = x.numerator, x.denominator
+    value = p**k * (p - 2 * q) + q ** (k + 1)
+    return (value > 0) - (value < 0)
 
 
 def test_golden_ratio_enclosure_exact():
@@ -45,7 +57,7 @@ def test_tribonacci_root_against_numpy():
 def test_enclosure_brackets_sign_change(k):
     enc = dominant_root(k)
     assert isinstance(enc, RootEnclosure)
-    assert gk_sign(k, enc.lo) < 0 < gk_sign(k, enc.hi)
+    assert exact_sign(k, enc.lo) < 0 < exact_sign(k, enc.hi)
     assert enc.width() <= Fraction(1, 2**enc.precision_bits)
     # endpoints stay inside the a-priori bracket [2*(1 - 2^(1-k)), 2]; for large k
     # that bracket is already narrower than the requested width, so hi may equal 2
@@ -57,7 +69,7 @@ def fraction_bisection_root(k, bits):
     lo, hi = Fraction(2 * (2**k - 1), 2**k), Fraction(2)
     while hi - lo > Fraction(1, 2**bits):
         mid = (lo + hi) / 2
-        if gk_sign(k, mid) > 0:
+        if exact_sign(k, mid) > 0:
             hi = mid
         else:
             lo = mid
@@ -134,6 +146,102 @@ def test_gk_sign_values():
     assert gk_sign(5, Fraction(3, 2)) < 0
     with pytest.raises(ValueError):
         gk_sign(5, Fraction(1))
+    assert gk_sign(1, Fraction(3, 2)) > 0  # x^1 (x - 2) + 1 = (x - 1)^2
+    with pytest.raises(ValueError):
+        gk_sign(0, Fraction(3, 2))
+    with pytest.raises(ValueError):
+        gk_sign(-3, Fraction(3, 2))
+
+
+@st.composite
+def sign_points(draw):
+    """(k, x): x > 1 rational, or an endpoint of dominant_root(k, bits) or one unit 2^-(s+5) beyond it."""
+    k = draw(st.integers(2, 300))
+    kind = draw(st.sampled_from(["rational", "at_least_two", "endpoint"]))
+    if kind == "rational":
+        q = draw(st.integers(1, 2**200))
+        return k, Fraction(draw(st.integers(q + 1, 2 * q)), q)
+    if kind == "at_least_two":
+        q = draw(st.integers(1, 2**64))
+        return k, Fraction(draw(st.integers(2 * q, 5 * q)), q)
+    bits = draw(st.integers(16, 300))
+    enc = dominant_root(k, bits)
+    unit = Fraction(1, 2 ** (max(bits, k - 1) + 5))
+    return k, draw(st.sampled_from([enc.lo, enc.hi, enc.lo - unit, enc.hi + unit]))
+
+
+@given(sign_points())
+@settings(max_examples=400, deadline=None)
+def test_gk_sign_equals_exact_sign(point):
+    k, x = point
+    assert gk_sign(k, x) == exact_sign(k, x) != 0
+
+
+@pytest.mark.parametrize("k", [2, 3, 17, 200, 455, 1001])
+def test_gk_sign_at_endpoints_midpoints_and_non_dyadic_points(k):
+    enc = dominant_root(k, 128)
+    unit = Fraction(1, 2 ** (max(128, k - 1) + 5))
+    points = [enc.lo, enc.hi, (enc.lo + enc.hi) / 2, enc.lo - unit, enc.hi + unit, Fraction(3, 2), Fraction(2)]
+    points += [Fraction(enc.lo.numerator * 3 + j, enc.lo.denominator * 3) for j in range(-2, 6)]
+    for x in points:
+        assert gk_sign(k, x) == exact_sign(k, x), x
+
+
+def fibonacci_convergent(j):
+    """F(j+1)/F(j): |x^2 (x - 2) + 1| is about F(j)^-2 there, the k = 2 root's best approximations."""
+    a, b = 1, 1
+    for _ in range(j - 1):
+        a, b = b, a + b
+    return Fraction(b, a)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 255, 256, 1001])
+def test_pow_bounds_enclose_the_power(n):
+    for x in (7, 2**64 + 1, 3**200):
+        exact = x**n
+        for w in (1, 8, 64, 300, 10**6):
+            lo, hi, e = _pow_bounds(x, n, w)
+            assert lo << e <= exact <= hi << e, (x, w)
+            if exact.bit_length() <= w:
+                assert (lo, hi, e) == (exact, exact, 0), (x, w)
+            else:
+                assert e > 0 and hi.bit_length() <= w + 1, (x, w)
+                # A cut keeps about w bits: the bounds are close relative to the power.
+                assert (hi - lo) << max(w - 2 * n.bit_length() - 2, 0) <= hi, (x, w)
+
+
+def test_gap_sign_widens_until_the_bounds_separate(monkeypatch):
+    widths = []
+
+    def recording(x, n, w):
+        widths.append(w)
+        return _pow_bounds(x, n, w)
+
+    monkeypatch.setattr(roots, "_pow_bounds", recording)
+    for j in (20, 60, 61, 200):
+        x = fibonacci_convergent(j)
+        widths.clear()
+        assert _gap_sign(2, x.numerator, x.denominator, 4) == exact_sign(2, x)
+        # |g| ~ F(j)^-2 needs about 2 bitlen(q) bits, so w = 4 must double
+        assert len(set(widths)) > 1 and widths[-1] >= 2 * x.denominator.bit_length()
+        assert gk_sign(2, x) == exact_sign(2, x)
+
+
+def test_dominant_root_at_k_20001_is_fast_and_certified():
+    k = 20001
+    start = time.perf_counter()
+    enc = dominant_root.__wrapped__(k, 128)
+    assert time.perf_counter() - start < 1.0
+    assert enc.lo < enc.hi and enc.width() == Fraction(1, 2 ** (k - 1))
+    iv = MPIntervalContext()
+    iv.prec = k + 200
+    signs = []
+    for x in (enc.lo, enc.hi):
+        v = iv.mpf(x.numerator) / x.denominator
+        g = v**k * (v - 2) + 1
+        assert g.b < 0 or g.a > 0
+        signs.append(1 if g.a > 0 else -1)
+    assert signs == [-1, 1]
 
 
 def test_binet_dominant_is_a_tight_interval():
