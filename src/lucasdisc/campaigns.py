@@ -22,8 +22,8 @@ is decided by exact integer arithmetic or by extended-precision
 evaluation with an explicit safety margin; no machine float takes part.
 Bisection only narrows where the exact window test must look, and its
 margins cannot drop a member, so reports are reproducible across shard
-layouts and worker counts.  Reports from disjoint shards merge into the
-same bytes as an unsharded run (timing aside).
+layouts and worker counts.  The shard reports of one complete layout
+merge into the same bytes as an unsharded run (timing aside).
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ def _run(
     candidates, stage_counts, extras = scan(units[piece::of])
     candidates.sort(key=lambda c: (c.k, c.n))
     if of > 1:
-        ranges["shard"] = {"pieces": [piece], "of": of}
+        ranges["shard"] = {"piece": piece, "of": of}
     return CampaignReport(
         campaign=name,
         ranges=ranges,
@@ -502,9 +502,9 @@ CAMPAIGN_NAMES = tuple(_CAMPAIGNS)
 def shard(campaign: str, piece: int, of: int, **params) -> CampaignReport:
     """Run one shard (piece-th residue class out of ``of``) of a campaign.
 
-    Shards of a campaign partition its work: running every piece in
-    [0, of) and merging the reports reproduces the unsharded report
-    byte-for-byte (timing excluded).
+    The pieces [0, of) of one layout partition the campaign's work:
+    merging the reports of that one complete layout reproduces the
+    unsharded report byte-for-byte (timing excluded).
     """
     if campaign not in _CAMPAIGNS:
         raise ValueError("unknown campaign %r; expected one of %s" % (campaign, CAMPAIGN_NAMES))
@@ -522,13 +522,13 @@ def _unit_count(campaign: str, **params) -> int:
 
 
 def merge_reports(reports: list[CampaignReport]) -> CampaignReport:
-    """Merge shard reports of one campaign into a combined report.
+    """Merge the shard reports of one complete layout into a combined report.
 
-    All inputs must come from the same campaign with identical
-    parameters and the same shard denominator; their pieces must be
-    disjoint.  Once every piece is present the shard bookkeeping is
-    dropped, making the merge byte-identical to an unsharded run
-    (timing aside; elapsed is summed).
+    The inputs must be pieces 0 .. N-1 of one N-way layout, each exactly
+    once, with N = ``len(reports)``; an unsharded report counts as piece 0
+    of 1.  They must come from the same campaign with identical
+    parameters.  The merge is byte-identical to an unsharded run (timing
+    aside; elapsed is summed).
     """
     reports = list(reports)
     if not reports:
@@ -537,11 +537,8 @@ def merge_reports(reports: list[CampaignReport]) -> CampaignReport:
     base = {key: val for key, val in first.ranges.items() if key != "shard"}
     names = [name for name, _ in first.stage_counts]
     counts = [0] * len(names)
-    pieces: list[int] = []
-    of = None
     candidates: list[CandidatePair] = []
     extras: dict = {}
-    elapsed = 0.0
     for rep in reports:
         if rep.campaign != first.campaign:
             raise ValueError("campaign mismatch: %r vs %r" % (rep.campaign, first.campaign))
@@ -551,39 +548,23 @@ def merge_reports(reports: list[CampaignReport]) -> CampaignReport:
             raise ValueError("stage mismatch between shards")
         if rep.notes != first.notes:
             raise ValueError("notes mismatch between shards")
-        info = rep.ranges.get("shard")
-        if info is None:
-            if len(reports) > 1:
-                raise ValueError("cannot merge an unsharded report with others")
-            rep_pieces, rep_of = [0], 1
-        else:
-            rep_pieces, rep_of = info["pieces"], info["of"]
-        if of is None:
-            of = rep_of
-        elif of != rep_of:
-            raise ValueError("shard denominators differ: %d vs %d" % (of, rep_of))
-        overlap = set(pieces) & set(rep_pieces)
-        if overlap:
-            raise ValueError("overlapping shard pieces: %s" % sorted(overlap))
-        pieces.extend(rep_pieces)
         for i, (_, count) in enumerate(rep.stage_counts):
             counts[i] += count
         candidates.extend(rep.candidates)
         for key, val in rep.extras.items():
             extras[key] = extras.get(key, 0) + val
-        elapsed += rep.elapsed
 
+    shards = [rep.ranges.get("shard", {"piece": 0, "of": 1}) for rep in reports]
+    layout = sorted((info["piece"], info["of"]) for info in shards)
+    if layout != [(piece, len(reports)) for piece in range(len(reports))]:
+        raise ValueError("(piece, of) %s is not one complete layout of %d shards" % (layout, len(reports)))
     candidates.sort(key=lambda c: (c.k, c.n))
-    ranges = dict(base)
-    assert of is not None
-    if sorted(pieces) != list(range(of)):
-        ranges["shard"] = {"pieces": sorted(pieces), "of": of}
     return CampaignReport(
         campaign=first.campaign,
-        ranges=ranges,
+        ranges=base,
         stage_counts=list(zip(names, counts)),
         candidates=candidates,
-        elapsed=elapsed,
+        elapsed=sum(rep.elapsed for rep in reports),
         notes=list(first.notes),
         extras=extras,
     )

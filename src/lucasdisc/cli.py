@@ -61,14 +61,6 @@ __all__ = ["build_parser", "run", "main"]
 _HUMAN_CANDIDATE_CAP = 50
 
 
-def _parse_shard(text: str) -> tuple[int, int]:
-    piece, _, of = text.partition("/")
-    try:
-        return int(piece), int(of)
-    except ValueError:
-        raise argparse.ArgumentTypeError("shard must look like i/N, got %r" % (text,))
-
-
 def _report_to_human(report: CampaignReport, include_timing: bool) -> str:
     lines = ["campaign: %s" % report.campaign]
     lines.append(
@@ -182,22 +174,18 @@ def _campaign_params(args: argparse.Namespace) -> dict:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     params = _campaign_params(args)
-    if args.shard is not None:
-        piece, of = args.shard
-        report = shard(args.campaign, piece, of, **params)
+    workers = args.workers if args.workers is not None else os.cpu_count() or 1
+    if workers < 1:
+        args.parser.error("--workers must be >= 1")
+    # Pieces beyond the campaign's work units would be empty, so no process is started for them.
+    workers = max(1, min(workers, _unit_count(args.campaign, **params)))
+    if workers == 1:
+        report = _CAMPAIGNS[args.campaign](**params)
     else:
-        workers = args.workers if args.workers is not None else os.cpu_count() or 1
-        if workers < 1:
-            args.parser.error("--workers must be >= 1")
-        # Pieces beyond the campaign's work units would be empty, so no process is started for them.
-        workers = max(1, min(workers, _unit_count(args.campaign, **params)))
-        if workers == 1:
-            report = _CAMPAIGNS[args.campaign](**params)
-        else:
-            job = functools.partial(shard, args.campaign, of=workers, **params)
-            with multiprocessing.Pool(workers) as pool:
-                reports = pool.map(job, range(workers))
-            report = merge_reports(reports)
+        job = functools.partial(shard, args.campaign, of=workers, **params)
+        with multiprocessing.Pool(workers) as pool:
+            reports = pool.map(job, range(workers))
+        report = merge_reports(reports)
 
     include_timing = not args.no_timing
     if args.format == "jsonl":
@@ -279,9 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="case12: power-of-two test modulus bits (default 100, at most k-lo - 1);"
         " case3: extra bits above the matched valuation (default 150)",
     )
-    split = p_search.add_mutually_exclusive_group()
-    split.add_argument("--shard", type=_parse_shard, metavar="i/N", help="run only shard i of N")
-    split.add_argument(
+    p_search.add_argument(
         "--workers",
         type=int,
         help="parallel shards to run and merge (default: cpu count)",

@@ -37,7 +37,6 @@ from .roots import (
     binet_error_check,
     binet_vs_power2_check,
     dominant_root,
-    gk_sign,
     growth_bounds_check,
 )
 from .bounds import discriminant, n_window
@@ -196,7 +195,10 @@ def check_root_enclosures(scale: int = 1) -> list[Failure]:
     k_hi = 4 + 8 * scale
     for k in range(2, k_hi + 1):
         enc = dominant_root(k)
-        if not (gk_sign(k, enc.lo) < 0 < gk_sign(k, enc.hi)):
+        # x^k (x - 2) + 1 at x = p/q has the sign of p^k (p - 2q) + q^(k+1); no code shared with gk_sign.
+        lo, hi = (x.numerator**k * (x.numerator - 2 * x.denominator) + x.denominator ** (k + 1)
+                  for x in (enc.lo, enc.hi))
+        if not (lo < 0 < hi):
             out.append(_fail("root_enclosure", "no sign change across enclosure", k=k))
         if not (2 - (2 ** (1 - k)) < enc.lo < enc.hi < 2):
             out.append(_fail("root_enclosure", "enclosure outside (2 - 2^(1-k), 2)", k=k))

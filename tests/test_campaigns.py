@@ -275,15 +275,6 @@ def test_case3_shard_merge_is_byte_identical(pieces, case3_150_report):
     )
 
 
-def test_partial_merge_keeps_shard_bookkeeping():
-    parts = [shard("case0", p, 4) for p in (0, 2)]
-    merged = merge_reports(parts)
-    assert merged.ranges["shard"] == {"pieces": [0, 2], "of": 4}
-    full = merge_reports([merged, shard("case0", 1, 4), shard("case0", 3, 4)])
-    assert "shard" not in full.ranges
-    assert full.stage_counts == campaign_case0().stage_counts
-
-
 def test_merge_rejects_mismatches():
     with pytest.raises(ValueError):
         merge_reports([])
@@ -293,6 +284,11 @@ def test_merge_rejects_mismatches():
         merge_reports([shard("case0", 0, 2), shard("case0", 0, 2)])
     with pytest.raises(ValueError):
         merge_reports([shard("case0", 0, 2), shard("case0", 1, 3)])
+    with pytest.raises(ValueError):
+        merge_reports([shard("case0", 0, 4), shard("case0", 2, 4)])
+    merged = merge_reports([shard("case0", p, 2) for p in range(2)])
+    with pytest.raises(ValueError):
+        merge_reports([merged, shard("case0", 1, 2)])
     with pytest.raises(ValueError):
         merge_reports(
             [shard("small", 0, 2, k_max=50), shard("small", 1, 2, k_max=60)]

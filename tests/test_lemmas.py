@@ -2,6 +2,7 @@
 
 import pytest
 
+from lucasdisc import roots
 from lucasdisc.lemmas import SUITES, run_all, run_suite
 
 
@@ -24,3 +25,19 @@ def test_unknown_suite_rejected():
 def test_bad_scale_rejected():
     with pytest.raises(ValueError):
         run_suite("recurrence", 0)
+
+
+@pytest.fixture
+def cold_root_cache():
+    """An empty ``dominant_root`` cache, emptied again so no later test sees what this one cached."""
+    roots.dominant_root.cache_clear()
+    yield
+    roots.dominant_root.cache_clear()
+
+
+def test_root_enclosure_suite_catches_a_faulty_gk_sign(monkeypatch, cold_root_cache):
+    # Deciding each sign one unit to the right shifts every enclosure one unit left.
+    gap_sign = roots._gap_sign
+    monkeypatch.setattr(roots, "_gap_sign", lambda k, p, q, w: gap_sign(k, p + 1, q, w))
+    failures = run_suite("root_enclosure", 1)
+    assert any(f.detail == "no sign change across enclosure" for f in failures)
