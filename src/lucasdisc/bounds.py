@@ -187,7 +187,6 @@ def _bl_cap(k: int) -> float:
     return 1123.0 * B * B * math.log(k) * math.log(k + 1)
 
 
-@lru_cache(maxsize=1)
 def bl_crossover_k() -> int:
     """Largest k where the flat 10 log 2 branch still dominates B.
 
@@ -198,7 +197,6 @@ def bl_crossover_k() -> int:
     return _last_negative(lambda k: _bl_log_b(k) - 10 * math.log(2), 201, 10**6)
 
 
-@lru_cache(maxsize=1)
 def solve_bl_k_bound() -> int:
     """Largest k with k - 1 <= 1123 B(k)^2 log(k) log(k+1).
 

@@ -23,13 +23,16 @@ evaluation with an explicit safety margin; no machine float takes part.
 Bisection only narrows where the exact window test must look, and its
 margins cannot drop a member, so reports are reproducible across shard
 layouts and worker counts.  The shard reports of one complete layout
-merge into the same bytes as an unsharded run (timing aside).
+merge into the same bytes as an unsharded run (timing aside), so
+:func:`search`, the one call that runs a campaign, may split it freely.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 import json
+import multiprocessing
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -58,6 +61,7 @@ __all__ = [
     "campaign_case0",
     "campaign_case12",
     "campaign_case3",
+    "search",
     "shard",
     "merge_reports",
     "report_to_jsonl",
@@ -512,13 +516,28 @@ def shard(campaign: str, piece: int, of: int, **params) -> CampaignReport:
 
 
 def _unit_count(campaign: str, **params) -> int:
-    """Number of work units that the shards of ``campaign`` split, with these parameters.
-
-    A layout with more pieces than units leaves some pieces empty.
-    """
+    """Number of work units that the shards of ``campaign`` split, with these parameters."""
     args = inspect.signature(_CAMPAIGNS[campaign]).bind(**params)
     args.apply_defaults()
     return len(_UNITS[campaign](**args.arguments))
+
+
+def search(campaign: str, workers: int = 1, **params) -> CampaignReport:
+    """Run ``campaign`` as at most ``workers`` shards in a process pool and merge them.
+
+    Shards beyond the campaign's work units would be empty; one shard runs in this process.
+    """
+    if campaign not in _CAMPAIGNS:
+        raise ValueError("unknown campaign %r; expected one of %s" % (campaign, CAMPAIGN_NAMES))
+    if workers < 1:
+        raise ValueError("need workers >= 1, got %d" % (workers,))
+    workers = min(workers, _unit_count(campaign, **params))
+    if workers <= 1:
+        return _CAMPAIGNS[campaign](**params)
+    job = functools.partial(shard, campaign, of=workers, **params)
+    with multiprocessing.Pool(workers) as pool:
+        reports = pool.map(job, range(workers))
+    return merge_reports(reports)
 
 
 def merge_reports(reports: list[CampaignReport]) -> CampaignReport:

@@ -10,6 +10,10 @@ Subcommands::
     search         run one search campaign (small, case0, case12, case3)
     bounds         derived exclusion bounds and scan envelopes
 
+``search <campaign>`` takes its options after the campaign name: that
+campaign's own and the shared ``--workers``, ``--format``, ``--output``
+and ``--no-timing``.  :func:`lucasdisc.campaigns.search` runs it.
+
 Exit codes: 0 on success (and zero survivors for ``search``), 1 when a
 search reports survivors or an invariant suite fails, 2 on usage or
 domain errors and on an output file that cannot be written, 3 when a
@@ -19,9 +23,7 @@ search meets a comparison it cannot decide at the precision cap.
 from __future__ import annotations
 
 import argparse
-import functools
 import math
-import multiprocessing
 import os
 import sys
 from decimal import Decimal
@@ -43,15 +45,7 @@ from .bounds import (
     solve_matveev_k_bound,
     window_integers,
 )
-from .campaigns import (
-    CAMPAIGN_NAMES,
-    CampaignReport,
-    _CAMPAIGNS,
-    _unit_count,
-    merge_reports,
-    report_to_jsonl,
-    shard,
-)
+from .campaigns import CAMPAIGN_NAMES, CampaignReport, report_to_jsonl, search
 from .lemmas import SUITES, run_suite
 
 __all__ = ["build_parser", "run", "main"]
@@ -146,53 +140,31 @@ def _cmd_verify_lemmas(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _campaign_params(args: argparse.Namespace) -> dict:
-    campaign = args.campaign
-    parser = args.parser
-    params: dict = {}
+# Each campaign's own options: (flag, campaign parameter, help).
+_CAMPAIGN_FLAGS = {
+    "small": [("--k-max", "k_max", "largest k (default 200)"), ("--n-max", "n_max", "largest n (default 2529)")],
+    "case0": [],
+    "case12": [
+        ("--k-lo", "k_lo", "first even k (default 202)"),
+        ("--k-hi", "k_hi", "exclusive even end (default 7e7)"),
+        ("--modulus-bits", "test_modulus_bits", "power-of-two test modulus bits (default 100, at most k-lo - 1)"),
+    ],
+    "case3": [("--modulus-bits", "modulus_extra_bits", "extra bits above the matched valuation (default 150)")],
+}
 
-    def only_for(flag: str, value, campaigns: tuple[str, ...], name: str):
-        if value is None:
-            return
-        if campaign not in campaigns:
-            parser.error("--%s only applies to %s" % (flag, "/".join(campaigns)))
-        params[name] = value
 
-    only_for("k-max", args.k_max, ("small",), "k_max")
-    only_for("n-max", args.n_max, ("small",), "n_max")
-    only_for("k-lo", args.k_lo, ("case12",), "k_lo")
-    only_for("k-hi", args.k_hi, ("case12",), "k_hi")
-    if args.modulus_bits is not None:
-        if campaign == "case12":
-            params["test_modulus_bits"] = args.modulus_bits
-        elif campaign == "case3":
-            params["modulus_extra_bits"] = args.modulus_bits
-        else:
-            parser.error("--modulus-bits only applies to case12/case3")
-    return params
+def _positive_int(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError("need an integer >= 1, got %r" % text)
+    return int(text)
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    params = _campaign_params(args)
-    workers = args.workers if args.workers is not None else os.cpu_count() or 1
-    if workers < 1:
-        args.parser.error("--workers must be >= 1")
-    # Pieces beyond the campaign's work units would be empty, so no process is started for them.
-    workers = max(1, min(workers, _unit_count(args.campaign, **params)))
-    if workers == 1:
-        report = _CAMPAIGNS[args.campaign](**params)
-    else:
-        job = functools.partial(shard, args.campaign, of=workers, **params)
-        with multiprocessing.Pool(workers) as pool:
-            reports = pool.map(job, range(workers))
-        report = merge_reports(reports)
-
-    include_timing = not args.no_timing
-    if args.format == "jsonl":
-        text = report_to_jsonl(report, include_timing=include_timing)
-    else:
-        text = _report_to_human(report, include_timing)
-
+    flags = _CAMPAIGN_FLAGS[args.campaign]
+    params = {dest: getattr(args, dest) for _, dest, _ in flags if getattr(args, dest) is not None}
+    report = search(args.campaign, args.workers or os.cpu_count() or 1, **params)
+    render = report_to_jsonl if args.format == "jsonl" else _report_to_human
+    text = render(report, not args.no_timing)
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(text)
@@ -255,33 +227,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--suite", action="append", choices=sorted(SUITES), help="run only this suite (repeatable)")
     p_ver.set_defaults(func=_cmd_verify_lemmas)
 
-    p_search = sub.add_parser("search", help="run one search campaign")
-    p_search.add_argument("campaign", choices=CAMPAIGN_NAMES)
-    p_search.add_argument("--k-max", type=int, help="small: largest k (default 200)")
-    p_search.add_argument("--n-max", type=int, help="small: largest n (default 2529)")
-    p_search.add_argument("--k-lo", type=int, help="case12: first even k (default 202)")
-    p_search.add_argument("--k-hi", type=int, help="case12: exclusive even end (default 7e7)")
-    p_search.add_argument(
-        "--modulus-bits",
-        type=int,
-        help="case12: power-of-two test modulus bits (default 100, at most k-lo - 1);"
-        " case3: extra bits above the matched valuation (default 150)",
-    )
-    p_search.add_argument(
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
+        metavar="N",
         help="parallel shards to run and merge (default: cpu count)",
     )
-    p_search.add_argument("--format", choices=["jsonl", "human"], default="human")
-    p_search.add_argument("--output", help="write the report here instead of stdout")
-    p_search.add_argument("--no-timing", action="store_true", help="omit elapsed time (stable bytes)")
+    shared.add_argument("--format", choices=["jsonl", "human"], default="human")
+    shared.add_argument("--output", help="write the report here instead of stdout")
+    shared.add_argument("--no-timing", action="store_true", help="omit elapsed time (stable bytes)")
+    p_search = sub.add_parser("search", help="run one search campaign")
+    p_campaigns = p_search.add_subparsers(dest="campaign", required=True)
+    for name in CAMPAIGN_NAMES:
+        p_campaign = p_campaigns.add_parser(name, parents=[shared])
+        for flag, dest, text in _CAMPAIGN_FLAGS[name]:
+            p_campaign.add_argument(flag, dest=dest, type=int, metavar="N", help=text)
     p_search.set_defaults(func=_cmd_search)
 
     p_bounds = sub.add_parser("bounds", help="print derived exclusion bounds")
     p_bounds.add_argument("--k", type=int, help="also print the per-k scan envelope (k > 200)")
     p_bounds.set_defaults(func=_cmd_bounds)
 
-    parser.set_defaults(parser=parser)
     return parser
 
 
@@ -289,7 +256,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except SystemExit as exc:  # parse errors and parser.error in a subcommand
+    except SystemExit as exc:  # parse errors and --help
         code = exc.code
         return code if isinstance(code, int) else 2
     except (ValueError, OSError) as exc:

@@ -17,6 +17,7 @@ from lucasdisc.campaigns import (
     campaign_small,
     merge_reports,
     report_to_jsonl,
+    search,
     shard,
 )
 from lucasdisc.sequences import LUCAS, SeqParams, term_iter
@@ -297,6 +298,13 @@ def test_merge_rejects_mismatches():
         shard("nonsense", 0, 1)
     with pytest.raises(ValueError):
         shard("small", 3, 2)
+
+
+def test_search_rejects_an_unknown_campaign_and_no_workers():
+    with pytest.raises(ValueError):
+        search("bogus")
+    with pytest.raises(ValueError):
+        search("case0", workers=0)
 
 
 def test_jsonl_schema(case12_toy_report):

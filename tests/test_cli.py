@@ -157,6 +157,16 @@ def test_usage_errors():
     assert run(["search", "case0", "--shard", "0/2"]) == 2
     assert run(["search", "case12", "--k-lo", "201", "--k-hi", "300"]) == 2
     assert run(["search", "case12", "--k-lo", "1000", "--k-hi", "500", "--workers", "1"]) == 2
+    assert run(["search", "small", "--workers", "0"]) == 2
+    assert run(["search", "--workers", "2", "small"]) == 2  # options follow the campaign name
+    assert run(["search", "case3", "--k-lo", "300"]) == 2
+
+
+def test_search_help_lists_only_the_campaigns_own_options(capsys):
+    assert run(["search", "case3", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "--modulus-bits" in out
+    assert "--k-max" not in out
 
 
 def test_search_case12_modulus_past_k_lo_minus_one_exit_two(capsys):

@@ -29,7 +29,7 @@ PUBLIC = {
     ],
     "campaigns": [
         "CAMPAIGN_NAMES", "CampaignReport", "CandidatePair", "campaign_case0", "campaign_case12",
-        "campaign_case3", "campaign_small", "merge_reports", "report_to_jsonl", "shard",
+        "campaign_case3", "campaign_small", "merge_reports", "report_to_jsonl", "search", "shard",
     ],
     "lemmas": ["Failure", "SUITES", "run_all", "run_suite"],
 }
@@ -37,7 +37,7 @@ PUBLIC = {
 
 def test_package_exports_each_public_name_once():
     expected = [name for names in PUBLIC.values() for name in names] + ["__version__"]
-    assert len(expected) == 50
+    assert len(expected) == 51
     assert len(lucasdisc.__all__) == len(set(lucasdisc.__all__))
     assert sorted(lucasdisc.__all__) == sorted(expected)
 
