@@ -67,8 +67,8 @@ __all__ = [
     "report_to_jsonl",
 ]
 
-#: Largest value of a - 1 = k - r that the r >= 3 campaign must consider
-#: (a is capped by the carry count of the binomials involved).
+#: Largest value of a - 1 = k - r that the r >= 3 campaign must consider:
+#: ``bound_profile(K_CAP).a_max - 1`` = floor(6 ln K_CAP + 2) - 1.
 A_MINUS1_MAX = 233
 
 # n = m(k+1) + r with r in {1, 2} lies in k's window (w, w + 2.4) only if
@@ -402,7 +402,10 @@ def campaign_case3(
 
     The clamp at 2^k keeps the modulus no stronger than the underlying
     congruence supports; it is inert for filter-1 survivors at the
-    default parameters.
+    default parameters.  Past the factor 2^(k+1), the odd-k core
+    k^k - ((k+1)/2)^(k+1) is needed modulo 2^min(extra - 2, r - 3), one
+    width for every match here (each has r > extra), so it is computed
+    once per (k, width) (``twoadic._odd_disc_core``), not per match.
     """
     if modulus_extra_bits < 2:
         raise ValueError("need modulus_extra_bits >= 2, got %d" % (modulus_extra_bits,))
@@ -589,6 +592,11 @@ def merge_reports(reports: list[CampaignReport]) -> CampaignReport:
     )
 
 
+# The encoder json.dumps(obj, sort_keys=True, separators=(",", ":")) would
+# build per row, built once: the bytes are the same.
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _candidate_row(campaign: str, cand: CandidatePair) -> dict:
     row = {
         "campaign": campaign,
@@ -613,10 +621,7 @@ def report_to_jsonl(report: CampaignReport, include_timing: bool = True) -> str:
     to identical bytes; pass ``include_timing=False`` to drop the only
     nondeterministic field.
     """
-    lines = [
-        json.dumps(_candidate_row(report.campaign, cand), sort_keys=True, separators=(",", ":"))
-        for cand in report.candidates
-    ]
+    lines = [_JSON.encode(_candidate_row(report.campaign, cand)) for cand in report.candidates]
     summary: dict = {
         "campaign": report.campaign,
         "stage": "summary",
@@ -630,5 +635,5 @@ def report_to_jsonl(report: CampaignReport, include_timing: bool = True) -> str:
         summary["notes"] = report.notes
     if include_timing:
         summary["elapsed"] = round(report.elapsed, 6)
-    lines.append(json.dumps(summary, sort_keys=True, separators=(",", ":")))
+    lines.append(_JSON.encode(summary))
     return "\n".join(lines) + "\n"

@@ -27,6 +27,7 @@ Valuations use the convention nu2(0) = infinity (``math.inf``).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from .sequences import LUCAS, _bracket_ratio
 
@@ -107,19 +108,29 @@ def lucas_congruence_parts(k: int, m: int, r: int) -> tuple[int, int, int, int]:
     return sign, q >> a, r - 2 + a, k + r - 2
 
 
+# case3 asks for the core at one width (extra - 2), m by m.  One m's matches
+# hold at most 213 distinct k and only adjacent m share any, so 512 entries
+# keep every repeated k a hit.
+@lru_cache(maxsize=512)
+def _odd_disc_core(k: int, w: int) -> int:
+    """(k^k - ((k+1)/2)^(k+1)) mod 2^w for odd k: (k-1)^2 |disc| / 2^(k+1)."""
+    mod = 1 << w
+    return (pow(k, k, mod) - pow((k + 1) >> 1, k + 1, mod)) % mod
+
+
 def _scaled_disc_residue(k: int, s: int, e: int) -> int:
     """((k-1)^2 |disc(k)|) >> s modulo 2^e, for 0 <= s <= k+1 and e >= 0.
 
     (k-1)^2 |disc| = 2^(k+1) k^k - (k+1)^(k+1).  For odd k, 2^(k+1)
     comes out of both terms first, so the modulus stays 2^(e - (k+1-s))
-    however large s is.  For even k the numerator is reduced mod 2^(e+s).
+    however large s is; that core is computed once per (k, width) and
+    memoised.  For even k the numerator is reduced mod 2^(e+s).
     """
     if k % 2:
         t = k + 1 - s
         if e <= t:
             return 0
-        mod = 1 << (e - t)
-        return (pow(k, k, mod) - pow((k + 1) >> 1, k + 1, mod)) % mod << t
+        return _odd_disc_core(k, e - t) << t
     mod = 1 << (e + s)
     return ((pow(k, k, mod) << (k + 1)) - pow(k + 1, k + 1, mod)) % mod >> s
 

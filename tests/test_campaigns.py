@@ -6,7 +6,13 @@ import math
 
 import pytest
 
-from lucasdisc.bounds import _window_member_exact, discriminant, localize_k_by_power2, m_range
+from lucasdisc.bounds import (
+    _window_member_exact,
+    bound_profile,
+    discriminant,
+    localize_k_by_power2,
+    m_range,
+)
 from lucasdisc.campaigns import (
     A_MINUS1_MAX,
     K_CAP,
@@ -21,7 +27,7 @@ from lucasdisc.campaigns import (
     shard,
 )
 from lucasdisc.sequences import LUCAS, SeqParams, term_iter
-from lucasdisc.twoadic import nu2
+from lucasdisc.twoadic import _odd_disc_core, nu2
 
 from test_twoadic import four_binomial_q
 
@@ -31,6 +37,7 @@ CASE12_TOY_PAIRS = 10
 CASE12_FULL_PAIRS = 32
 CASE3_TRIPLES = 3340584
 CASE3_VALUATION_MATCHES = 12219
+CASE3_DISTINCT_K = 7769
 CASE3_SURVIVORS_AT_100 = 14
 
 # sha256 of report_to_jsonl(report, include_timing=False) per campaign run,
@@ -190,6 +197,19 @@ def test_case3_full_run_at_150(case3_150_report):
         assert c.n == c.m * (c.k + 1) + c.r
 
 
+def test_a_range_is_the_bound_profile_at_k_cap():
+    assert A_MINUS1_MAX + 1 == bound_profile(K_CAP).a_max
+
+
+@pytest.mark.parametrize("extra", [150, 100])
+def test_case3_computes_the_disc_core_once_per_k(extra):
+    _odd_disc_core.cache_clear()
+    report = campaign_case3(modulus_extra_bits=extra)
+    distinct = len({c.k for c in report.candidates})
+    assert distinct == CASE3_DISTINCT_K
+    assert _odd_disc_core.cache_info().misses == distinct
+
+
 def case3_triple_loop(m, modulus_extra_bits):
     """The (a, m, k) triple loop with the four-binomial Q, for one m."""
     lo, hi = localize_k_by_power2(m)
@@ -311,6 +331,8 @@ def test_jsonl_schema(case12_toy_report):
     text = report_to_jsonl(case12_toy_report)
     lines = text.strip().split("\n")
     assert len(lines) == CASE12_TOY_PAIRS + 1
+    for line in lines:  # each row, the timed summary too, is exactly what json.dumps writes
+        assert line == json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"))
     for line in lines[:-1]:
         row = json.loads(line)
         assert row["campaign"] == "case12"

@@ -1,6 +1,7 @@
 """2-adic valuation and congruence tests against exact recurrence values."""
 
 import math
+import random
 from collections import deque
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from lucasdisc.sequences import LUCAS, SeqParams, term, term_iter
 from lucasdisc.twoadic import (
+    _odd_disc_core,
     _scaled_disc_residue,
     disc_match,
     disc_nu2,
@@ -20,7 +22,7 @@ from lucasdisc.twoadic import (
     residue_decomposition,
 )
 from lucasdisc.bounds import discriminant
-from lucasdisc.campaigns import A_MINUS1_MAX
+from lucasdisc.campaigns import A_MINUS1_MAX, K_CAP
 
 
 def binom(a, b):
@@ -216,6 +218,43 @@ def test_scaled_disc_residue_against_exact(k):
     for s in sorted({0, 1, 2, 3, min(7, k), k // 2, k - 2, k - 1, k, k + 1}):
         for e in (1, 5, 40, k - 1, k, k + 1, k + 30):
             assert _scaled_disc_residue(k, s, e) == (scaled >> s) % (1 << e), (s, e)
+
+
+def test_memoised_odd_core_through_evictions_and_mixed_widths():
+    # More than 512 distinct odd k, so the core's cache evicts; each k is
+    # asked at two widths, wide then narrow or narrow then wide.  Small k
+    # are checked against the exact (k-1)^2 |disc|; next to 2^56, where it
+    # is too large to form, against the two powers taken mod 2^e itself.
+    small = range(3, 1207, 2)
+    large = [2**55 + 17, 2**56 - 533, 2**56 + 1, 2**56 + 299, K_CAP - 1]
+    rng = random.Random(20251019)
+    groups = []
+    for i, k in enumerate([*small, *large]):
+        t = rng.randrange(8)
+        s = k + 1 - t
+        scaled = None if k in large else (k - 1) ** 2 * discriminant(k)
+        widths = (148, 98) if i % 2 else (3, 148)
+        cases = []
+        for w in (*widths, widths[0]):
+            e = t + w
+            if scaled is None:
+                mod = 1 << e
+                expect = (pow(k, k, mod) - pow((k + 1) // 2, k + 1, mod) << t) % mod
+            else:
+                expect = (scaled >> s) % (1 << e)
+            cases.append((k, s, e, expect))
+        groups.append(cases)
+    rng.shuffle(groups)
+    flat = [case for cases in groups for case in cases]
+    _odd_disc_core.cache_clear()
+    for k, s, e, expect in flat:
+        assert _scaled_disc_residue(k, s, e) == expect, (k, s, e)
+    rng.shuffle(flat)  # again, interleaved, after the first pass's evictions
+    for k, s, e, expect in flat:
+        assert _scaled_disc_residue(k, s, e) == expect, (k, s, e)
+    info = _odd_disc_core.cache_info()
+    assert info.maxsize == 512 and info.currsize == 512
+    assert info.misses > 2 * len(groups) and info.hits >= len(groups)
 
 
 @pytest.mark.parametrize("k", range(3, 31))
