@@ -36,7 +36,7 @@ import multiprocessing
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import mpmath
 
@@ -80,8 +80,7 @@ _DEFECT_LO = -2 - _MARGIN
 _DEFECT_HI = _width() - 1 + _MARGIN
 
 
-@dataclass(frozen=True)
-class CandidatePair:
+class CandidatePair(NamedTuple):
     """One (k, n) pair that reached a reportable stage of a campaign."""
 
     k: int
@@ -381,6 +380,15 @@ def campaign_case12(
     )
 
 
+# A case3 match's stage flags, by (m in the band 9..55, congruence survivor).
+_CASE3_FLAGS = {
+    (False, False): frozenset({"valuation_match"}),
+    (True, False): frozenset({"valuation_match", "m_band_9_55"}),
+    (False, True): frozenset({"valuation_match", "congruence_match"}),
+    (True, True): frozenset({"valuation_match", "m_band_9_55", "congruence_match"}),
+}
+
+
 def campaign_case3(
     modulus_extra_bits: int = 150,
     shard: tuple[int, int] | None = None,
@@ -406,6 +414,8 @@ def campaign_case3(
     k^k - ((k+1)/2)^(k+1) is needed modulo 2^min(extra - 2, r - 3), one
     width for every match here (each has r > extra), so it is computed
     once per (k, width) (``twoadic._odd_disc_core``), not per match.
+    That width is at most r - 3 < k + 1, so for k == 3 (mod 4), where
+    (k+1)/2 is even, the second power vanishes and only k^k is computed.
     """
     if modulus_extra_bits < 2:
         raise ValueError("need modulus_extra_bits >= 2, got %d" % (modulus_extra_bits,))
@@ -428,6 +438,7 @@ def campaign_case3(
                 max(0, hi // 2 - max(k_start, a_minus1 + 3) // 2)
                 for a_minus1 in range(A_MINUS1_MAX + 1)
             )
+            in_band = 9 <= m <= 55
             for r in range(max(3, k_start - A_MINUS1_MAX), hi):
                 a = l_quantity_nu2(m, r)
                 k = r + a - 1
@@ -437,12 +448,6 @@ def campaign_case3(
                 if parts[2] - (r - 2) != a:
                     raise AssertionError("closed-form nu2(B) wrong at m=%d r=%d" % (m, r))
                 survived = disc_match(k, r, parts, a + modulus_extra_bits)[0]
-                in_band = 9 <= m <= 55
-                flags = {"valuation_match"}
-                if in_band:
-                    flags.add("m_band_9_55")
-                if survived:
-                    flags.add("congruence_match")
                 candidates.append(
                     CandidatePair(
                         k=k,
@@ -452,7 +457,7 @@ def campaign_case3(
                         a=a,
                         stage="valuation",
                         verdict="survivor" if survived else "eliminated",
-                        stage_flags=frozenset(flags),
+                        stage_flags=_CASE3_FLAGS[in_band, survived],
                     )
                 )
                 band_candidates += in_band
@@ -597,21 +602,24 @@ def merge_reports(reports: list[CampaignReport]) -> CampaignReport:
 _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def _candidate_row(campaign: str, cand: CandidatePair) -> dict:
-    row = {
-        "campaign": campaign,
-        "stage": cand.stage,
-        "k": cand.k,
-        "n": cand.n,
-        "r": cand.r,
-        "m": cand.m,
-        "verdict": cand.verdict,
-    }
-    if cand.a is not None:
-        row["a"] = cand.a
-    if cand.stage_flags:
-        row["flags"] = sorted(cand.stage_flags)
-    return row
+def _row_format(campaign: str, has_a: bool, flags: frozenset[str], stage: str, verdict: str) -> str:
+    """The %-format of a candidate row: its keys in sorted order, the ints a, k, m, n, r as %d.
+
+    Every other value is encoded once here, by ``_JSON``; ``a`` and
+    ``flags`` are left out when None and empty, as ``json.dumps`` of the
+    row without them would.
+    """
+
+    def quoted(value) -> str:
+        return _JSON.encode(value).replace("%", "%%")
+
+    fields = ['"a":%d'] if has_a else []
+    fields.append('"campaign":' + quoted(campaign))
+    if flags:
+        fields.append('"flags":' + quoted(sorted(flags)))
+    fields += ['"k":%d', '"m":%d', '"n":%d', '"r":%d']
+    fields += ['"stage":' + quoted(stage), '"verdict":' + quoted(verdict)]
+    return "{" + ",".join(fields) + "}"
 
 
 def report_to_jsonl(report: CampaignReport, include_timing: bool = True) -> str:
@@ -621,7 +629,14 @@ def report_to_jsonl(report: CampaignReport, include_timing: bool = True) -> str:
     to identical bytes; pass ``include_timing=False`` to drop the only
     nondeterministic field.
     """
-    lines = [_JSON.encode(_candidate_row(report.campaign, cand)) for cand in report.candidates]
+    formats: dict = {}  # (has a, flags, stage, verdict) -> _row_format
+    lines = []
+    for c in report.candidates:
+        key = (c.a is not None, c.stage_flags, c.stage, c.verdict)
+        fmt = formats.get(key)
+        if fmt is None:
+            fmt = formats[key] = _row_format(report.campaign, *key)
+        lines.append(fmt % ((c.a, c.k, c.m, c.n, c.r) if key[0] else (c.k, c.m, c.n, c.r)))
     summary: dict = {
         "campaign": report.campaign,
         "stage": "summary",

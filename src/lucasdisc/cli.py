@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -162,7 +161,7 @@ def _positive_int(text: str) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     flags = _CAMPAIGN_FLAGS[args.campaign]
     params = {dest: getattr(args, dest) for _, dest, _ in flags if getattr(args, dest) is not None}
-    report = search(args.campaign, args.workers or os.cpu_count() or 1, **params)
+    report = search(args.campaign, args.workers, **params)
     render = report_to_jsonl if args.format == "jsonl" else _report_to_human
     text = render(report, not args.no_timing)
     if args.output:
@@ -231,8 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument(
         "--workers",
         type=_positive_int,
+        default=1,
         metavar="N",
-        help="parallel shards to run and merge (default: cpu count)",
+        help="parallel shards to run in a process pool and merge (default: 1, in this process)",
     )
     shared.add_argument("--format", choices=["jsonl", "human"], default="human")
     shared.add_argument("--output", help="write the report here instead of stdout")

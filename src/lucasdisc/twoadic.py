@@ -76,18 +76,32 @@ def l_quantity(m: int, r: int) -> int:
     m + r >= 2, an exact division.  B > 0 everywhere.
     """
     weight, den = _lucas_bracket(m, r)
-    return math.comb(m + r, m) * weight // den
+    q, rem = divmod(math.comb(m + r, m) * weight, den)
+    if rem:
+        raise AssertionError("inexact bracket for m=%d r=%d" % (m, r))
+    return q
 
 
 def l_quantity_nu2(m: int, r: int) -> int:
     """nu2(B(m, r)) for m, r >= 0, without forming B.
 
-    nu2(C(m+r, m)) by Kummer's theorem, plus nu2 of the bracket's
-    positive weight, minus nu2 of its denominator: (m+r)(m+r-1), or 1
-    when m + r < 2.
+    nu2(C(m+r, m)) by Kummer's theorem, s(m) + s(r) - s(m+r) with s the
+    binary digit sum, plus nu2 of the bracket's positive weight
+    8N(N-1) - 6r(N-1) + r(r-1), minus nu2 of its denominator N(N-1),
+    at N = m + r >= 2.  For N < 2 the binomial is 1 and B = 8 - 6r.
     """
-    weight, den = _lucas_bracket(m, r)
-    return kummer_nu2_binomial(m + r, m) + nu2(weight) - nu2(den)
+    if m < 0 or r < 0:
+        raise ValueError("need m >= 0 and r >= 0, got m=%d r=%d" % (m, r))
+    N = m + r
+    if N < 2:
+        return 3 if r == 0 else 1
+    weight = 8 * N * (N - 1) - 6 * r * (N - 1) + r * (r - 1)
+    den = N * (N - 1)
+    # nu2(x) = (x & -x).bit_length() - 1; the two -1 cancel.
+    return (
+        m.bit_count() + r.bit_count() - N.bit_count()
+        + (weight & -weight).bit_length() - (den & -den).bit_length()
+    )
 
 
 def lucas_congruence_parts(k: int, m: int, r: int) -> tuple[int, int, int, int]:
@@ -113,9 +127,16 @@ def lucas_congruence_parts(k: int, m: int, r: int) -> tuple[int, int, int, int]:
 # keep every repeated k a hit.
 @lru_cache(maxsize=512)
 def _odd_disc_core(k: int, w: int) -> int:
-    """(k^k - ((k+1)/2)^(k+1)) mod 2^w for odd k: (k-1)^2 |disc| / 2^(k+1)."""
+    """(k^k - ((k+1)/2)^(k+1)) mod 2^w for odd k: (k-1)^2 |disc| / 2^(k+1).
+
+    When (k+1)/2 is even (k == 3 mod 4) and k + 1 >= w, the second power
+    holds 2^(k+1) and vanishes mod 2^w, so only k^k is computed.
+    """
     mod = 1 << w
-    return (pow(k, k, mod) - pow((k + 1) >> 1, k + 1, mod)) % mod
+    half = (k + 1) >> 1
+    if not half & 1 and k + 1 >= w:
+        return pow(k, k, mod)
+    return (pow(k, k, mod) - pow(half, k + 1, mod)) % mod
 
 
 def _scaled_disc_residue(k: int, s: int, e: int) -> int:

@@ -16,6 +16,7 @@ from lucasdisc.bounds import (
 from lucasdisc.campaigns import (
     A_MINUS1_MAX,
     K_CAP,
+    CampaignReport,
     CandidatePair,
     campaign_case0,
     campaign_case12,
@@ -360,6 +361,55 @@ def test_report_bytes_are_pinned(run, request):
     report = campaign_case0() if fixture is None else request.getfixturevalue(fixture)
     data = report_to_jsonl(report, include_timing=False).encode()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_report_rows_match_json_dumps():
+    # The direct row writer against json.dumps of each row as a dict.
+    cands = [
+        CandidatePair(k=5, n=9, r=3, m=1, a=None, stage="equality_walk", verdict="survivor",
+                      stage_flags=frozenset({"exact_equality"})),
+        CandidatePair(k=7, n=20, r=4, m=2, a=0, stage="valuation", verdict="eliminated"),
+        CandidatePair(k=2**61 + 1, n=3 * (2**61 + 2) + 9, r=9, m=3, a=233, stage="valuation",
+                      verdict="survivor", stage_flags=frozenset({"valuation_match", "m_band_9_55", "100%"})),
+        CandidatePair(k=9, n=30, r=0, m=3, a=None, stage='odd "stage" %d \u00e9', verdict="eliminated"),
+        CandidatePair(k=11, n=39, r=3, m=3, a=2, stage="valuation", verdict="eliminated"),
+    ]
+    for extras, notes in (({}, []), ({"survivors_m_9_55": 2, "valuation_matches_m_9_55": 7}, ["a note", "\u00e9"])):
+        for timing in (True, False):
+            report = CampaignReport(
+                campaign="case3",
+                ranges={"k_lo": 3, "m_hi": 55},
+                stage_counts=[("triples_enumerated", 12), ("valuation_matches", len(cands))],
+                candidates=cands,
+                elapsed=0.1234567,
+                notes=notes,
+                extras=extras,
+            )
+            rows = []
+            for c in cands:
+                row = {"campaign": "case3", "stage": c.stage, "k": c.k, "n": c.n, "r": c.r, "m": c.m,
+                       "verdict": c.verdict}
+                if c.a is not None:
+                    row["a"] = c.a
+                if c.stage_flags:
+                    row["flags"] = sorted(c.stage_flags)
+                rows.append(row)
+            summary = {
+                "campaign": "case3",
+                "stage": "summary",
+                "ranges": report.ranges,
+                "stage_counts": [list(item) for item in report.stage_counts],
+                "survivors": [[c.k, c.n] for c in cands if c.verdict == "survivor"],
+            }
+            if extras:
+                summary["extras"] = extras
+            if notes:
+                summary["notes"] = notes
+            if timing:
+                summary["elapsed"] = 0.123457
+            rows.append(summary)
+            expect = "\n".join(json.dumps(row, sort_keys=True, separators=(",", ":")) for row in rows) + "\n"
+            assert report_to_jsonl(report, include_timing=timing) == expect
 
 
 def test_candidate_pair_is_frozen():

@@ -148,6 +148,15 @@ def test_workers_clamped_to_work_units(monkeypatch, search, pool_size, capsys):
     assert capsys.readouterr().out == one
 
 
+def test_search_defaults_to_one_worker(monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a search without --workers started a process pool")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    assert run(["search", "small", "--format", "jsonl", "--no-timing"]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["stage"] == "summary"
+
+
 def test_usage_errors():
     assert run([]) == 2
     assert run(["term", "--k", "5"]) == 2

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lucasdisc import twoadic
 from lucasdisc.sequences import LUCAS, SeqParams, term, term_iter
 from lucasdisc.twoadic import (
     _odd_disc_core,
@@ -70,6 +71,14 @@ def test_kummer_matches_binomial_valuation(n, m):
 def test_kummer_spot_values():
     assert kummer_nu2_binomial(7, 3) == 0
     assert kummer_nu2_binomial(4, 2) == 1
+
+
+def test_l_quantity_rejects_an_inexact_bracket(monkeypatch):
+    weight, den = twoadic._lucas_bracket(40, 1000)
+    assert den > 1
+    monkeypatch.setattr(twoadic, "_lucas_bracket", lambda m, r: (weight + 1, den))
+    with pytest.raises(AssertionError, match="inexact bracket"):
+        l_quantity(40, 1000)
 
 
 def test_l_quantity_spot_values():
@@ -218,6 +227,23 @@ def test_scaled_disc_residue_against_exact(k):
     for s in sorted({0, 1, 2, 3, min(7, k), k // 2, k - 2, k - 1, k, k + 1}):
         for e in (1, 5, 40, k - 1, k, k + 1, k + 30):
             assert _scaled_disc_residue(k, s, e) == (scaled >> s) % (1 << e), (s, e)
+
+
+@pytest.mark.parametrize(
+    "k",
+    [*range(3, 70, 2), 1021, 1023, 4093, 4095, 2**55 + 17, 2**55 + 19, K_CAP - 3, K_CAP - 1],
+)
+def test_odd_disc_core_is_both_powers(k):
+    # For k == 3 (mod 4) and k + 1 >= w the second power is skipped as 0 mod 2^w.
+    # The k-relative widths cross that boundary; near K_CAP only fixed widths fit.
+    widths = {1, 2, 98, 148}
+    if k < 5000:
+        widths |= {k, k + 1, k + 2, k + 30}
+    _odd_disc_core.cache_clear()
+    for w in sorted(widths):
+        mod = 2**w
+        expect = (pow(k, k, mod) - pow((k + 1) // 2, k + 1, mod)) % mod
+        assert _odd_disc_core(k, w) == expect, w
 
 
 def test_memoised_odd_core_through_evictions_and_mixed_widths():
