@@ -10,10 +10,10 @@ bound for linear forms in logarithms caps k below 7e16 (hence n below
 4e18); a 2-adic linear-forms bound tightens k below 7e7 for the
 residue classes r in {1,2}; and for r >= 3 the surviving k cluster
 within 300 of a power of two, m in a narrow band.  Each link of that
-chain is computed here.  The window is written once, as the defect
-n - w(k) in extended precision (:func:`_defect`); its float endpoints,
-the m band at each k, the exact membership test and the integers in the
-window all derive from it.
+chain is computed here.  The window is decided by one exact integer
+per k, l(k) = floor(10(k-2) log2 k) (:func:`_ell`): the integers in it,
+the m band at each k and the n cap all derive from l(k).  w(k) itself
+is computed in mpmath only to be shown, as a float or as digits.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import mpmath
 
-from .roots import _escalate, _last_negative
+from .roots import _escalate, _last_negative, _pow_bounds
 
 __all__ = [
     "discriminant",
@@ -65,45 +65,36 @@ def discriminant(k: int) -> int:
     return delta
 
 
-def _defect(k: int, n: int, bits: int = 80) -> mpmath.mpf:
-    """d = n - w(k) with w(k) = k + (k-2) log2(k) - 1/10, to about 2^(8-bits).
+def _ell(k: int) -> int:
+    """l(k) = floor(10(k-2) log2 k) = floor(log2 k^(10(k-2))), exact, for k >= 2.
 
-    The terms of d reach about k log2(k), so the working precision is
-    ``bits`` above k's bit length and the absolute error does not grow
-    with k.
+    Clearing the tenths of w(k) = k + (k-2) log2(k) - 1/10 makes the
+    window (w(k), w(k) + 2.4) one statement about l: n lies in it iff
+    l <= 10(n-k) <= l + 23.  Equality at an edge cannot occur: the edges
+    are the odd integers 10(n-k) + 1 and 10(n-k) - 23, while
+    10(k-2) log2 k is an integer only for k a power of two, and then it
+    is even.  l is read off truncated bounds lo 2^e <= k^(10(k-2)) <= hi 2^e
+    (:func:`roots._pow_bounds`) once lo and hi have the same bit length;
+    their width doubles from 128 bits.
     """
-    with mpmath.workprec(k.bit_length() + bits):
-        return (n - k) + mpmath.mpf(1) / 10 - (k - 2) * mpmath.log(k) / mpmath.log(2)
 
+    def decide(bits: int) -> int | None:
+        lo, hi, e = _pow_bounds(k, 10 * (k - 2), bits)
+        return e + lo.bit_length() - 1 if lo.bit_length() == hi.bit_length() else None
 
-def _width() -> mpmath.mpf:
-    """Width 2.4 of the window (w(k), w(k) + 2.4), at the working precision."""
-    return mpmath.mpf(24) / 10
+    return _escalate(decide, 128, "window integer l(k) for k=%d undecided" % (k,))
 
 
 def _window_member_exact(k: int, n: int) -> bool:
-    """Decide n's membership in the open window (w(k), w(k) + 2.4) exactly.
+    """Whether n lies in the open window (w(k), w(k) + 2.4): l(k) <= 10(n-k) <= l(k) + 23."""
+    ell = _ell(k)
+    return ell <= 10 * (n - k) <= ell + 23
 
-    The defect d = n - w is evaluated in precision escalating from 120
-    bits until it clears the safety margin 2^-(bits/2) on one side;
-    d == 0 or d == 2.4 cannot occur for integer n (log2(k) is irrational
-    unless k is a power of two, and then d - {0, 2.4} is a nonzero
-    rational), so this terminates.  :func:`_defect` scales its precision with k, which keeps
-    the rounding error far below the margin for every k.
-    """
 
-    def decide(bits: int) -> bool | None:
-        defect = _defect(k, n, bits)
-        with mpmath.workprec(bits + k.bit_length()):
-            width = _width()
-            eps = mpmath.ldexp(1, -(bits // 2))
-            if eps < defect < width - eps:
-                return True
-            if defect < -eps or defect > width + eps:
-                return False
-        return None
-
-    return _escalate(decide, 120, "window membership for k=%d n=%d undecided" % (k, n))
+def _w(k: int) -> mpmath.mpf:
+    """w(k) = k + (k-2) log2(k) - 1/10 to 80 bits past k's bit length, for display only."""
+    with mpmath.workprec(k.bit_length() + 80):
+        return (k - mpmath.mpf(1) / 10) + (k - 2) * mpmath.log(k) / mpmath.log(2)
 
 
 def n_window(k: int) -> tuple[float, float]:
@@ -114,35 +105,29 @@ def n_window(k: int) -> tuple[float, float]:
     """
     if k <= 200:
         raise ValueError("window derivation needs k > 200, got k=%d" % (k,))
-    lo = -float(_defect(k, 0))
-    return lo, lo + float(_width())
+    lo = float(_w(k))
+    return lo, lo + 2.4
 
 
 def window_integers(k: int) -> list[int]:
     """The integers n in k's open window (w(k), w(k) + 2.4), for k > 200.
 
-    Each is decided by :func:`_window_member_exact`.  floor(w) as computed is
-    within one of the exact floor and the window holds at most three integers,
-    so every member lies in floor(w) .. floor(w) + 4.
+    They are the n with ceil(l/10) <= n - k <= floor((l + 23)/10), l = :func:`_ell`.
     """
     if k <= 200:
         raise ValueError("window derivation needs k > 200, got k=%d" % (k,))
-    with mpmath.workprec(k.bit_length() + 80):
-        start = int(mpmath.floor(-_defect(k, 0)))
-    return [n for n in range(start, start + 5) if _window_member_exact(k, n)]
+    ell = _ell(k)
+    return list(range(k - (-ell // 10), k + (ell + 23) // 10 + 1))
 
 
 def _m_envelope(k: int) -> tuple[int, int]:
     """Least and largest m = n // (k+1) over the n in k's window.
 
-    n > w and n <= m(k+1) + k give m > (w - k)/(k+1); n < w + 2.4 gives
-    m <= (w + 2.4)/(k+1).  Both ends increase with k.
+    They are the m of the first and the last window integer.  Both ends
+    increase with k.
     """
-    with mpmath.workprec(k.bit_length() + 80):
-        w = -_defect(k, 0)
-        m_lo = mpmath.ceil((w - k) / (k + 1))
-        m_hi = mpmath.floor((w + _width()) / (k + 1))
-    return int(m_lo), int(m_hi)
+    window = window_integers(k)
+    return window[0] // (k + 1), window[-1] // (k + 1)
 
 
 class MatveevBound(NamedTuple):
@@ -171,8 +156,7 @@ def solve_matveev_k_bound() -> MatveevBound:
     """
     with mpmath.workprec(_MP_PREC):
         k_max = _last_negative(_matveev_gap, 10**3, 10**20)
-        n_max = int(mpmath.floor(_width() - _defect(k_max, 0)))
-    return MatveevBound(k_max=k_max, n_max=n_max)
+    return MatveevBound(k_max=k_max, n_max=window_integers(k_max)[-1])
 
 
 def _bl_log_b(k: int) -> float:

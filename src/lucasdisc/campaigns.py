@@ -14,16 +14,15 @@ modulo a power of two applies, and the campaigns split along it:
 * ``campaign_case3``   -- r >= 3, odd k localized near powers of two,
   a two-filter scan that reads k off the closed-form nu2(B(m, r)).
 
-The admissible window (w(k), w(k) + 2.4) of n, its exact membership
-test and the m band it implies at each k live in :mod:`lucasdisc.bounds`.
+The admissible window (w(k), w(k) + 2.4) of n and the m band it
+implies at each k live in :mod:`lucasdisc.bounds`; the window is
+decided by the integer l(k) = floor(10(k-2) log2 k).
 
 Determinism policy: every count, candidate, and survivor reported here
-is decided by exact integer arithmetic or by extended-precision
-evaluation with an explicit safety margin; no machine float takes part.
-Bisection only narrows where the exact window test must look, and its
-margins cannot drop a member, so reports are reproducible across shard
-layouts and worker counts.  The shard reports of one complete layout
-merge into the same bytes as an unsharded run (timing aside), so
+is decided by exact integer arithmetic; no float takes part, so reports
+are reproducible across shard layouts and worker counts.  The shard
+reports of one complete layout merge into the same bytes as an
+unsharded run (timing aside), so
 :func:`search`, the one call that runs a campaign, may split it freely.
 """
 
@@ -38,16 +37,12 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-import mpmath
-
 from .sequences import LUCAS, SeqParams, term_iter
 from .twoadic import disc_match, disc_nu2, l_quantity_nu2, lucas_congruence_parts
 from .bounds import (
     K_CAP,
-    _defect,
+    _ell,
     _m_envelope,
-    _width,
-    _window_member_exact,
     discriminant,
     localize_k_by_power2,
     m_range,
@@ -70,14 +65,6 @@ __all__ = [
 #: Largest value of a - 1 = k - r that the r >= 3 campaign must consider:
 #: ``bound_profile(K_CAP).a_max - 1`` = floor(6 ln K_CAP + 2) - 1.
 A_MINUS1_MAX = 233
-
-# n = m(k+1) + r with r in {1, 2} lies in k's window (w, w + 2.4) only if
-# d = m(k+1) - w(k) lies in (-2, 1.4).  The case12 bisection widens that
-# by _MARGIN on both sides; _defect's rounding error (about 2^-70) stays
-# far below it, so a k the bisection rules out is outside for certain.
-_MARGIN = mpmath.mpf(2) ** -20
-_DEFECT_LO = -2 - _MARGIN
-_DEFECT_HI = _width() - 1 + _MARGIN
 
 
 class CandidatePair(NamedTuple):
@@ -155,28 +142,29 @@ def _run(
 def _window_pairs(ks: range, m: int) -> list[tuple[int, int, int, int]]:
     """The (k, n, m, r) with k in ``ks``, r in {1, 2}, n = m(k+1) + r in k's window.
 
-    d(k) = m(k+1) - w(k) is strictly concave in k.  Where it rises,
+    With X = m(k+1) - k, n - k = X + r, so n is in the window iff
+    l(k) <= 10(X + r) <= l(k) + 23 (:func:`lucasdisc.bounds._ell`).  Some r
+    in {1, 2} qualifies iff d(k) = m(k+1) - w(k) lies in (-2, 1.4), and in
+    integers d < 1.4 reads 10X - 13 <= l(k) and d <= -2 reads
+    10X + 21 <= l(k).  d(k) is strictly concave in k.  Where it rises,
     m - 1 >= log2(k) + (k-2)/(k ln 2), so d(k) >= 2 log2(k) + (k-2)/ln 2
-    + m + 1/10 > 1.4 and no window is reached.  Along the k of ``ks`` the
-    tests d < 1.4 and d <= -2 therefore switch from false to true once
-    each, and bisection finds the run of k with d in (-2, 1.4).  Its ends
-    are widened by _MARGIN, and every k in the run is confirmed exactly
-    for both r.
+    + m + 1/10 > 1.4 and no window is reached.  Along the k of ``ks`` both
+    tests therefore switch from false to true once each, and bisection
+    finds the run of k with d in (-2, 1.4).
     """
 
-    def d(k: int) -> mpmath.mpf:
-        return _defect(k, m * (k + 1))
+    def x(k: int) -> int:
+        return m * (k + 1) - k
 
     near = ks[
-        bisect_left(ks, True, key=lambda k: d(k) < _DEFECT_HI) :
-        bisect_left(ks, True, key=lambda k: d(k) <= _DEFECT_LO)
+        bisect_left(ks, True, key=lambda k: 10 * x(k) - 13 <= _ell(k)) :
+        bisect_left(ks, True, key=lambda k: 10 * x(k) + 21 <= _ell(k))
     ]
-    return [
-        (k, m * (k + 1) + r, m, r)
-        for k in near
-        for r in (1, 2)
-        if _window_member_exact(k, m * (k + 1) + r)
-    ]
+    pairs = []
+    for k in near:
+        ell = _ell(k)
+        pairs += [(k, m * (k + 1) + r, m, r) for r in (1, 2) if ell <= 10 * (x(k) + r) <= ell + 23]
+    return pairs
 
 
 def campaign_small(
@@ -293,8 +281,8 @@ def campaign_case12(
 
     Stage 1 goes through m instead of k: the defect m(k+1) - w(k) is
     concave in k, so bisection over this shard's even k finds the few k
-    whose admissible window can hold n = m(k+1) + r, and those are
-    confirmed in escalating extended precision (:func:`_window_pairs`).
+    whose admissible window holds n = m(k+1) + r, each decided by the
+    integer l(k) (:func:`_window_pairs`).
     Since r < k+1, n mod (k+1) == r holds by construction.  Stage 2
     multiplies the Lucas congruence through by (k-1)^2 (:func:`disc_match`):
     an equality L(n) == +/-|disc| would force
@@ -320,8 +308,7 @@ def campaign_case12(
         window_pairs: list[tuple[int, int, int, int]] = []
         if ks:
             # The m band of each k grows with k, so the first and the last k
-            # confine m.  For r in {1, 2} the band has slack (k-2)/(k+1)
-            # below and 1/(k+1) above, far more than _m_envelope's rounding.
+            # confine m.
             for m in range(_m_envelope(ks[0])[0], _m_envelope(ks[-1])[1] + 1):
                 window_pairs += _window_pairs(ks, m)
 

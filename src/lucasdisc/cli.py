@@ -34,8 +34,7 @@ from .sequences import FIBONACCI, LUCAS, SeqParams, term
 from .twoadic import nu2, disc_nu2
 from .roots import PrecisionError, dominant_root
 from .bounds import (
-    _defect,
-    _width,
+    _w,
     bl_crossover_k,
     bound_profile,
     discriminant,
@@ -184,10 +183,10 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     print("m envelope up to the k cap: %d .. %d" % (m_lo, m_hi))
     if profile is not None:
         print("k = %d:" % k)
+        w = _w(k)
         with mpmath.workprec(k.bit_length() + 80):
-            w = -_defect(k, 0)
             digits = len(str(int(w))) + 10
-            print("  n window: (%s, %s)" % (mpmath.nstr(w, digits), mpmath.nstr(w + _width(), digits)))
+            print("  n window: (%s, %s)" % (mpmath.nstr(w, digits), mpmath.nstr(w + mpmath.mpf(24) / 10, digits)))
         print("  n in the window: %s" % ", ".join(map(str, window_integers(k))))
         print("  m range: %d .. %d" % (profile.m_lo, profile.m_hi))
         print("  max nu2 of the congruence quantity: %d" % profile.a_max)

@@ -39,7 +39,7 @@ from .roots import (
     dominant_root,
     growth_bounds_check,
 )
-from .bounds import discriminant, n_window
+from .bounds import discriminant, window_integers
 
 __all__ = ["Failure", "SUITES", "run_suite", "run_all"]
 
@@ -225,10 +225,10 @@ def check_window_brackets_crossing(scale: int = 1) -> list[Failure]:
     ks = [201, 202, 203, 210][: 2 + scale]
     for k in ks:
         delta = discriminant(k)
-        lo, hi = n_window(k)
+        window = window_integers(k)
         params = SeqParams(k=k, family=LUCAS)
-        floor_n = int(lo)
-        ceil_n = int(hi) + 1
+        floor_n = window[0] - 1
+        ceil_n = window[-1] + 1
         last = None
         for n, value in term_iter(params, 0):
             if n > ceil_n:

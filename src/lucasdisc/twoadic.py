@@ -33,7 +33,6 @@ from .sequences import LUCAS, _bracket_ratio
 
 __all__ = [
     "nu2",
-    "kummer_nu2_binomial",
     "l_quantity",
     "l_quantity_nu2",
     "lucas_congruence_parts",
@@ -48,17 +47,6 @@ def nu2(x: int) -> int | float:
     if x == 0:
         return math.inf
     return (x & -x).bit_length() - 1
-
-
-def kummer_nu2_binomial(n: int, m: int) -> int:
-    """nu2(binom(n, m)) as the number of carries adding m and n-m in base 2.
-
-    In base 2 the carry count collapses to popcounts:
-    s(m) + s(n-m) - s(n) where s is the binary digit sum.
-    """
-    if not 0 <= m <= n:
-        raise ValueError("need 0 <= m <= n, got n=%d m=%d" % (n, m))
-    return m.bit_count() + (n - m).bit_count() - n.bit_count()
 
 
 def _lucas_bracket(m: int, r: int) -> tuple[int, int]:

@@ -5,10 +5,12 @@ import math
 import mpmath
 import pytest
 
+from lucasdisc import bounds
 from lucasdisc.bounds import (
     K_CAP,
     _bl_cap,
     _bl_log_b,
+    _ell,
     _matveev_gap,
     bl_crossover_k,
     bound_profile,
@@ -20,6 +22,7 @@ from lucasdisc.bounds import (
     solve_matveev_k_bound,
     window_integers,
 )
+from lucasdisc.roots import PrecisionError
 from lucasdisc.twoadic import nu2
 
 
@@ -67,6 +70,24 @@ def w_200(k):
     """w(k) = k + (k-2) log2(k) - 1/10 in 200-bit arithmetic."""
     with mpmath.workprec(200):
         return k + (k - 2) * mpmath.log(k, 2) - mpmath.mpf(1) / 10
+
+
+def test_ell_at_powers_of_two_is_exact():
+    for j in range(8, 57):
+        assert _ell(2**j) == 10 * j * (2**j - 2), j
+
+
+def test_ell_matches_200_bit_formula():
+    ks = WINDOW_GRID + [2**j + d for j in range(8, 57) for d in (-1, 1)]
+    for k in ks:
+        with mpmath.workprec(200):
+            assert _ell(k) == int(mpmath.floor(10 * (k - 2) * mpmath.log(k, 2))), k
+
+
+def test_ell_undecided_raises(monkeypatch):
+    monkeypatch.setattr(bounds, "_pow_bounds", lambda x, n, w: (1, 2, 0))
+    with pytest.raises(PrecisionError, match="window integer l\\(k\\) for k=1000"):
+        _ell(1000)
 
 
 def test_n_window_is_correctly_rounded():

@@ -4,10 +4,10 @@ import hashlib
 import json
 import math
 
+import mpmath
 import pytest
 
 from lucasdisc.bounds import (
-    _window_member_exact,
     bound_profile,
     discriminant,
     localize_k_by_power2,
@@ -30,6 +30,7 @@ from lucasdisc.campaigns import (
 from lucasdisc.sequences import LUCAS, SeqParams, term_iter
 from lucasdisc.twoadic import _odd_disc_core, nu2
 
+from test_bounds import w_200
 from test_twoadic import four_binomial_q
 
 # Counts frozen after the first verified full runs.
@@ -110,17 +111,20 @@ def test_case12_toy_frozen_pairs(case12_toy_report):
 
 
 def case12_brute_force(k_lo, k_hi):
-    """Window pairs with r in {1, 2}, testing every even k exactly.
+    """Window pairs with r in {1, 2}, testing every even k.
 
-    Floats only place the integers to test; the slack of two on each
-    side dwarfs their error for k < 2^40.
+    Membership w < n < w + 2.4 is decided with a 200-bit w(k), far from
+    either edge for k < 2^40; floats only place the integers to test, and
+    the slack of two on each side dwarfs their error.
     """
     pairs = []
     for k in range(k_lo, k_hi, 2):
         lo = math.floor(k + (k - 2) * math.log2(k) - 0.1)
-        for n in range(lo - 2, lo + 5):
-            if n % (k + 1) in (1, 2) and _window_member_exact(k, n):
-                pairs.append((k, n))
+        w = w_200(k)
+        with mpmath.workprec(200):
+            pairs += [
+                (k, n) for n in range(lo - 2, lo + 5) if n % (k + 1) in (1, 2) and w < n < w + mpmath.mpf(12) / 5
+            ]
     return pairs
 
 
@@ -136,6 +140,12 @@ def test_case12_matches_brute_force_past_2_to_30():
     assert pairs == case12_brute_force(k_lo, k_lo + 40_000)
     assert pairs
     assert report.stage_counts[0] == ("k_scanned", 20_000)
+
+
+def test_case12_up_to_the_k_cap():
+    # The r in {1, 2} slice past the 2-adic cap of 7e7, up to the linear-forms cap.
+    report = campaign_case12(202, K_CAP)
+    assert report.stage_counts[1:] == [("window_residue_pairs", 78), ("modulus_survivors", 0)]
 
 
 def test_case12_degenerate_modulus_all_survive():

@@ -18,7 +18,7 @@ import lucasdisc
 from lucasdisc.bounds import K_CAP, _window_member_exact, discriminant, m_range
 from lucasdisc.campaigns import _unit_count
 from lucasdisc.cli import run
-from lucasdisc.roots import PrecisionError, dominant_root
+from lucasdisc.roots import dominant_root
 from lucasdisc.sequences import FIBONACCI, LUCAS, SeqParams, term_iter
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -313,13 +313,11 @@ def test_search_survivors_exit_one(capsys):
 
 
 def test_search_undecided_exit_three(monkeypatch, capsys):
-    def undecided(k, n):
-        raise PrecisionError("window membership for k=%d n=%d undecided" % (k, n))
-
-    monkeypatch.setattr("lucasdisc.campaigns._window_member_exact", undecided)
+    # Power bounds whose bit lengths never agree leave l(k) undecidable.
+    monkeypatch.setattr("lucasdisc.bounds._pow_bounds", lambda x, n, w: (1, 2, 0))
     code = run(["search", "case12", "--k-lo", "202", "--k-hi", "10000", "--workers", "1"])
     assert code == 3
-    assert capsys.readouterr().err.startswith("undecided: window membership")
+    assert capsys.readouterr().err.startswith("undecided: window")
 
 
 @pytest.mark.parametrize("line", readme_cli_examples())

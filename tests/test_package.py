@@ -15,8 +15,8 @@ PUBLIC = {
         "shift_identity_check", "term", "term_iter",
     ],
     "twoadic": [
-        "disc_match", "disc_nu2", "kummer_nu2_binomial", "l_quantity", "l_quantity_nu2",
-        "lucas_congruence_parts", "nu2", "residue_decomposition",
+        "disc_match", "disc_nu2", "l_quantity", "l_quantity_nu2", "lucas_congruence_parts", "nu2",
+        "residue_decomposition",
     ],
     "roots": [
         "MAX_PRECISION_BITS", "PrecisionError", "RootEnclosure", "binet_error_check",
@@ -37,7 +37,7 @@ PUBLIC = {
 
 def test_package_exports_each_public_name_once():
     expected = [name for names in PUBLIC.values() for name in names] + ["__version__"]
-    assert len(expected) == 51
+    assert len(expected) == 50
     assert len(lucasdisc.__all__) == len(set(lucasdisc.__all__))
     assert sorted(lucasdisc.__all__) == sorted(expected)
 
@@ -47,6 +47,11 @@ def test_package_names_are_the_module_objects():
         mod = importlib.import_module("lucasdisc." + module)
         for name in names:
             assert getattr(lucasdisc, name) is getattr(mod, name), (module, name)
+
+
+def test_campaigns_leave_window_arithmetic_to_bounds():
+    # The window is decided by bounds' integer l(k); campaigns never evaluates w(k).
+    assert not hasattr(importlib.import_module("lucasdisc.campaigns"), "mpmath")
 
 
 def test_package_import_leaves_the_cli_out():

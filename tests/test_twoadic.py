@@ -15,7 +15,6 @@ from lucasdisc.twoadic import (
     _scaled_disc_residue,
     disc_match,
     disc_nu2,
-    kummer_nu2_binomial,
     l_quantity,
     l_quantity_nu2,
     lucas_congruence_parts,
@@ -58,19 +57,6 @@ def test_nu2_spot_values():
 @settings(max_examples=120, deadline=None)
 def test_nu2_matches_division_loop(x):
     assert nu2(x) == naive_nu2(abs(x))
-
-
-@given(st.integers(min_value=0, max_value=400), st.integers(min_value=0, max_value=400))
-@settings(max_examples=120, deadline=None)
-def test_kummer_matches_binomial_valuation(n, m):
-    if m > n:
-        return
-    assert kummer_nu2_binomial(n, m) == naive_nu2(math.comb(n, m))
-
-
-def test_kummer_spot_values():
-    assert kummer_nu2_binomial(7, 3) == 0
-    assert kummer_nu2_binomial(4, 2) == 1
 
 
 def test_l_quantity_rejects_an_inexact_bracket(monkeypatch):
