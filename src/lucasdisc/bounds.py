@@ -85,12 +85,6 @@ def _ell(k: int) -> int:
     return _escalate(decide, 128, "window integer l(k) for k=%d undecided" % (k,))
 
 
-def _window_member_exact(k: int, n: int) -> bool:
-    """Whether n lies in the open window (w(k), w(k) + 2.4): l(k) <= 10(n-k) <= l(k) + 23."""
-    ell = _ell(k)
-    return ell <= 10 * (n - k) <= ell + 23
-
-
 def _w(k: int) -> mpmath.mpf:
     """w(k) = k + (k-2) log2(k) - 1/10 to 80 bits past k's bit length, for display only."""
     with mpmath.workprec(k.bit_length() + 80):

@@ -65,6 +65,9 @@ __all__ = [
 #: Largest value of a - 1 = k - r that the r >= 3 campaign must consider:
 #: ``bound_profile(K_CAP).a_max - 1`` = floor(6 ln K_CAP + 2) - 1.
 A_MINUS1_MAX = 233
+#: case3 first decides filter 2 modulo 2^(a + 24): the odd-k core is then 22
+#: bits, one CPython digit, and 12,126 of the 12,219 matches already fail there.
+_CASE3_LOW_BITS = 24
 
 
 class CandidatePair(NamedTuple):
@@ -398,15 +401,14 @@ def campaign_case3(
     The clamp at 2^k keeps the modulus no stronger than the underlying
     congruence supports; it is inert for filter-1 survivors at the
     default parameters.  Past the factor 2^(k+1), the odd-k core
-    k^k - ((k+1)/2)^(k+1) is needed modulo 2^min(extra - 2, r - 3), one
-    width for every match here (each has r > extra), so it is computed
-    once per (k, width) (``twoadic._odd_disc_core``), not per match.
-    That width is at most r - 3 < k + 1, so for k == 3 (mod 4), where
-    (k+1)/2 is even, the second power vanishes and only k^k is computed.
+    k^k - ((k+1)/2)^(k+1) is needed modulo 2^min(extra - 2, r - 3), and
+    a mismatch at a + min(24, extra) bits (a core of width <= 22) is one
+    at a + extra bits, so only the matches that pass take the full width.
     """
     if modulus_extra_bits < 2:
         raise ValueError("need modulus_extra_bits >= 2, got %d" % (modulus_extra_bits,))
     units = _UNITS["case3"]()
+    extra, low = modulus_extra_bits, min(_CASE3_LOW_BITS, modulus_extra_bits)
 
     def scan(ms: range):
         triples = 0
@@ -434,7 +436,7 @@ def campaign_case3(
                 parts = lucas_congruence_parts(k, m, r)
                 if parts[2] - (r - 2) != a:
                     raise AssertionError("closed-form nu2(B) wrong at m=%d r=%d" % (m, r))
-                survived = disc_match(k, r, parts, a + modulus_extra_bits)[0]
+                survived = disc_match(k, r, parts, a + low)[0] and disc_match(k, r, parts, a + extra)[0]
                 candidates.append(
                     CandidatePair(
                         k=k,

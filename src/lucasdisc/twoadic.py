@@ -27,7 +27,6 @@ Valuations use the convention nu2(0) = infinity (``math.inf``).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .sequences import LUCAS, _bracket_ratio
 
@@ -110,21 +109,22 @@ def lucas_congruence_parts(k: int, m: int, r: int) -> tuple[int, int, int, int]:
     return sign, q >> a, r - 2 + a, k + r - 2
 
 
-# case3 asks for the core at one width (extra - 2), m by m.  One m's matches
-# hold at most 213 distinct k and only adjacent m share any, so 512 entries
-# keep every repeated k a hit.
-@lru_cache(maxsize=512)
 def _odd_disc_core(k: int, w: int) -> int:
     """(k^k - ((k+1)/2)^(k+1)) mod 2^w for odd k: (k-1)^2 |disc| / 2^(k+1).
 
-    When (k+1)/2 is even (k == 3 mod 4) and k + 1 >= w, the second power
-    holds 2^(k+1) and vanishes mod 2^w, so only k^k is computed.
+    For w >= 3 the units mod 2^w have exponent 2^(w-2), so an odd base's
+    exponent is taken modulo 2^(w-2).  When (k+1)/2 is even (k == 3 mod 4)
+    and k + 1 >= w, the second power holds 2^(k+1) and vanishes mod 2^w,
+    so only k^k is computed.
     """
     mod = 1 << w
+    cut = (1 << w - 2) - 1 if w >= 3 else -1  # x & -1 == x: plain exponents
     half = (k + 1) >> 1
-    if not half & 1 and k + 1 >= w:
-        return pow(k, k, mod)
-    return (pow(k, k, mod) - pow(half, k + 1, mod)) % mod
+    if half & 1:
+        second = pow(half, (k + 1) & cut, mod)
+    else:
+        second = 0 if k + 1 >= w else pow(half, k + 1, mod)
+    return (pow(k, k & cut, mod) - second) % mod
 
 
 def _scaled_disc_residue(k: int, s: int, e: int) -> int:
@@ -132,8 +132,8 @@ def _scaled_disc_residue(k: int, s: int, e: int) -> int:
 
     (k-1)^2 |disc| = 2^(k+1) k^k - (k+1)^(k+1).  For odd k, 2^(k+1)
     comes out of both terms first, so the modulus stays 2^(e - (k+1-s))
-    however large s is; that core is computed once per (k, width) and
-    memoised.  For even k the numerator is reduced mod 2^(e+s).
+    however large s is (:func:`_odd_disc_core`).  For even k the
+    numerator is reduced mod 2^(e+s).
     """
     if k % 2:
         t = k + 1 - s

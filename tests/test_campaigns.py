@@ -28,7 +28,8 @@ from lucasdisc.campaigns import (
     shard,
 )
 from lucasdisc.sequences import LUCAS, SeqParams, term_iter
-from lucasdisc.twoadic import _odd_disc_core, nu2
+from lucasdisc import twoadic
+from lucasdisc.twoadic import disc_match, lucas_congruence_parts, nu2
 
 from test_bounds import w_200
 from test_twoadic import four_binomial_q
@@ -39,7 +40,6 @@ CASE12_TOY_PAIRS = 10
 CASE12_FULL_PAIRS = 32
 CASE3_TRIPLES = 3340584
 CASE3_VALUATION_MATCHES = 12219
-CASE3_DISTINCT_K = 7769
 CASE3_SURVIVORS_AT_100 = 14
 
 # sha256 of report_to_jsonl(report, include_timing=False) per campaign run,
@@ -213,12 +213,36 @@ def test_a_range_is_the_bound_profile_at_k_cap():
 
 
 @pytest.mark.parametrize("extra", [150, 100])
-def test_case3_computes_the_disc_core_once_per_k(extra):
-    _odd_disc_core.cache_clear()
-    report = campaign_case3(modulus_extra_bits=extra)
-    distinct = len({c.k for c in report.candidates})
-    assert distinct == CASE3_DISTINCT_K
-    assert _odd_disc_core.cache_info().misses == distinct
+def test_case3_takes_the_full_width_core_only_past_the_low_width(extra, monkeypatch):
+    # Filter 2 is first decided at a + 24 bits, a 22-bit core; only the
+    # matches that pass it take the core again at width extra - 2.
+    core, widths = twoadic._odd_disc_core, []
+
+    def counted(k, w):
+        widths.append(w)
+        return core(k, w)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(twoadic, "_odd_disc_core", counted)
+        report = campaign_case3(modulus_extra_bits=extra)
+    low_passes = sum(
+        disc_match(c.k, c.r, lucas_congruence_parts(c.k, c.m, c.r), c.a + 24)[0]
+        for c in report.candidates
+    )
+    assert len(report.candidates) == CASE3_VALUATION_MATCHES
+    assert widths.count(22) == CASE3_VALUATION_MATCHES
+    assert widths.count(extra - 2) == low_passes == len(widths) - CASE3_VALUATION_MATCHES
+    assert low_passes < CASE3_VALUATION_MATCHES / 100
+
+
+@pytest.mark.parametrize("fixture", ["case3_150_report", "case3_100_report"])
+def test_case3_verdicts_equal_the_full_width_test_alone(fixture, request):
+    report = request.getfixturevalue(fixture)
+    extra = report.ranges["modulus_extra_bits"]
+    for c in report.candidates:
+        parts = lucas_congruence_parts(c.k, c.m, c.r)
+        survived = disc_match(c.k, c.r, parts, c.a + extra)[0]
+        assert c.verdict == ("survivor" if survived else "eliminated"), c
 
 
 def case3_triple_loop(m, modulus_extra_bits):
@@ -248,14 +272,17 @@ def case3_triple_loop(m, modulus_extra_bits):
 
 # The band's edges (m = 8 has r >= 3 cut into its triples, m = 57 is
 # clipped away by K_CAP), two inner m and one with a survivor at 100 bits.
+# Each at 2, 24, 25 and 100 extra bits: below, at and past the width
+# (24) at which filter 2 is first decided, and a paper parameter.
 @pytest.mark.parametrize("m", [8, 9, 30, 55, 57])
 def test_case3_matches_triple_loop(m):
     m_lo, m_hi = m_range(K_CAP)
-    report = campaign_case3(modulus_extra_bits=100, shard=(m - m_lo, m_hi - m_lo + 1))
-    triples, rows = case3_triple_loop(m, 100)
-    assert report.stage_counts[0] == ("triples_enumerated", triples)
-    assert [(c.k, c.n, c.r, c.a, c.verdict == "survivor") for c in report.candidates] == rows
-    assert {c.m for c in report.candidates} <= {m}
+    for extra in (2, 24, 25, 100):
+        report = campaign_case3(modulus_extra_bits=extra, shard=(m - m_lo, m_hi - m_lo + 1))
+        triples, rows = case3_triple_loop(m, extra)
+        assert report.stage_counts[0] == ("triples_enumerated", triples)
+        assert [(c.k, c.n, c.r, c.a, c.verdict == "survivor") for c in report.candidates] == rows
+        assert {c.m for c in report.candidates} <= {m}
 
 
 def test_case3_survivor_monotonicity(case3_150_report, case3_100_report):

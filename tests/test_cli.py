@@ -15,7 +15,7 @@ import multiprocessing
 import pytest
 
 import lucasdisc
-from lucasdisc.bounds import K_CAP, _window_member_exact, discriminant, m_range
+from lucasdisc.bounds import K_CAP, _ell, discriminant, m_range
 from lucasdisc.campaigns import _unit_count
 from lucasdisc.cli import run
 from lucasdisc.roots import dominant_root
@@ -229,9 +229,14 @@ def test_bounds_lists_the_exact_window_integers(k, capsys):
     listed = [int(n) for n in re.search(r"n in the window: (.*)", out).group(1).split(", ")]
     assert listed == list(range(listed[0], listed[-1] + 1))
     assert lo < listed[0] and listed[-1] < hi
-    assert all(_window_member_exact(k, n) for n in listed)
-    assert not _window_member_exact(k, listed[0] - 1)
-    assert not _window_member_exact(k, listed[-1] + 1)
+    ell = _ell(k)
+
+    def member(n):
+        return ell <= 10 * (n - k) <= ell + 23
+
+    assert all(member(n) for n in listed)
+    assert not member(listed[0] - 1)
+    assert not member(listed[-1] + 1)
 
 
 def test_search_small_exit_zero(capsys):

@@ -222,21 +222,22 @@ def test_scaled_disc_residue_against_exact(k):
 def test_odd_disc_core_is_both_powers(k):
     # For k == 3 (mod 4) and k + 1 >= w the second power is skipped as 0 mod 2^w.
     # The k-relative widths cross that boundary; near K_CAP only fixed widths fit.
-    widths = {1, 2, 98, 148}
+    # From w = 3 on, an odd base's exponent is reduced mod 2^(w-2); the widths
+    # 3..5, 22, 23 and 30 reach that reduction for small k as well as large.
+    widths = {1, 2, 3, 4, 5, 22, 23, 30, 98, 148}
     if k < 5000:
         widths |= {k, k + 1, k + 2, k + 30}
-    _odd_disc_core.cache_clear()
     for w in sorted(widths):
         mod = 2**w
         expect = (pow(k, k, mod) - pow((k + 1) // 2, k + 1, mod)) % mod
         assert _odd_disc_core(k, w) == expect, w
 
 
-def test_memoised_odd_core_through_evictions_and_mixed_widths():
-    # More than 512 distinct odd k, so the core's cache evicts; each k is
-    # asked at two widths, wide then narrow or narrow then wide.  Small k
-    # are checked against the exact (k-1)^2 |disc|; next to 2^56, where it
-    # is too large to form, against the two powers taken mod 2^e itself.
+def test_odd_scaled_residue_at_mixed_widths_in_shuffled_order():
+    # Over 600 distinct odd k, each asked at two widths, wide then narrow or
+    # narrow then wide, in shuffled order.  Small k are checked against the
+    # exact (k-1)^2 |disc|; next to 2^56, where it is too large to form,
+    # against the two powers taken mod 2^e itself.
     small = range(3, 1207, 2)
     large = [2**55 + 17, 2**56 - 533, 2**56 + 1, 2**56 + 299, K_CAP - 1]
     rng = random.Random(20251019)
@@ -258,15 +259,11 @@ def test_memoised_odd_core_through_evictions_and_mixed_widths():
         groups.append(cases)
     rng.shuffle(groups)
     flat = [case for cases in groups for case in cases]
-    _odd_disc_core.cache_clear()
     for k, s, e, expect in flat:
         assert _scaled_disc_residue(k, s, e) == expect, (k, s, e)
-    rng.shuffle(flat)  # again, interleaved, after the first pass's evictions
+    rng.shuffle(flat)  # again, interleaved
     for k, s, e, expect in flat:
         assert _scaled_disc_residue(k, s, e) == expect, (k, s, e)
-    info = _odd_disc_core.cache_info()
-    assert info.maxsize == 512 and info.currsize == 512
-    assert info.misses > 2 * len(groups) and info.hits >= len(groups)
 
 
 @pytest.mark.parametrize("k", range(3, 31))
