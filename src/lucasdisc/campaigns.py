@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .sequences import LUCAS, SeqParams, term_iter
-from .twoadic import disc_match, disc_nu2, l_quantity_nu2, lucas_congruence_parts
+from .twoadic import _congruence_parts, _l_quantities, disc_match, disc_nu2, l_quantity_nu2, lucas_congruence_parts
 from .bounds import (
     K_CAP,
     _ell,
@@ -404,6 +404,8 @@ def campaign_case3(
     k^k - ((k+1)/2)^(k+1) is needed modulo 2^min(extra - 2, r - 3), and
     a mismatch at a + min(24, extra) bits (a core of width <= 22) is one
     at a + extra bits, so only the matches that pass take the full width.
+    Each match's exact B comes from one binomial walk per m over its
+    matches' increasing r (:func:`lucasdisc.twoadic._l_quantities`).
     """
     if modulus_extra_bits < 2:
         raise ValueError("need modulus_extra_bits >= 2, got %d" % (modulus_extra_bits,))
@@ -428,12 +430,14 @@ def campaign_case3(
                 for a_minus1 in range(A_MINUS1_MAX + 1)
             )
             in_band = 9 <= m <= 55
+            matches = []
             for r in range(max(3, k_start - A_MINUS1_MAX), hi):
                 a = l_quantity_nu2(m, r)
                 k = r + a - 1
-                if not (k & 1 and lo < k < hi and 1 <= a <= A_MINUS1_MAX + 1):
-                    continue
-                parts = lucas_congruence_parts(k, m, r)
+                if k & 1 and lo < k < hi and 1 <= a <= A_MINUS1_MAX + 1:
+                    matches.append((r, a, k))
+            for (r, a, k), q in zip(matches, _l_quantities(m, [r for r, _, _ in matches])):
+                parts = _congruence_parts(k, m, r, q)
                 if parts[2] - (r - 2) != a:
                     raise AssertionError("closed-form nu2(B) wrong at m=%d r=%d" % (m, r))
                 survived = disc_match(k, r, parts, a + low)[0] and disc_match(k, r, parts, a + extra)[0]

@@ -164,7 +164,7 @@ def term_iter(params: SeqParams, n_start: int = 0) -> Iterator[tuple[int, int]]:
     """
     if n_start < params.min_index:
         raise ValueError("start index %d below domain minimum %d" % (n_start, params.min_index))
-    init = [_initial_term(params, n) for n in range(params.min_index, 2)]
+    init = [0] * (params.k - 2) + ([2, 1] if params.family == LUCAS else [0, 1])  # n = 2-k..1
     for n in range(n_start, 2):
         yield n, init[n - params.min_index]
     window = deque(init, maxlen=params.k)  # appending drops the oldest term

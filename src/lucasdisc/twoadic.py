@@ -19,7 +19,9 @@ make the factor 2^(r-2) integral for every r.
 sign * odd * 2^shift; when shift < E that pins nu2(L(n)) = shift.
 :func:`disc_match` compares it with
 |disc| = (2^(k+1) k^k - (k+1)^(k+1)) / (k-1)^2.  The campaigns and the
-lemma suites read both.
+lemma suites read both.  The r >= 3 campaign walks one m's increasing r
+instead (:func:`_l_quantities`): C(m+r, m) is formed once, and the step
+to r' = r + j is C(m+r', m) = C(m+r, m) perm(m+r', j) / perm(r', j).
 
 Valuations use the convention nu2(0) = infinity (``math.inf``).
 """
@@ -27,6 +29,7 @@ Valuations use the convention nu2(0) = infinity (``math.inf``).
 from __future__ import annotations
 
 import math
+from typing import Iterable, Iterator
 
 from .sequences import LUCAS, _bracket_ratio
 
@@ -48,13 +51,6 @@ def nu2(x: int) -> int | float:
     return (x & -x).bit_length() - 1
 
 
-def _lucas_bracket(m: int, r: int) -> tuple[int, int]:
-    """(weight, den) with B(m, r) = C(m+r, m) * weight / den."""
-    if m < 0 or r < 0:
-        raise ValueError("need m >= 0 and r >= 0, got m=%d r=%d" % (m, r))
-    return _bracket_ratio(LUCAS, m + r, m)
-
-
 def l_quantity(m: int, r: int) -> int:
     """B(m, r) = 8 C(m+r, m) - 6 C(m+r-1, m) + C(m+r-2, m), for m, r >= 0.
 
@@ -62,11 +58,29 @@ def l_quantity(m: int, r: int) -> int:
     binomial times (8m^2 + 10mr + 3r^2 - 8m - 3r) / ((m+r)(m+r-1)) when
     m + r >= 2, an exact division.  B > 0 everywhere.
     """
-    weight, den = _lucas_bracket(m, r)
-    q, rem = divmod(math.comb(m + r, m) * weight, den)
-    if rem:
-        raise AssertionError("inexact bracket for m=%d r=%d" % (m, r))
-    return q
+    return next(_l_quantities(m, (r,)))
+
+
+def _l_quantities(m: int, rs: Iterable[int]) -> Iterator[int]:
+    """B(m, r) for each r of the strictly increasing ``rs``, with one ``math.comb`` in all."""
+    last = None
+    for r in rs:
+        if m < 0 or r < 0:
+            raise ValueError("need m >= 0 and r >= 0, got m=%d r=%d" % (m, r))
+        weight, den = _bracket_ratio(LUCAS, m + r, m)  # B(m, r) = C(m+r, m) weight / den
+        if last is None:
+            binom = math.comb(m + r, m)
+        elif r <= last:
+            raise ValueError("need strictly increasing r, got %d after %d" % (r, last))
+        else:
+            binom, rem = divmod(binom * math.perm(m + r, r - last), math.perm(r, r - last))
+            if rem:
+                raise AssertionError("inexact binomial step for m=%d r=%d" % (m, r))
+        q, rem = divmod(binom * weight, den)
+        if rem:
+            raise AssertionError("inexact bracket for m=%d r=%d" % (m, r))
+        last = r
+        yield q
 
 
 def l_quantity_nu2(m: int, r: int) -> int:
@@ -99,14 +113,15 @@ def lucas_congruence_parts(k: int, m: int, r: int) -> tuple[int, int, int, int]:
     """
     if k < 2:
         raise ValueError("need k >= 2, got k=%d" % (k,))
-    if m < 0:
-        raise ValueError("need m >= 0, got m=%d" % (m,))
     if not 0 <= r <= k:
         raise ValueError("need 0 <= r <= k, got r=%d k=%d" % (r, k))
-    q = l_quantity(m, r)
+    return _congruence_parts(k, m, r, l_quantity(m, r))
+
+
+def _congruence_parts(k: int, m: int, r: int, q: int) -> tuple[int, int, int, int]:
+    """:func:`lucas_congruence_parts` from q = B(m, r), with no checks on k, m, r."""
     a = nu2(q)
-    sign = -1 if m % 2 else 1
-    return sign, q >> a, r - 2 + a, k + r - 2
+    return -1 if m % 2 else 1, q >> a, r - 2 + a, k + r - 2
 
 
 def _odd_disc_core(k: int, w: int) -> int:

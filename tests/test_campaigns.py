@@ -14,6 +14,7 @@ from lucasdisc.bounds import (
     m_range,
 )
 from lucasdisc.campaigns import (
+    _UNITS,
     A_MINUS1_MAX,
     K_CAP,
     CampaignReport,
@@ -233,6 +234,29 @@ def test_case3_takes_the_full_width_core_only_past_the_low_width(extra, monkeypa
     assert widths.count(22) == CASE3_VALUATION_MATCHES
     assert widths.count(extra - 2) == low_passes == len(widths) - CASE3_VALUATION_MATCHES
     assert low_passes < CASE3_VALUATION_MATCHES / 100
+
+
+@pytest.mark.parametrize("extra", [150, 100])
+def test_case3_forms_one_binomial_per_m(extra, monkeypatch):
+    # B at each match is carried along its m's run of r: no per-match
+    # l_quantity, and at most one math.comb per m.
+    comb, seeds, singles = math.comb, [], []
+
+    def counted_comb(n, j):
+        seeds.append((n, j))
+        return comb(n, j)
+
+    def counted_l_quantity(m, r):
+        singles.append((m, r))
+        return 0
+
+    with monkeypatch.context() as patch:
+        patch.setattr(math, "comb", counted_comb)
+        patch.setattr(twoadic, "l_quantity", counted_l_quantity)
+        report = campaign_case3(modulus_extra_bits=extra)
+    assert len(report.candidates) == CASE3_VALUATION_MATCHES
+    assert singles == []
+    assert len(seeds) == len({c.m for c in report.candidates}) <= len(_UNITS["case3"]()) == 50
 
 
 @pytest.mark.parametrize("fixture", ["case3_150_report", "case3_100_report"])

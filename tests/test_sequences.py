@@ -9,6 +9,7 @@ from lucasdisc.sequences import (
     LUCAS,
     SeqParams,
     _closed_form,
+    _initial_term,
     binom_ext,
     lucas_from_fib,
     shift_identity_check,
@@ -90,6 +91,17 @@ def test_term_equals_walk_property(family, k_n):
     k, n = k_n
     params = SeqParams(k=k, family=family)
     assert term(params, n) == walked(params, n)
+
+
+@pytest.mark.parametrize("family", [LUCAS, FIBONACCI])
+@pytest.mark.parametrize("k", range(2, 41))
+def test_term_iter_first_window(family, k):
+    # The walk's first window is the stored initial values, then the recurrence.
+    params = SeqParams(k, family)
+    it = term_iter(params, 2 - k)
+    values = [next(it)[1] for _ in range(k + 2)]
+    assert values[:k] == [_initial_term(params, n) for n in range(2 - k, 2)]
+    assert values[k:] == [sum(values[:k]), sum(values[1 : k + 1])]
 
 
 def test_term_iter_start_offsets():
