@@ -29,16 +29,16 @@ unsharded run (timing aside), so
 from __future__ import annotations
 
 import functools
-import inspect
 import json
 import multiprocessing
+import os
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .sequences import LUCAS, SeqParams, term_iter
-from .twoadic import _congruence_parts, _l_quantities, disc_match, disc_nu2, l_quantity_nu2, lucas_congruence_parts
+from .twoadic import _l_quantities, disc_match, disc_nu2, l_quantity, l_quantity_nu2, lucas_congruence_parts, nu2
 from .bounds import (
     K_CAP,
     _ell,
@@ -97,15 +97,6 @@ class CampaignReport:
     def survivors(self) -> list[CandidatePair]:
         """Candidates whose verdict is ``survivor``, in (k, n) order."""
         return [c for c in self.candidates if c.verdict == "survivor"]
-
-
-# The work units of each campaign as a function of its parameters; shards slice these ranges.
-_UNITS: dict[str, Callable[..., range]] = {
-    "small": lambda k_max, **_: range(2, k_max + 1),
-    "case0": lambda **_: range(5, 202, 2),
-    "case12": lambda k_lo, k_hi, **_: range(k_lo, k_hi, 2),
-    "case3": lambda **_: range(m_range(K_CAP)[0], m_range(K_CAP)[1] + 1),
-}
 
 
 def _run(
@@ -179,8 +170,9 @@ def campaign_small(
 
     For each k the Lucas terms are walked from n = 0 upward and compared
     to the exact discriminant magnitude; the walk stops at the first
-    term >= |disc| (terms are strictly increasing for n >= 2) or at
-    n_max, whichever comes first.
+    term >= |disc| (terms are strictly increasing for n >= 2).  A walk
+    that passes n_max first raises ``ValueError``: it would leave the
+    rest of that k unchecked.
     """
     if k_max < 2:
         raise ValueError("need k_max >= 2, got %d" % (k_max,))
@@ -195,7 +187,7 @@ def campaign_small(
             params = SeqParams(k=k, family=LUCAS)
             for n, value in term_iter(params, 0):
                 if n > n_max:
-                    break
+                    raise ValueError("the walk at k=%d passes n_max=%d below |disc|" % (k, n_max))
                 terms_examined += 1
                 if value == delta:
                     m, r = divmod(n, k + 1)
@@ -218,7 +210,7 @@ def campaign_small(
     return _run(
         "small",
         shard,
-        _UNITS["small"](k_max),
+        range(2, k_max + 1),
         scan,
         {"k_lo": 2, "k_hi": k_max, "n_lo": 0, "n_hi": n_max},
         [
@@ -262,7 +254,7 @@ def campaign_case0(shard: tuple[int, int] | None = None) -> CampaignReport:
     return _run(
         "case0",
         shard,
-        _UNITS["case0"](),
+        range(5, 202, 2),
         scan,
         {"k_lo": 5, "k_hi": 201, "k_parity": "odd", "residue": 0},
         [
@@ -319,8 +311,7 @@ def campaign_case12(
         survivors = 0
         for k, n, m, r in window_pairs:
             # L == +|disc| is (k+1)^(k+1) == -alpha2, L == -|disc| is +alpha2.
-            parts = lucas_congruence_parts(k, m, r)
-            sign_minus, sign_plus = disc_match(k, r, parts, test_modulus_bits)
+            sign_minus, sign_plus = disc_match(k, m, r, l_quantity(m, r), test_modulus_bits)
             flags = {"window_member", "residue_%d" % r}
             if sign_plus:
                 flags.add("sign_plus")
@@ -352,7 +343,7 @@ def campaign_case12(
     return _run(
         "case12",
         shard,
-        _UNITS["case12"](k_lo, k_hi),
+        range(k_lo, k_hi, 2),
         scan,
         {
             "k_lo": k_lo,
@@ -409,7 +400,7 @@ def campaign_case3(
     """
     if modulus_extra_bits < 2:
         raise ValueError("need modulus_extra_bits >= 2, got %d" % (modulus_extra_bits,))
-    units = _UNITS["case3"]()
+    m_lo, m_hi = m_range(K_CAP)
     extra, low = modulus_extra_bits, min(_CASE3_LOW_BITS, modulus_extra_bits)
 
     def scan(ms: range):
@@ -437,10 +428,9 @@ def campaign_case3(
                 if k & 1 and lo < k < hi and 1 <= a <= A_MINUS1_MAX + 1:
                     matches.append((r, a, k))
             for (r, a, k), q in zip(matches, _l_quantities(m, [r for r, _, _ in matches])):
-                parts = _congruence_parts(k, m, r, q)
-                if parts[2] - (r - 2) != a:
+                if nu2(q) != a:
                     raise AssertionError("closed-form nu2(B) wrong at m=%d r=%d" % (m, r))
-                survived = disc_match(k, r, parts, a + low)[0] and disc_match(k, r, parts, a + extra)[0]
+                survived = disc_match(k, m, r, q, a + low)[0] and disc_match(k, m, r, q, a + extra)[0]
                 candidates.append(
                     CandidatePair(
                         k=k,
@@ -470,14 +460,14 @@ def campaign_case3(
     return _run(
         "case3",
         shard,
-        units,
+        range(m_lo, m_hi + 1),
         scan,
         {
             "k_floor": 200,
             "k_cap": K_CAP,
             "k_parity": "odd",
-            "m_lo": units[0],
-            "m_hi": units[-1],
+            "m_lo": m_lo,
+            "m_hi": m_hi,
             "a_lo": 1,
             "a_hi": A_MINUS1_MAX + 1,
             "r_lo": 3,
@@ -516,23 +506,16 @@ def shard(campaign: str, piece: int, of: int, **params) -> CampaignReport:
     return _CAMPAIGNS[campaign](shard=(piece, of), **params)
 
 
-def _unit_count(campaign: str, **params) -> int:
-    """Number of work units that the shards of ``campaign`` split, with these parameters."""
-    args = inspect.signature(_CAMPAIGNS[campaign]).bind(**params)
-    args.apply_defaults()
-    return len(_UNITS[campaign](**args.arguments))
-
-
 def search(campaign: str, workers: int = 1, **params) -> CampaignReport:
     """Run ``campaign`` as at most ``workers`` shards in a process pool and merge them.
 
-    Shards beyond the campaign's work units would be empty; one shard runs in this process.
+    The pool never exceeds ``os.cpu_count()`` processes; one shard runs in this process.
     """
     if campaign not in _CAMPAIGNS:
         raise ValueError("unknown campaign %r; expected one of %s" % (campaign, CAMPAIGN_NAMES))
     if workers < 1:
         raise ValueError("need workers >= 1, got %d" % (workers,))
-    workers = min(workers, _unit_count(campaign, **params))
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         return _CAMPAIGNS[campaign](**params)
     job = functools.partial(shard, campaign, of=workers, **params)

@@ -140,7 +140,10 @@ def _cmd_verify_lemmas(args: argparse.Namespace) -> int:
 
 # Each campaign's own options: (flag, campaign parameter, help).
 _CAMPAIGN_FLAGS = {
-    "small": [("--k-max", "k_max", "largest k (default 200)"), ("--n-max", "n_max", "largest n (default 2529)")],
+    "small": [
+        ("--k-max", "k_max", "largest k (default 200)"),
+        ("--n-max", "n_max", "largest n; a walk past it is an error (default 2529)"),
+    ],
     "case0": [],
     "case12": [
         ("--k-lo", "k_lo", "first even k (default 202)"),
@@ -231,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=1,
         metavar="N",
-        help="parallel shards to run in a process pool and merge (default: 1, in this process)",
+        help="shards to run in a pool of at most os.cpu_count() processes and merge (default: 1, in this process)",
     )
     shared.add_argument("--format", choices=["jsonl", "human"], default="human")
     shared.add_argument("--output", help="write the report here instead of stdout")

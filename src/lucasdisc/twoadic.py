@@ -17,10 +17,10 @@ make the factor 2^(r-2) integral for every r.
 
 :func:`lucas_congruence_parts` writes the congruence as
 sign * odd * 2^shift; when shift < E that pins nu2(L(n)) = shift.
-:func:`disc_match` compares it with
+:func:`disc_match` takes B itself and compares (-1)^m 2^(r-2) B with
 |disc| = (2^(k+1) k^k - (k+1)^(k+1)) / (k-1)^2.  The campaigns and the
 lemma suites read both.  The r >= 3 campaign walks one m's increasing r
-instead (:func:`_l_quantities`): C(m+r, m) is formed once, and the step
+for B (:func:`_l_quantities`): C(m+r, m) is formed once, and the step
 to r' = r + j is C(m+r', m) = C(m+r, m) perm(m+r', j) / perm(r', j).
 
 Valuations use the convention nu2(0) = infinity (``math.inf``).
@@ -115,11 +115,7 @@ def lucas_congruence_parts(k: int, m: int, r: int) -> tuple[int, int, int, int]:
         raise ValueError("need k >= 2, got k=%d" % (k,))
     if not 0 <= r <= k:
         raise ValueError("need 0 <= r <= k, got r=%d k=%d" % (r, k))
-    return _congruence_parts(k, m, r, l_quantity(m, r))
-
-
-def _congruence_parts(k: int, m: int, r: int, q: int) -> tuple[int, int, int, int]:
-    """:func:`lucas_congruence_parts` from q = B(m, r), with no checks on k, m, r."""
+    q = l_quantity(m, r)
     a = nu2(q)
     return -1 if m % 2 else 1, q >> a, r - 2 + a, k + r - 2
 
@@ -159,21 +155,23 @@ def _scaled_disc_residue(k: int, s: int, e: int) -> int:
     return ((pow(k, k, mod) << (k + 1)) - pow(k + 1, k + 1, mod)) % mod >> s
 
 
-def disc_match(k: int, r: int, parts: tuple[int, int, int, int], bits: int) -> tuple[bool, bool]:
+def disc_match(k: int, m: int, r: int, q: int, bits: int) -> tuple[bool, bool]:
     """Whether L(n) == +|disc(k)| and L(n) == -|disc(k)| pass the congruence.
 
-    ``parts`` is :func:`lucas_congruence_parts` for n = r + m(k+1).  Both
-    sides are multiplied by (k-1)^2 and divided by 2^s, s = max(r-2, 0),
-    which divides the Lucas side: (k-1)^2 sign odd 2^(shift-s) is compared
-    with ((k-1)^2 |disc|) >> s modulo 2^min(bits, E - s).
+    n = r + m(k+1) and q = B(m, r) (:func:`l_quantity`).  Both sides of
+    L(n) == (-1)^m 2^(r-2) B (mod 2^(k+r-2)) are multiplied by (k-1)^2 and
+    divided by 2^s, s = max(r-2, 0): (-1)^m (k-1)^2 (B >> (s+2-r)) is
+    compared with ((k-1)^2 |disc|) >> s modulo 2^min(bits, k+r-2-s).  The
+    shift is exact: it is 2 at r = 0 and 1 at r = 1, where nu2(B) is 3 and 1.
     """
-    sign, odd, shift, exponent = parts
     s = max(r - 2, 0)
-    e = min(bits, exponent - s)
+    e = min(bits, k + r - 2 - s)
     if e <= 0:
         return True, True
     mask = (1 << e) - 1
-    lhs = (k - 1) * (k - 1) * sign * odd << (shift - s)
+    lhs = (k - 1) * (k - 1) * (q >> s + 2 - r)
+    if m % 2:
+        lhs = -lhs
     rhs = _scaled_disc_residue(k, s, e)
     return (lhs - rhs) & mask == 0, (lhs + rhs) & mask == 0
 

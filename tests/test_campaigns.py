@@ -14,7 +14,6 @@ from lucasdisc.bounds import (
     m_range,
 )
 from lucasdisc.campaigns import (
-    _UNITS,
     A_MINUS1_MAX,
     K_CAP,
     CampaignReport,
@@ -30,7 +29,7 @@ from lucasdisc.campaigns import (
 )
 from lucasdisc.sequences import LUCAS, SeqParams, term_iter
 from lucasdisc import twoadic
-from lucasdisc.twoadic import disc_match, lucas_congruence_parts, nu2
+from lucasdisc.twoadic import disc_match, l_quantity, nu2
 
 from test_bounds import w_200
 from test_twoadic import four_binomial_q
@@ -77,6 +76,12 @@ def test_small_campaign_cross_checks_brute_force():
             if n >= 2 and value >= delta:
                 break
     assert [(c.k, c.n) for c in report.survivors] == brute == []
+
+
+def test_small_campaign_rejects_an_n_max_below_a_crossing():
+    # Stopping at n_max would leave the rest of k = 21 unchecked.
+    with pytest.raises(ValueError, match="k=21 passes n_max=100"):
+        campaign_small(k_max=200, n_max=100)
 
 
 def test_case0_all_odd_k_clash():
@@ -227,7 +232,7 @@ def test_case3_takes_the_full_width_core_only_past_the_low_width(extra, monkeypa
         patch.setattr(twoadic, "_odd_disc_core", counted)
         report = campaign_case3(modulus_extra_bits=extra)
     low_passes = sum(
-        disc_match(c.k, c.r, lucas_congruence_parts(c.k, c.m, c.r), c.a + 24)[0]
+        disc_match(c.k, c.m, c.r, l_quantity(c.m, c.r), c.a + 24)[0]
         for c in report.candidates
     )
     assert len(report.candidates) == CASE3_VALUATION_MATCHES
@@ -256,7 +261,8 @@ def test_case3_forms_one_binomial_per_m(extra, monkeypatch):
         report = campaign_case3(modulus_extra_bits=extra)
     assert len(report.candidates) == CASE3_VALUATION_MATCHES
     assert singles == []
-    assert len(seeds) == len({c.m for c in report.candidates}) <= len(_UNITS["case3"]()) == 50
+    m_lo, m_hi = m_range(K_CAP)
+    assert len(seeds) == len({c.m for c in report.candidates}) <= len(range(m_lo, m_hi + 1)) == 50
 
 
 @pytest.mark.parametrize("fixture", ["case3_150_report", "case3_100_report"])
@@ -264,8 +270,7 @@ def test_case3_verdicts_equal_the_full_width_test_alone(fixture, request):
     report = request.getfixturevalue(fixture)
     extra = report.ranges["modulus_extra_bits"]
     for c in report.candidates:
-        parts = lucas_congruence_parts(c.k, c.m, c.r)
-        survived = disc_match(c.k, c.r, parts, c.a + extra)[0]
+        survived = disc_match(c.k, c.m, c.r, l_quantity(c.m, c.r), c.a + extra)[0]
         assert c.verdict == ("survivor" if survived else "eliminated"), c
 
 

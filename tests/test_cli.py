@@ -15,8 +15,7 @@ import multiprocessing
 import pytest
 
 import lucasdisc
-from lucasdisc.bounds import K_CAP, _ell, discriminant, m_range
-from lucasdisc.campaigns import _unit_count
+from lucasdisc.bounds import K_CAP, _ell, discriminant
 from lucasdisc.cli import run
 from lucasdisc.roots import dominant_root
 from lucasdisc.sequences import FIBONACCI, LUCAS, SeqParams, term_iter
@@ -96,16 +95,6 @@ def test_root_at_large_k(capsys):
     assert Fraction(lines["lo"]) < Fraction(lines["hi"])
 
 
-def test_unit_count_matches_the_campaign_ranges():
-    m_lo, m_hi = m_range(K_CAP)
-    assert _unit_count("small") == 199 and _unit_count("small", k_max=3) == 2
-    assert _unit_count("case0") == 99
-    assert _unit_count("case12") == (70_000_000 - 202) // 2
-    assert _unit_count("case12", k_lo=202, k_hi=210) == 4
-    assert _unit_count("case12", k_lo=300, k_hi=300) == 0
-    assert _unit_count("case3", modulus_extra_bits=100) == m_hi - m_lo + 1 == 50
-
-
 class RecordingPool:
     """Stands in for multiprocessing.Pool: records its size and maps in this process."""
 
@@ -124,34 +113,46 @@ class RecordingPool:
         return list(map(func, items))
 
 
+def no_pool(*args, **kwargs):
+    raise AssertionError("a search started a process pool")
+
+
 @pytest.mark.parametrize(
-    "search, pool_size",
+    "search",
     [
-        (["small", "--k-max", "2"], None),
-        (["small", "--k-max", "5"], 4),
-        (["case12", "--k-lo", "202", "--k-hi", "210"], 4),
-        (["case12", "--k-lo", "300", "--k-hi", "300"], None),
-        (["case0"], 99),
-        (["case3", "--modulus-bits", "2"], 50),
+        ["small", "--k-max", "2"],
+        ["small", "--k-max", "5"],
+        ["case12", "--k-lo", "202", "--k-hi", "210"],
+        ["case12", "--k-lo", "300", "--k-hi", "300"],
+        ["case12"],
+        ["case0"],
+        ["case3", "--modulus-bits", "2"],
     ],
-    ids=["small-1", "small-4", "case12-4", "case12-empty", "case0", "case3"],
+    ids=["small-1", "small-4", "case12-4", "case12-empty", "case12-full", "case0", "case3"],
 )
-def test_workers_clamped_to_work_units(monkeypatch, search, pool_size, capsys):
-    # A pool larger than the unit count would only start processes with empty shards.
+def test_workers_clamped_to_work_units(monkeypatch, search, capsys):
+    # The pool is capped at the CPU count, not at the campaign's work units:
+    # shards past the units are empty and merge to the same bytes.
     base = ["search"] + search + ["--format", "jsonl", "--no-timing"]
     assert run(base + ["--workers", "1"]) in (0, 1)
     one = capsys.readouterr().out
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     RecordingPool.sizes.clear()
-    assert run(base + ["--workers", "500"]) in (0, 1)
-    assert RecordingPool.sizes == ([] if pool_size is None else [pool_size])
+    assert run(base + ["--workers", "100000"]) in (0, 1)
+    assert RecordingPool.sizes == [3]
     assert capsys.readouterr().out == one
 
 
-def test_search_defaults_to_one_worker(monkeypatch, capsys):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a search without --workers started a process pool")
+@pytest.mark.parametrize("cpus", [1, None])
+def test_one_cpu_starts_no_pool(monkeypatch, cpus, capsys):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    assert run(["search", "small", "--k-max", "30", "--workers", "2", "--format", "jsonl", "--no-timing"]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["stage"] == "summary"
 
+
+def test_search_defaults_to_one_worker(monkeypatch, capsys):
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     assert run(["search", "small", "--format", "jsonl", "--no-timing"]) == 0
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["stage"] == "summary"
@@ -176,6 +177,22 @@ def test_search_help_lists_only_the_campaigns_own_options(capsys):
     out = capsys.readouterr().out
     assert "--modulus-bits" in out
     assert "--k-max" not in out
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_search_small_n_max_below_a_crossing_exit_two(monkeypatch, workers, capsys):
+    # At --workers 2 the error is raised in a pool process and crosses the pool.
+    pool, sizes = multiprocessing.Pool, []
+
+    def recording(processes):
+        sizes.append(processes)
+        return pool(processes)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "Pool", recording)
+    assert run(["search", "small", "--n-max", "100", "--workers", workers]) == 2
+    assert "n_max=100" in capsys.readouterr().err
+    assert sizes == ([] if workers == "1" else [2])
 
 
 def test_search_case12_modulus_past_k_lo_minus_one_exit_two(capsys):

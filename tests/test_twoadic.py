@@ -312,14 +312,14 @@ def test_disc_match_equals_comparison_with_exact_terms(k):
     params = SeqParams(k=k, family=LUCAS)
     for m in range(4):
         for r in range(k + 1):
-            parts = lucas_congruence_parts(k, m, r)
+            q = l_quantity(m, r)
             s = max(r - 2, 0)
             value = (k - 1) ** 2 * term(params, m * (k + 1) + r)
             assert value % (1 << s) == 0
             for bits in (1, 8, 1000):
-                mod = 1 << max(min(bits, parts[3] - s), 0)
+                mod = 1 << max(min(bits, k + r - 2 - s), 0)
                 expect = ((value >> s) - (scaled >> s)) % mod == 0, ((value >> s) + (scaled >> s)) % mod == 0
-                assert disc_match(k, r, parts, bits) == expect, (m, r, bits)
+                assert disc_match(k, m, r, q, bits) == expect, (m, r, bits)
 
 
 def test_valuation_law_witness():
