@@ -7,9 +7,9 @@ says where to put it, and a wrong seed costs time, never the answer.
 Each sign compares two integer powers through rounded-down and
 rounded-up truncations of them, widened until the two intervals
 separate, so it stays exact without forming the (k*s)-bit powers.  The
-inequality checks run in outward-rounded mpmath interval arithmetic over
-those exact dyadic root brackets.  A ``True``/``False`` answer is
-therefore proved, not sampled.  When an interval is too wide to decide a
+inequality checks bound each side over those exact dyadic root brackets
+by the same truncated powers and compare integers, so a ``True``/``False``
+answer is proved, not sampled.  When an interval is too wide to decide a
 strict inequality the computation retries with doubled precision, from
 128 bits up to a hard cap, and then raises :class:`PrecisionError`.
 
@@ -27,11 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from typing import Any, Callable, Optional
 
 import mpmath
-from mpmath.ctx_iv import MPIntervalContext
 
 from .sequences import LUCAS, SeqParams, term
 
@@ -208,85 +207,84 @@ def _escalate(decide: Callable[[int], Any], bits: int = 128, what: str = "undeci
     raise PrecisionError("%s at %d bits" % (what, MAX_PRECISION_BITS))
 
 
-# Private interval context; the global ``mpmath.iv`` precision is never touched.  Each decision
-# sets it to max(bits, k) + 8 plus the bit length of its integer operand, so that operand and the
-# endpoints of dominant_root(k, bits) (at most max(bits, k) + 1 significant bits) convert exactly.
-_IV = MPIntervalContext()
+def _enclosure(k: int, n: int, bits: int, w: int, lead: bool = True) -> list[tuple[int, int]]:
+    """[(lo, lo_den), (hi, hi_den)] bounding D(x) = f(x) (2x - 1) x^(n-1), or x^(n-1) alone without ``lead``.
+
+    x runs over the bracket [p, p + 1] / 2^s of ``dominant_root(k, bits)``, and each factor takes its
+    bound at one end by monotonicity: f falls (f' = (1 - k) / den^2), 2x - 1 rises, and x^(n-1) rises
+    for n >= 1 and falls below, its w-bit bounds from :func:`_pow_bounds` inverted for n < 1.
+    """
+    enc, s, m = dominant_root(k, bits), max(bits, k - 1), n - 1
+    q = 1 << s
+    p = enc.lo.numerator << (s + 1 - enc.lo.denominator.bit_length())
+    out = []
+    for up in (False, True):
+        big = (m >= 0) == up
+        lo, hi, e = _pow_bounds(p + big, abs(m), w)
+        num, den, t = (hi if big else lo), 1, e - s * abs(m)
+        if m < 0:
+            num, den, t = den, num, -t
+        if lead:
+            a, b = (p, p + 1) if up else (p + 1, p)  # the ends for f and for 2x - 1
+            f_den = 2 * q + (k + 1) * (a - 2 * q)
+            if not f_den > 0:
+                raise AssertionError("denominator not positive for k=%d" % (k,))
+            num, den, t = num * (a - q) * (2 * b - q), den * f_den, t - s
+        out.append((num << t, den) if t >= 0 else (num, den << -t))
+    return out
 
 
-def _alpha_iv(k: int, bits: int):
-    """``dominant_root(k, bits)`` as an ``_IV`` interval (``mpmath.mpf(p) / q`` would round to 53 bits)."""
-    enc = dominant_root(k, bits)
-    lo = _IV.mpf(enc.lo.numerator) / enc.lo.denominator
-    hi = _IV.mpf(enc.hi.numerator) / enc.hi.denominator
-    return _IV.mpf([lo.a, hi.b])
+def _growth_decision(k: int, n: int, value: int, bits: int) -> Optional[bool]:
+    """alpha^(n-1) <= value <= 2 alpha^n over ``dominant_root(k, bits)``: True, False or None (undecided)."""
+    w = max(bits, k) + value.bit_length() + 8
+    (a, a_den), (b, b_den) = _enclosure(k, n, bits, w, lead=False)
+    (c, c_den), (d, d_den) = _enclosure(k, n + 1, bits, w, lead=False)
+    if b <= value * b_den and value * c_den <= 2 * c:
+        return True
+    if a > value * a_den or 2 * d < value * d_den:
+        return False
+    return None
 
 
-def _dominant_iv(k: int, n: int, bits: int):
-    """Interval enclosing f(alpha) (2 alpha - 1) alpha^(n-1) at the current ``_IV`` precision."""
-    alpha = _alpha_iv(k, bits)
-    den = 2 + (k + 1) * (alpha - 2)
-    if not den.a > 0:
-        raise AssertionError("denominator interval not positive for k=%d" % (k,))
-    return (alpha - 1) / den * (2 * alpha - 1) * alpha ** (n - 1)
+def _binet_error_decision(k: int, n: int, value: int, bits: int) -> Optional[bool]:
+    """|value - D| < 3/2 over ``dominant_root(k, bits)``: True, False or None (undecided)."""
+    (a, a_den), (b, b_den) = _enclosure(k, n, bits, max(bits, k) + value.bit_length() + 8)
+    v = 2 * value
+    if 2 * b < (v + 3) * b_den and 2 * a > (v - 3) * a_den:
+        return True
+    if 2 * a >= (v + 3) * a_den or 2 * b <= (v - 3) * b_den:
+        return False
+    return None
+
+
+def _power2_decision(k: int, n: int, target: Fraction, bits: int) -> Optional[bool]:
+    """|D - target| < 36 target / 2^(k/2), squared, at the ends of D's enclosure: True, False or None."""
+    t, t_den = target.numerator, target.denominator
+    ends = [(num * t_den - t * den, 36 * t * den) for num, den in _enclosure(k, n, bits, max(bits, k) + 8)]
+    far = [(gap * gap << k) >= bound * bound for gap, bound in ends]
+    if not any(far):
+        return True
+    if all(far) and (ends[0][0] > 0 or ends[1][0] < 0):
+        return False
+    return None
 
 
 def growth_bounds_check(k: int, n: int) -> bool:
     """Certify alpha^(n-1) <= L(n) <= 2 alpha^n for n >= 0."""
     if n < 0:
         raise ValueError("growth bounds stated for n >= 0, got n=%d" % (n,))
-    value = term(SeqParams(k, LUCAS), n)
-
-    def decide(bits: int) -> Optional[bool]:
-        _IV.prec = max(bits, k) + value.bit_length() + 8
-        alpha = _alpha_iv(k, bits)
-        low = alpha ** (n - 1)
-        high = 2 * alpha**n
-        if low.b <= value <= high.a:
-            return True
-        if low.a > value or high.b < value:
-            return False
-        return None
-
-    return _escalate(decide)
+    return _escalate(partial(_growth_decision, k, n, term(SeqParams(k, LUCAS), n)))
 
 
 def binet_error_check(k: int, n: int) -> bool:
     """Certify |L(n) - f(alpha)(2 alpha - 1) alpha^(n-1)| < 3/2 for n >= 2-k."""
     if n < 2 - k:
         raise ValueError("index %d below domain minimum %d" % (n, 2 - k))
-    value = term(SeqParams(k, LUCAS), n)
-
-    def decide(bits: int) -> Optional[bool]:
-        _IV.prec = max(bits, k) + value.bit_length() + 8
-        err = abs(value - _dominant_iv(k, n, bits))
-        if 2 * err.b < 3:
-            return True
-        if 2 * err.a >= 3:
-            return False
-        return None
-
-    return _escalate(decide)
+    return _escalate(partial(_binet_error_decision, k, n, term(SeqParams(k, LUCAS), n)))
 
 
 def binet_vs_power2_check(k: int, n: int) -> bool:
-    """Certify |dominant term - 3*2^(n-2)| < 3*2^(n-2) * 36/2^(k/2).
-
-    Valid only under the stated proviso n < 2^(k/2); other n are a
-    domain error.
-    """
+    """Certify |dominant term - 3*2^(n-2)| < 3*2^(n-2) * 36/2^(k/2); n >= 2^(k/2) is a domain error."""
     if n > 0 and n * n >= (1 << k):
         raise ValueError("requires n < 2^(k/2), got n=%d k=%d" % (n, k))
-
-    def decide(bits: int) -> Optional[bool]:
-        _IV.prec = max(bits, k) + 8
-        target = _IV.ldexp(3, n - 2)
-        lhs = abs(_dominant_iv(k, n, bits) - target)
-        rhs = 36 * target / _IV.sqrt(2) ** k
-        if lhs.b < rhs.a:
-            return True
-        if lhs.a >= rhs.b:
-            return False
-        return None
-
-    return _escalate(decide)
+    return _escalate(partial(_power2_decision, k, n, Fraction(3 << max(n - 2, 0), 1 << max(2 - n, 0))))

@@ -1,8 +1,9 @@
 """Dominant-root enclosure tests against independent root computations."""
 
-from fractions import Fraction
-
+import math
 import time
+from fractions import Fraction
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -10,18 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.ctx_iv import MPIntervalContext
-from mpmath.libmp import to_rational
 
 from lucasdisc import roots
 from lucasdisc.roots import (
-    _IV,
     MAX_PRECISION_BITS,
+    PrecisionError,
     RootEnclosure,
-    _alpha_iv,
-    _dominant_iv,
+    _binet_error_decision,
+    _enclosure,
     _gap_sign,
+    _growth_decision,
     _last_negative,
     _pow_bounds,
+    _power2_decision,
     _seed_numerator,
     binet_error_check,
     binet_vs_power2_check,
@@ -29,6 +31,7 @@ from lucasdisc.roots import (
     gk_sign,
     growth_bounds_check,
 )
+from lucasdisc.sequences import LUCAS, SeqParams, term
 
 
 def exact_sign(k, x):
@@ -244,39 +247,195 @@ def test_dominant_root_at_k_20001_is_fast_and_certified():
     assert signs == [-1, 1]
 
 
+def within(bounds, x):
+    """Whether lo/lo_den <= x <= hi/hi_den for ``_enclosure`` bounds and an exact rational x."""
+    (lo, lo_den), (hi, hi_den) = bounds
+    num, den = x
+    return lo * den <= num * lo_den and num * hi_den <= hi * den
+
+
+def exact_power(x, m):
+    """x^m as an unreduced (numerator, denominator) pair: exact, without the gcds of big operands."""
+    p, q = x.numerator, x.denominator
+    return (p**m, q**m) if m >= 0 else (q**-m, p**-m)
+
+
+def exact_dominant(k, n, x):
+    """D(x) = f(x) (2x - 1) x^(n-1) as an unreduced (numerator, denominator) pair."""
+    lead = (x - 1) / (2 + (k + 1) * (x - 2)) * (2 * x - 1)
+    num, den = exact_power(x, n - 1)
+    return lead.numerator * num, lead.denominator * den
+
+
 def test_binet_dominant_is_a_tight_interval():
-    iv = _dominant_iv(5, 9, 128)
-    lo, hi = iv.a, iv.b
+    (lo, lo_den), (hi, hi_den) = _enclosure(5, 9, 128, 128 + 9 + 8)
+    lo, hi = Fraction(lo, lo_den), Fraction(hi, hi_den)
     assert lo <= hi
     # The dominant term should sit within 3/2 of the exact value 352.
     assert abs(352 - lo) < 2 and abs(352 - hi) < 2
 
 
-def exact_endpoints(x):
-    """The endpoints of an mpmath interval as Fractions."""
-    return tuple(Fraction(*to_rational(e)) for e in x._mpi_)
+ENCLOSURE_KS = [2, 3, 5, 12, 20, 29, 30]
+ENCLOSURE_BITS = [16, 128, 256]
 
 
-@pytest.mark.parametrize("k", [2, 3, 5, 12, 20, 29, 30])
-@pytest.mark.parametrize("bits", [16, 128, 256])
+def enclosure_ns(k):
+    return sorted({2 - k, 0, 1, 2, 3, 50, 700, 3000})
+
+
+@pytest.mark.parametrize("k", ENCLOSURE_KS)
+@pytest.mark.parametrize("bits", ENCLOSURE_BITS)
 def test_interval_power_encloses_exact_powers(k, bits):
-    # At 53 bits the dyadic endpoints round outward on conversion; at the
-    # second precision they convert exactly.  Both must enclose.
+    # At 53 bits the powers are cut hard; at the second width they are cut
+    # only past the bit length of the check's operand.  Both must enclose
+    # the exact power at both bracket ends.
     enc = dominant_root(k, bits)
-    for n in sorted({2 - k, 0, 1, 2, 3, 50, 700, 3000}):
-        exact = (enc.lo ** (n - 1), enc.hi ** (n - 1))
-        for prec in (53, max(bits, k) + max(n, 0) + 8):
-            _IV.prec = prec
-            lo, hi = exact_endpoints(_alpha_iv(k, bits) ** (n - 1))
-            assert all(lo <= x <= hi for x in exact), (n, prec)
+    for n in enclosure_ns(k):
+        for w in (53, max(bits, k) + max(n, 0) + 8):
+            bounds = _enclosure(k, n, bits, w, lead=False)
+            assert all(within(bounds, exact_power(x, n - 1)) for x in (enc.lo, enc.hi)), (n, w)
 
 
-def test_dominant_iv_encloses_exact_dominant_terms():
-    enc = dominant_root(5, 128)
-    _IV.prec = 128 + 9 + 8
-    lo, hi = exact_endpoints(_dominant_iv(5, 9, 128))
-    for x in (enc.lo, enc.hi):
-        assert lo <= (x - 1) / (2 + 6 * (x - 2)) * (2 * x - 1) * x**8 <= hi
+def test_enclosure_contains_exact_dominant_terms():
+    for k in ENCLOSURE_KS:
+        for bits in ENCLOSURE_BITS:
+            enc = dominant_root(k, bits)
+            for n in enclosure_ns(k):
+                bounds = _enclosure(k, n, bits, max(bits, k) + max(n, 0) + 8)
+                assert all(within(bounds, exact_dominant(k, n, x)) for x in (enc.lo, enc.hi)), (k, bits, n)
+
+
+# The inequality checks as they were decided before the integer rewrite, on
+# outward-rounded mpmath intervals: an oracle for the integer decisions.
+ORACLE_IV = MPIntervalContext()
+
+
+def oracle_alpha(k, bits):
+    enc = dominant_root(k, bits)
+    lo = ORACLE_IV.mpf(enc.lo.numerator) / enc.lo.denominator
+    hi = ORACLE_IV.mpf(enc.hi.numerator) / enc.hi.denominator
+    return ORACLE_IV.mpf([lo.a, hi.b])
+
+
+def oracle_dominant(k, n, bits):
+    alpha = oracle_alpha(k, bits)
+    den = 2 + (k + 1) * (alpha - 2)
+    assert den.a > 0
+    return (alpha - 1) / den * (2 * alpha - 1) * alpha ** (n - 1)
+
+
+def oracle_growth(k, n, value, bits):
+    ORACLE_IV.prec = max(bits, k) + value.bit_length() + 8
+    alpha = oracle_alpha(k, bits)
+    low, high = alpha ** (n - 1), 2 * alpha**n
+    if low.b <= value <= high.a:
+        return True
+    if low.a > value or high.b < value:
+        return False
+    return None
+
+
+def oracle_binet_error(k, n, value, bits):
+    ORACLE_IV.prec = max(bits, k) + value.bit_length() + 8
+    err = abs(value - oracle_dominant(k, n, bits))
+    if 2 * err.b < 3:
+        return True
+    if 2 * err.a >= 3:
+        return False
+    return None
+
+
+def oracle_power2(k, n, target, bits):
+    ORACLE_IV.prec = max(bits, k) + 8
+    target = ORACLE_IV.mpf(target.numerator) / target.denominator
+    lhs = abs(oracle_dominant(k, n, bits) - target)
+    rhs = 36 * target / ORACLE_IV.sqrt(2) ** k
+    if lhs.b < rhs.a:
+        return True
+    if lhs.a >= rhs.b:
+        return False
+    return None
+
+
+def lucas(k, n):
+    return term(SeqParams(k, LUCAS), n)
+
+
+def power2_target(n):
+    return Fraction(3 << max(n - 2, 0), 1 << max(2 - n, 0))
+
+
+def verdict(decision, k, n, compared):
+    try:
+        return roots._escalate(partial(decision, k, n, compared))
+    except PrecisionError:
+        return "PrecisionError"
+
+
+def agreement_cells():
+    """(integer decision, oracle decision, k, n, compared value): a few hundred cells."""
+    cells = []
+    for k in (2, 3, 5, 10, 20):
+        for n in sorted(n for n in {2 - k, -1, 0, 1, 2, 3, 7, 30, 1000, 1300} if n >= 2 - k):
+            for d in (-2, -1, 0, 1, 2):
+                cells.append((_binet_error_decision, oracle_binet_error, k, n, lucas(k, n) + d))
+    for k in (2, 5, 12):
+        for n in (0, 1, 2, 5, 40, 1000):
+            for value in (lucas(k, n) - 1, lucas(k, n), lucas(k, n) + 1, 0, 3 * lucas(k, n)):
+                cells.append((_growth_decision, oracle_growth, k, n, value))
+    limit = math.isqrt((1 << 30) - 1)
+    for n in sorted({-3, 0, 1, 2, 3, 5, 8, 16, limit // 16, limit // 4, limit // 2, limit}):
+        for scale in (1, 2, Fraction(1, 2), 1 + Fraction(36, 1 << 15), 1 - Fraction(36, 1 << 15)):
+            cells.append((_power2_decision, oracle_power2, 30, n, power2_target(n) * scale))
+    return cells
+
+
+def test_integer_decisions_agree_with_the_interval_oracle():
+    cells = agreement_cells()
+    verdicts = {True: 0, False: 0}
+    for decision, oracle, k, n, compared in cells:
+        got = verdict(decision, k, n, compared)
+        assert got == verdict(oracle, k, n, compared), (decision.__name__, k, n, compared)
+        verdicts[got] = verdicts.get(got, 0) + 1
+    assert len(cells) >= 200 and verdicts[True] > 0 and verdicts[False] > 0
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 10, 20])
+def test_binet_error_refutes_a_value_two_off(k):
+    # At n = 0 and 1 the error L(n) - D is near 3/2, so a value two off may still pass.
+    for n in sorted({2 - k, 2, 3, 10, 100, 1000} - {0, 1}):
+        for d in (-2, 2):
+            assert roots._escalate(partial(_binet_error_decision, k, n, lucas(k, n) + d)) is False, (n, d)
+
+
+@pytest.mark.parametrize("k", [2, 5, 12, 20])
+def test_growth_refutes_values_outside_the_bounds(k):
+    enc = dominant_root(k)
+    for n in [0, 1, 2, 5, 40]:
+        below = math.floor(enc.lo ** (n - 1)) - 1  # at least 1 below alpha^(n-1)
+        above = math.ceil(2 * enc.hi**n) + 1  # at least 1 above 2 alpha^n
+        for value in (below, above):
+            assert roots._escalate(partial(_growth_decision, k, n, value)) is False, (n, value)
+
+
+@pytest.mark.parametrize("k", [13, 20, 30])
+def test_power2_refutes_a_shifted_target(k):
+    limit = math.isqrt((1 << k) - 1)
+    bound = Fraction(36, 1 << (k // 2))  # at least 36 / 2^(k/2)
+    for n in sorted({0, 1, 2, 5, limit // 2, limit}):
+        target = power2_target(n)
+        for shifted in (target * 2, target / 2, target * (1 + 2 * bound), target * (1 - 2 * bound)):
+            assert roots._escalate(partial(_power2_decision, k, n, shifted)) is False, (n, shifted)
+
+
+def test_binet_error_escalates_past_2048_bits_and_stops_at_the_cap():
+    value = lucas(10, 4000)
+    levels = [128 << i for i in range(6)]
+    assert levels[-1] == MAX_PRECISION_BITS
+    assert [_binet_error_decision(10, 4000, value, bits) for bits in levels] == [None] * 5 + [True]
+    assert binet_error_check(10, 4000)
+    with pytest.raises(PrecisionError):
+        binet_error_check(10, 4100)
 
 
 def test_checks_leave_global_mpmath_precision_alone():
