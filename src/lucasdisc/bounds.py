@@ -13,17 +13,17 @@ within 300 of a power of two, m in a narrow band.  Each link of that
 chain is computed here.  The window is decided by one exact integer
 per k, l(k) = floor(10(k-2) log2 k) (:func:`_ell`): the integers in it,
 the m band at each k and the n cap all derive from l(k).  w(k) itself
-is computed in mpmath only to be shown, as a float or as digits.
+is computed in the standard library's decimal only to be shown, as a
+float or as digits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from decimal import Context, Decimal, localcontext
+from functools import cache, lru_cache
 from typing import NamedTuple
-
-import mpmath
 
 from .roots import _escalate, _last_negative, _pow_bounds
 
@@ -41,7 +41,8 @@ __all__ = [
     "bound_profile",
 ]
 
-_MP_PREC = 160
+#: Significant digits of the linear-forms gap, about 160 bits.
+_GAP_DIGITS = 48
 
 #: Cap on k from the linear-forms bound (solve_matveev_k_bound's k_max
 #: rounded up); the campaigns search below it.
@@ -85,10 +86,17 @@ def _ell(k: int) -> int:
     return _escalate(decide, 128, "window integer l(k) for k=%d undecided" % (k,))
 
 
-def _w(k: int) -> mpmath.mpf:
+@cache
+def _ln2(digits: int) -> Decimal:
+    """ln 2 to `digits` significant digits."""
+    return Decimal(2).ln(Context(prec=digits))
+
+
+def _w(k: int) -> Decimal:
     """w(k) = k + (k-2) log2(k) - 1/10 to 80 bits past k's bit length, for display only."""
-    with mpmath.workprec(k.bit_length() + 80):
-        return (k - mpmath.mpf(1) / 10) + (k - 2) * mpmath.log(k) / mpmath.log(2)
+    digits = math.ceil((k.bit_length() + 80) * math.log10(2)) + 2
+    with localcontext(Context(prec=digits)):
+        return (k - Decimal("0.1")) + (k - 2) * Decimal(k).ln() / _ln2(digits)
 
 
 def n_window(k: int) -> tuple[float, float]:
@@ -129,14 +137,15 @@ class MatveevBound(NamedTuple):
     n_max: int
 
 
-def _matveev_gap(k: int) -> mpmath.mpf:
+def _matveev_gap(k: int) -> Decimal:
     """(k/2) log 2 - 3.5e11 (log k)^2 log(3 k log k); negative while k survives.
 
     3.5e11 is the paper's aggregated linear-forms constant, taken as given;
     it is not derived here.
     """
-    logk = mpmath.log(k)
-    return k * mpmath.log(2) / 2 - 3.5e11 * logk**2 * mpmath.log(3 * k * logk)
+    with localcontext(Context(prec=_GAP_DIGITS)):
+        logk = Decimal(k).ln()
+        return k * _ln2(_GAP_DIGITS) / 2 - Decimal("3.5e11") * logk**2 * (3 * k * logk).ln()
 
 
 @lru_cache(maxsize=1)
@@ -145,11 +154,10 @@ def solve_matveev_k_bound() -> MatveevBound:
     plus the n cap that window implies at that k.
 
     Bisects the sign change of (k/2) log 2 - 3.5e11 (log k)^2 log(3 k log k)
-    in high precision.  Both outputs are hard caps used by the search
-    campaigns (k below 7e16, n below 4e18).
+    in 48-digit decimal arithmetic.  Both outputs are hard caps used by the
+    search campaigns (k below 7e16, n below 4e18).
     """
-    with mpmath.workprec(_MP_PREC):
-        k_max = _last_negative(_matveev_gap, 10**3, 10**20)
+    k_max = _last_negative(_matveev_gap, 10**3, 10**20)
     return MatveevBound(k_max=k_max, n_max=window_integers(k_max)[-1])
 
 

@@ -25,10 +25,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from decimal import Decimal
+from decimal import Context, Decimal
 from fractions import Fraction
-
-import mpmath
 
 from .sequences import FIBONACCI, LUCAS, SeqParams, term
 from .twoadic import nu2, disc_nu2
@@ -174,6 +172,12 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 1 if report.survivors else 0
 
 
+def _nstr(x: Decimal, ctx: Context) -> str:
+    """x rounded in ctx, in fixed point without trailing zeros but with one digit after the point."""
+    text = format(ctx.normalize(x), "f")
+    return text if "." in text else text + ".0"
+
+
 def _cmd_bounds(args: argparse.Namespace) -> int:
     k = args.k
     profile = None if k is None else bound_profile(k)  # rejects k <= 200 before anything prints
@@ -187,9 +191,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     if profile is not None:
         print("k = %d:" % k)
         w = _w(k)
-        with mpmath.workprec(k.bit_length() + 80):
-            digits = len(str(int(w))) + 10
-            print("  n window: (%s, %s)" % (mpmath.nstr(w, digits), mpmath.nstr(w + mpmath.mpf(24) / 10, digits)))
+        shown = Context(prec=len(str(int(w))) + 10)
+        print("  n window: (%s, %s)" % (_nstr(w, shown), _nstr(shown.add(w, Decimal("2.4")), shown)))
         print("  n in the window: %s" % ", ".join(map(str, window_integers(k))))
         print("  m range: %d .. %d" % (profile.m_lo, profile.m_hi))
         print("  max nu2 of the congruence quantity: %d" % profile.a_max)

@@ -30,7 +30,6 @@ from .twoadic import (
     l_quantity_nu2,
     lucas_congruence_parts,
     nu2,
-    residue_decomposition,
     disc_nu2,
 )
 from .roots import (
@@ -150,7 +149,7 @@ def check_congruence_table(scale: int = 1) -> list[Failure]:
     m_hi = 2 + 2 * scale
     for k in range(2, k_hi + 1):
         for n, value in term_iter(SeqParams(k=k, family=LUCAS), 0):
-            m, r = residue_decomposition(n, k)
+            m, r = divmod(n, k + 1)
             if m > m_hi:
                 break
             sign, odd, shift, exponent = lucas_congruence_parts(k, m, r)
@@ -166,7 +165,7 @@ def check_valuation_law(scale: int = 1) -> list[Failure]:
     m_hi = 2 + 2 * scale
     for k in range(4, k_hi + 1):
         for n, value in term_iter(SeqParams(k=k, family=LUCAS), 0):
-            m, r = residue_decomposition(n, k)
+            m, r = divmod(n, k + 1)
             if m > m_hi:
                 break
             _, _, shift, exponent = lucas_congruence_parts(k, m, r)
@@ -258,7 +257,7 @@ def check_small_k_cross_validation(scale: int = 1) -> list[Failure]:
         for n, value in term_iter(params, 0):
             if n >= 2 and value > delta:
                 break
-            m, r = residue_decomposition(n, k)
+            m, r = divmod(n, k + 1)
             sign, odd, shift, exponent = lucas_congruence_parts(k, m, r)
             if (value - (sign * odd << shift)) % (1 << exponent):
                 out.append(_fail("small_k_cross_validation", "congruence violated", k=k, n=n))

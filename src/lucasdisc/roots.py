@@ -30,8 +30,6 @@ from fractions import Fraction
 from functools import cache, lru_cache, partial
 from typing import Any, Callable, Optional
 
-import mpmath
-
 from .sequences import LUCAS, SeqParams, term
 
 __all__ = [
@@ -146,24 +144,26 @@ def _last_negative(f: Callable[[int], Any], lo: int, hi: int) -> int:
 
 
 def _seed_numerator(k: int, s: int) -> int:
-    """A guess at floor(alpha(k) 2^s): Newton on x^k (x - 2) + 1 from x = 2, at s + 64 bits.
+    """A guess at floor(alpha(k) 2^s): Newton on x^k (x - 2) + 1 from x = 2, in (s + 64)-bit fixed point.
 
     The function is increasing and convex on [alpha, 2], so the iterates fall
-    monotonically to alpha.  alpha = 2 - 2^-k - k 2^(-2k-1) - ... is 2 minus
-    a series in 2^-k with dyadic coefficients, so alpha 2^s often lies just
-    below an integer, and then the guess comes out one too high.  Nothing
-    rests on it: :func:`dominant_root` certifies it with exact signs.
+    monotonically to alpha.  x^(k-1) is the rounded-down mantissa lo 2^e of
+    :func:`_pow_bounds`, with the step's numerator and denominator divided by
+    2^e.  alpha = 2 - 2^-k - k 2^(-2k-1) - ... is 2 minus a series in 2^-k
+    with dyadic coefficients, so alpha 2^s often lies just below an integer,
+    and then the guess comes out one too high.  Nothing rests on it:
+    :func:`dominant_root` certifies it with exact signs.
     """
-    with mpmath.workprec(s + 64):
-        x = mpmath.mpf(2)
-        tol = mpmath.ldexp(1, -(s + 32))
-        for _ in range(2 * s.bit_length() + 16):
-            xk1 = x ** (k - 1)
-            step = (xk1 * x * (x - 2) + 1) / (xk1 * ((k + 1) * x - 2 * k))
-            x -= step
-            if step < tol:
-                break
-        return int(mpmath.floor(mpmath.ldexp(x, s)))
+    t = s + 64
+    two = 2 << t
+    x = two
+    for _ in range(2 * s.bit_length() + 16):
+        lo, _, e = _pow_bounds(x, k - 1, t + 32)
+        step = (lo * x * (x - two) + (1 << ((k + 1) * t - e))) // (lo * ((k + 1) * x - k * two))
+        x -= step
+        if step < 1 << 32:
+            break
+    return x >> 64
 
 
 @lru_cache(maxsize=None)

@@ -39,7 +39,6 @@ __all__ = [
     "l_quantity_nu2",
     "lucas_congruence_parts",
     "disc_match",
-    "residue_decomposition",
     "disc_nu2",
 ]
 
@@ -174,16 +173,6 @@ def disc_match(k: int, m: int, r: int, q: int, bits: int) -> tuple[bool, bool]:
         lhs = -lhs
     rhs = _scaled_disc_residue(k, s, e)
     return (lhs - rhs) & mask == 0, (lhs + rhs) & mask == 0
-
-
-def residue_decomposition(n: int, k: int) -> tuple[int, int]:
-    """Split n >= 0 as n = r + m(k+1) with 0 <= r <= k; returns (m, r)."""
-    if n < 0:
-        raise ValueError("need n >= 0, got n=%d" % (n,))
-    if k < 2:
-        raise ValueError("need k >= 2, got k=%d" % (k,))
-    m, r = divmod(n, k + 1)
-    return m, r
 
 
 def disc_nu2(k: int) -> int:

@@ -1,5 +1,6 @@
 """Discriminants, windows, and exclusion-bound solver tests."""
 
+import decimal
 import math
 
 import mpmath
@@ -22,7 +23,7 @@ from lucasdisc.bounds import (
     solve_matveev_k_bound,
     window_integers,
 )
-from lucasdisc.roots import PrecisionError
+from lucasdisc.roots import PrecisionError, binet_error_check, growth_bounds_check
 from lucasdisc.twoadic import nu2
 
 
@@ -133,10 +134,30 @@ def test_matveev_solver_caps():
     assert caps.n_max == 3745158725196720903
     assert caps.k_max < 7 * 10**16
     assert caps.n_max < 4 * 10**18
-    # The cap is the last k before the gap turns nonnegative.
+    # The cap is the last k before the gap turns nonnegative, in the solver's
+    # decimal gap and in a 160-bit mpmath one.
+    assert _matveev_gap(caps.k_max) < 0 <= _matveev_gap(caps.k_max + 1)
+    assert mpmath_gap_160(caps.k_max) < 0 <= mpmath_gap_160(caps.k_max + 1)
     with mpmath.workprec(160):
-        assert _matveev_gap(caps.k_max) < 0 <= _matveev_gap(caps.k_max + 1)
         assert caps.n_max == int(mpmath.floor(w_200(caps.k_max) + mpmath.mpf(12) / 5))
+
+
+def mpmath_gap_160(k):
+    """(k/2) log 2 - 3.5e11 (log k)^2 log(3 k log k) in 160-bit arithmetic."""
+    with mpmath.workprec(160):
+        logk = mpmath.log(k)
+        return k * mpmath.log(2) / 2 - mpmath.mpf("3.5e11") * logk**2 * mpmath.log(3 * k * logk)
+
+
+def test_decimal_work_leaves_the_global_context_alone():
+    # Each decimal computation sets its own precision: a 7-digit global
+    # context neither changes a result nor is changed.
+    with decimal.localcontext() as ctx:
+        ctx.prec = 7
+        assert growth_bounds_check(7, 30) and binet_error_check(7, 30)
+        assert bound_profile(1024).n_lo == 11243.9
+        assert solve_matveev_k_bound.__wrapped__() == solve_matveev_k_bound()
+        assert decimal.getcontext().prec == 7
 
 
 def test_bl_chain_caps():

@@ -6,17 +6,18 @@ import re
 import shlex
 import subprocess
 import sys
-from decimal import Decimal
+from decimal import Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import multiprocessing
 
+import mpmath
 import pytest
 
 import lucasdisc
 from lucasdisc.bounds import K_CAP, _ell, discriminant
-from lucasdisc.cli import run
+from lucasdisc.cli import _nstr, run
 from lucasdisc.roots import dominant_root
 from lucasdisc.sequences import FIBONACCI, LUCAS, SeqParams, term_iter
 
@@ -227,6 +228,23 @@ def test_bounds(capsys):
     assert "8 .. 57" in out
     assert "11243.9" in out
     assert "n in the window: 11244, 11245, 11246" in out
+
+
+# 1024: w(k) = 11243.9 is rational; 2^40 and K_CAP - 1: the widest k.
+@pytest.mark.parametrize("k", [222, 362, 1024, 2**40, K_CAP - 1])
+def test_bounds_window_line_matches_mpmath_nstr(k, capsys):
+    with mpmath.workprec(k.bit_length() + 80):
+        w = k + (k - 2) * mpmath.log(k) / mpmath.log(2) - mpmath.mpf(1) / 10
+        digits = len(str(int(w))) + 10
+        expected = "  n window: (%s, %s)" % (mpmath.nstr(w, digits), mpmath.nstr(w + mpmath.mpf(24) / 10, digits))
+    assert run(["bounds", "--k", str(k)]) == 0
+    assert expected in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("x", ["11240.00000000001", "11239.99999999999", "11243.9000000000000001", "201.5"])
+def test_window_digits_keep_one_decimal_like_mpmath_nstr(x):
+    # A w(k) that rounds to an integer is shown as "N.0", as mpmath.nstr shows it.
+    assert _nstr(Decimal(x), Context(prec=15)) == mpmath.nstr(mpmath.mpf(x), 15)
 
 
 def test_bounds_rejects_small_k_before_printing(capsys):

@@ -16,7 +16,6 @@ PUBLIC = {
     ],
     "twoadic": [
         "disc_match", "disc_nu2", "l_quantity", "l_quantity_nu2", "lucas_congruence_parts", "nu2",
-        "residue_decomposition",
     ],
     "roots": [
         "MAX_PRECISION_BITS", "PrecisionError", "RootEnclosure", "binet_error_check",
@@ -37,7 +36,7 @@ PUBLIC = {
 
 def test_package_exports_each_public_name_once():
     expected = [name for names in PUBLIC.values() for name in names] + ["__version__"]
-    assert len(expected) == 50
+    assert len(expected) == 49
     assert len(lucasdisc.__all__) == len(set(lucasdisc.__all__))
     assert sorted(lucasdisc.__all__) == sorted(expected)
 
@@ -49,13 +48,23 @@ def test_package_names_are_the_module_objects():
             assert getattr(lucasdisc, name) is getattr(mod, name), (module, name)
 
 
-def test_campaigns_leave_window_arithmetic_to_bounds():
-    # The window is decided by bounds' integer l(k); campaigns never evaluates w(k).
-    assert not hasattr(importlib.import_module("lucasdisc.campaigns"), "mpmath")
+def run_python(code):
+    src = str(Path(lucasdisc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60, stdout=subprocess.DEVNULL)
+
+
+def test_runtime_runs_without_mpmath():
+    # mpmath is a test-only oracle: with every import of it failing, the
+    # package and each kind of CLI command still run.
+    run_python(
+        "import sys; sys.modules['mpmath'] = None\n"
+        "import lucasdisc, lucasdisc.cli as cli\n"
+        "for argv in (['bounds', '--k', '1024'], ['root', '--k', '5', '--precision-bits', '128'],\n"
+        "             ['search', 'case0', '--format', 'jsonl', '--no-timing']):\n"
+        "    assert cli.run(argv) == 0, argv\n"
+    )
 
 
 def test_package_import_leaves_the_cli_out():
-    src = str(Path(lucasdisc.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import lucasdisc, sys; assert 'lucasdisc.cli' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+    run_python("import lucasdisc, sys; assert 'lucasdisc.cli' not in sys.modules")

@@ -5,7 +5,6 @@ import time
 from fractions import Fraction
 from functools import partial
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,6 +99,14 @@ def test_enclosure_equals_fraction_bisection_property(k, bits):
     # first bracket [p - 1, p + 1] already straddles the sign change.
     s = max(bits, k - 1)
     assert abs(_seed_numerator(k, s) - enc.lo * 2**s) <= 1
+
+
+# The query strata's top ends at 1024 bits, and k = 300 at 128 bits, where
+# the scale s = k - 1 exceeds the requested bits.
+@pytest.mark.parametrize("k, bits", [(455, 1024), (1000, 1024), (1003, 1024), (5000, 1024), (300, 128)])
+def test_seed_within_one_unit_at_large_k(k, bits):
+    s = max(bits, k - 1)
+    assert abs(_seed_numerator(k, s) - dominant_root(k, bits).lo * 2**s) <= 1
 
 
 @pytest.mark.parametrize("offset", [1, -1, 7, -7, 2**20, -(2**20)])
@@ -436,17 +443,6 @@ def test_binet_error_escalates_past_2048_bits_and_stops_at_the_cap():
     assert binet_error_check(10, 4000)
     with pytest.raises(PrecisionError):
         binet_error_check(10, 4100)
-
-
-def test_checks_leave_global_mpmath_precision_alone():
-    saved = mpmath.iv.prec, mpmath.mp.prec
-    try:
-        mpmath.iv.prec, mpmath.mp.prec = 71, 67
-        assert growth_bounds_check(7, 30) and binet_error_check(7, 30) and binet_vs_power2_check(13, 20)
-        assert dominant_root.__wrapped__(9, 200) == dominant_root(9, 200)
-        assert (mpmath.iv.prec, mpmath.mp.prec) == (71, 67)
-    finally:
-        mpmath.iv.prec, mpmath.mp.prec = saved
 
 
 @pytest.mark.parametrize("k", range(2, 13))

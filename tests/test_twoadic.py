@@ -19,7 +19,6 @@ from lucasdisc.twoadic import (
     l_quantity_nu2,
     lucas_congruence_parts,
     nu2,
-    residue_decomposition,
 )
 from lucasdisc.bounds import discriminant
 from lucasdisc.campaigns import A_MINUS1_MAX, K_CAP
@@ -196,7 +195,7 @@ def test_truncation_one_bit_past_e(k):
 @pytest.mark.parametrize("k", range(2, 13))
 def test_truncation_one_bit_past_e_walked(k):
     for n, value in term_iter(SeqParams(k=k, family=LUCAS), 0):
-        m, r = residue_decomposition(n, k)
+        m, r = divmod(n, k + 1)
         if m > 6:
             break
         assert_truncation(k, m, r, value)
@@ -347,14 +346,6 @@ def test_valuation_law_grid(k):
 def test_disc_nu2_against_exact(k):
     assert disc_nu2(k) == nu2(discriminant(k))
     assert disc_nu2(k) == (0 if k % 2 == 0 else k - 1)
-
-
-@given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=2, max_value=1000))
-@settings(max_examples=80, deadline=None)
-def test_residue_decomposition_round_trip(n, k):
-    m, r = residue_decomposition(n, k)
-    assert n == m * (k + 1) + r
-    assert 0 <= r <= k
 
 
 def test_domain_errors():
