@@ -38,7 +38,16 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .sequences import LUCAS, SeqParams, term_iter
-from .twoadic import _l_quantities, disc_match, disc_nu2, l_quantity, l_quantity_nu2, lucas_congruence_parts, nu2
+from .twoadic import (
+    _l_quantities,
+    _odd_disc_core,
+    disc_match,
+    disc_nu2,
+    l_quantity,
+    l_quantity_nu2,
+    lucas_congruence_parts,
+    nu2,
+)
 from .bounds import (
     K_CAP,
     _ell,
@@ -65,9 +74,29 @@ __all__ = [
 #: Largest value of a - 1 = k - r that the r >= 3 campaign must consider:
 #: ``bound_profile(K_CAP).a_max - 1`` = floor(6 ln K_CAP + 2) - 1.
 A_MINUS1_MAX = 233
-#: case3 first decides filter 2 modulo 2^(a + 24): the odd-k core is then 22
-#: bits, one CPython digit, and 12,126 of the 12,219 matches already fail there.
+#: case3 first decides filter 2 modulo 2^(a + 24) (:func:`_case3_low_match`):
+#: the odd-k core is then 22 bits, one CPython digit, and 12,126 of the 12,219
+#: matches already fail there.  For w >= 3 and odd k >= w - 1 the core
+#: ``_odd_disc_core(k, w)`` depends only on k mod 2^w, so a scan computes one
+#: 22-bit core per class of k mod 2^22: 2,316 for the 12,219 matches.
 _CASE3_LOW_BITS = 24
+_CASE3_LOW_MASK = (1 << _CASE3_LOW_BITS - 2) - 1
+
+
+def _case3_low_match(k: int, m: int, a: int, q: int, core: int) -> bool:
+    """``disc_match(k, m, r, q, a + 24)[0]`` for a case3 match, r = k - a + 1 >= 25.
+
+    ``core`` is ``_odd_disc_core(k, 22)`` and q = B(m, r) with nu2(q) = a.
+    At r >= 3 the left side is (-1)^m (k-1)^2 B unshifted; the modulus
+    2^min(a + 24, k) is 2^(a + 24) because k >= a + 24; and the right side
+    is the core shifted by k + 1 - (r - 2) = a + 2 bits.  Only q's low
+    a + 24 bits enter the product.
+    """
+    mask = (1 << a + _CASE3_LOW_BITS) - 1
+    lhs = (k - 1) * (k - 1) * (q & mask)
+    if m & 1:
+        lhs = -lhs
+    return (lhs - (core << a + 2)) & mask == 0
 
 
 class CandidatePair(NamedTuple):
@@ -392,20 +421,29 @@ def campaign_case3(
     The clamp at 2^k keeps the modulus no stronger than the underlying
     congruence supports; it is inert for filter-1 survivors at the
     default parameters.  Past the factor 2^(k+1), the odd-k core
-    k^k - ((k+1)/2)^(k+1) is needed modulo 2^min(extra - 2, r - 3), and
-    a mismatch at a + min(24, extra) bits (a core of width <= 22) is one
-    at a + extra bits, so only the matches that pass take the full width.
-    Each match's exact B comes from one binomial walk per m over its
-    matches' increasing r (:func:`lucasdisc.twoadic._l_quantities`).
+    k^k - ((k+1)/2)^(k+1) is needed modulo 2^min(extra - 2, r - 3).  When
+    extra > 24 and r >= 25, a mismatch at a + 24 bits (a 22-bit core,
+    :func:`_case3_low_match`) is one at a + extra bits, so only the
+    matches that pass take the full width.  The core is a function of k
+    mod 2^w for w >= 3 and odd k >= w - 1: k^k reduces its base mod 2^w
+    and its exponent mod 2^(w-2); k -> k + 2^w moves h = (k+1)/2 by
+    2^(w-1), and since the reduced exponent of h is even,
+    (h + 2^(w-1))^e == h^e (mod 2^w); and the second power vanishes for
+    even h throughout the class, as k + 1 >= w.  So each scan computes
+    one 22-bit core per class of k mod 2^22 it meets.  Each match's
+    exact B comes from one binomial walk per m over its matches'
+    increasing r (:func:`lucasdisc.twoadic._l_quantities`).
     """
     if modulus_extra_bits < 2:
         raise ValueError("need modulus_extra_bits >= 2, got %d" % (modulus_extra_bits,))
     m_lo, m_hi = m_range(K_CAP)
-    extra, low = modulus_extra_bits, min(_CASE3_LOW_BITS, modulus_extra_bits)
+    extra = modulus_extra_bits
+    prefilter = extra > _CASE3_LOW_BITS
 
     def scan(ms: range):
         triples = 0
         candidates: list[CandidatePair] = []
+        cores: dict[int, int] = {}  # k mod 2^22 -> _odd_disc_core(k, 22)
         survivors = 0
         band_candidates = 0
         band_survivors = 0
@@ -430,7 +468,13 @@ def campaign_case3(
             for (r, a, k), q in zip(matches, _l_quantities(m, [r for r, _, _ in matches])):
                 if nu2(q) != a:
                     raise AssertionError("closed-form nu2(B) wrong at m=%d r=%d" % (m, r))
-                survived = disc_match(k, m, r, q, a + low)[0] and disc_match(k, m, r, q, a + extra)[0]
+                passed = True
+                if prefilter and r > _CASE3_LOW_BITS:  # the modulus 2^(a + 24) is below 2^k
+                    core = cores.get(k & _CASE3_LOW_MASK)
+                    if core is None:
+                        core = cores[k & _CASE3_LOW_MASK] = _odd_disc_core(k, _CASE3_LOW_BITS - 2)
+                    passed = _case3_low_match(k, m, a, q, core)
+                survived = passed and disc_match(k, m, r, q, a + extra)[0]
                 candidates.append(
                     CandidatePair(
                         k=k,

@@ -128,8 +128,10 @@ def _closed_form(params: SeqParams, n: int) -> int:
     """Term n >= 2 from the generating-function sum, in exact integers.
 
     Step j holds C(N, j) with N = n - jk, and its bracket is
-    :func:`_bracket_ratio` of that binomial.  The next binomial is
-    C(N-k, j+1) = C(N, j) perm(N-j, k+1) / ((j+1) perm(N, k)).  The
+    :func:`_bracket_ratio` of that binomial.  The next binomial
+    C(N-k, j+1) is ``math.comb`` itself while j + 1 <= k, and after that
+    C(N, j) perm(N-j, k+1) / ((j+1) perm(N, k)): a product of k + 1
+    factors costs less than a binomial with more than k factors.  The
     signed brackets are accumulated Horner-style, shifted k + 1 bits per
     step, and the last power 2^(n - j(k+1)) is one final shift.  Every
     division must be exact, and the accumulator non-negative and
@@ -145,9 +147,12 @@ def _closed_form(params: SeqParams, n: int) -> int:
         acc = (acc << (k + 1)) + (-bracket if j & 1 else bracket)
         if N - k < j + 1:
             break
-        binom, rem = divmod(binom * math.perm(N - j, k + 1), (j + 1) * math.perm(N, k))
-        if rem:
-            raise AssertionError("inexact binomial step for k=%d n=%d j=%d" % (k, n, j))
+        if j + 1 <= k:
+            binom = math.comb(N - k, j + 1)
+        else:
+            binom, rem = divmod(binom * math.perm(N - j, k + 1), (j + 1) * math.perm(N, k))
+            if rem:
+                raise AssertionError("inexact binomial step for k=%d n=%d j=%d" % (k, n, j))
         j, N = j + 1, N - k
     acc <<= n - j * (k + 1)
     if acc < 0 or acc & 3:

@@ -28,7 +28,7 @@ from lucasdisc.campaigns import (
     shard,
 )
 from lucasdisc.sequences import LUCAS, SeqParams, term_iter
-from lucasdisc import twoadic
+from lucasdisc import campaigns, twoadic
 from lucasdisc.twoadic import disc_match, l_quantity, nu2
 
 from test_bounds import w_200
@@ -40,6 +40,7 @@ CASE12_TOY_PAIRS = 10
 CASE12_FULL_PAIRS = 32
 CASE3_TRIPLES = 3340584
 CASE3_VALUATION_MATCHES = 12219
+CASE3_LOW_CORE_CLASSES = 2316  # distinct k mod 2^22 among the matches
 CASE3_SURVIVORS_AT_100 = 14
 
 # sha256 of report_to_jsonl(report, include_timing=False) per campaign run,
@@ -220,8 +221,9 @@ def test_a_range_is_the_bound_profile_at_k_cap():
 
 @pytest.mark.parametrize("extra", [150, 100])
 def test_case3_takes_the_full_width_core_only_past_the_low_width(extra, monkeypatch):
-    # Filter 2 is first decided at a + 24 bits, a 22-bit core; only the
-    # matches that pass it take the core again at width extra - 2.
+    # Filter 2 is first decided at a + 24 bits, a 22-bit core taken once per
+    # class of k mod 2^22; only the matches that pass it take the core again
+    # at width extra - 2.
     core, widths = twoadic._odd_disc_core, []
 
     def counted(k, w):
@@ -230,15 +232,56 @@ def test_case3_takes_the_full_width_core_only_past_the_low_width(extra, monkeypa
 
     with monkeypatch.context() as patch:
         patch.setattr(twoadic, "_odd_disc_core", counted)
+        patch.setattr(campaigns, "_odd_disc_core", counted)
         report = campaign_case3(modulus_extra_bits=extra)
     low_passes = sum(
         disc_match(c.k, c.m, c.r, l_quantity(c.m, c.r), c.a + 24)[0]
         for c in report.candidates
     )
+    classes = len({c.k % 2**22 for c in report.candidates})
     assert len(report.candidates) == CASE3_VALUATION_MATCHES
-    assert widths.count(22) == CASE3_VALUATION_MATCHES
-    assert widths.count(extra - 2) == low_passes == len(widths) - CASE3_VALUATION_MATCHES
+    assert widths.count(22) == classes == CASE3_LOW_CORE_CLASSES
+    assert widths.count(extra - 2) == low_passes == len(widths) - classes
     assert low_passes < CASE3_VALUATION_MATCHES / 100
+
+
+def case3_match_quantities(report):
+    """(c, B(c.m, c.r)) for each candidate, B walked along each m's increasing r."""
+    by_m = {}
+    for c in sorted(report.candidates, key=lambda c: (c.m, c.r)):
+        by_m.setdefault(c.m, []).append(c)
+    for m, cands in by_m.items():
+        yield from zip(cands, twoadic._l_quantities(m, [c.r for c in cands]))
+
+
+@pytest.mark.parametrize("fixture", ["case3_150_report", "case3_100_report"])
+def test_case3_prefilter_core_is_each_match_own_core(fixture, request, monkeypatch):
+    # The scan computes one 22-bit core per class of k mod 2^22.  Every match
+    # must still be decided with its own k's core: a coarser class (k mod
+    # 2^21, say) hands some k a neighbour's core, which a verdict rarely shows.
+    report = request.getfixturevalue(fixture)
+    low_match, calls = campaigns._case3_low_match, []
+
+    def recorded(k, m, a, q, core):
+        calls.append((k, m, a, core))
+        return low_match(k, m, a, q, core)
+
+    monkeypatch.setattr(campaigns, "_case3_low_match", recorded)
+    campaign_case3(modulus_extra_bits=report.ranges["modulus_extra_bits"])
+    assert sorted((k, m, a) for k, m, a, _ in calls) == sorted((c.k, c.m, c.a) for c in report.candidates)
+    for k, m, a, core in calls:
+        assert core == twoadic._odd_disc_core(k, 22), (k, m, a)
+
+
+@pytest.mark.parametrize("fixture", ["case3_150_report", "case3_100_report"])
+def test_case3_low_match_is_disc_match_at_a_plus_24(fixture, request):
+    report = request.getfixturevalue(fixture)
+    passes = 0
+    for c, q in case3_match_quantities(report):
+        low = campaigns._case3_low_match(c.k, c.m, c.a, q, twoadic._odd_disc_core(c.k, 22))
+        assert low == disc_match(c.k, c.m, c.r, q, c.a + 24)[0], c
+        passes += low
+    assert 0 < passes < len(report.candidates) / 100
 
 
 @pytest.mark.parametrize("extra", [150, 100])

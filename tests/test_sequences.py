@@ -1,5 +1,7 @@
 """Sequence module tests against an independent naive-recurrence oracle."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,6 +80,28 @@ def test_term_iter_agrees_with_term(family):
 def test_term_equals_walk_at_n_50000(family, k):
     params = SeqParams(k=k, family=family)
     assert term(params, 50_000) == walked(params, 50_000)
+
+
+@pytest.mark.parametrize("family", [FIBONACCI, LUCAS])
+@pytest.mark.parametrize("k", [8, 9, 15, 31])
+def test_closed_form_binomials_switch_at_j_plus_1_equals_k(family, k, monkeypatch):
+    # The sum runs to J = n // (k+1).  Step j' = 1..J takes C(N, j') from
+    # math.comb while j' <= k and from the two-perm step after that, so n
+    # from k(k+1) - 1 to (k+1)^2 + 1 crosses the switch.  The walk is the
+    # oracle for each value; the call counts pin where the switch sits.
+    params = SeqParams(k=k, family=family)
+    comb, perm, calls = math.comb, math.perm, []
+    monkeypatch.setattr(math, "comb", lambda *a: calls.append("comb") or comb(*a))
+    monkeypatch.setattr(math, "perm", lambda *a: calls.append("perm") or perm(*a))
+    n_lo, n_hi = k * (k + 1) - 1, (k + 1) ** 2 + 1
+    for n, value in term_iter(params, n_lo):
+        if n > n_hi:
+            break
+        calls.clear()
+        assert _closed_form(params, n) == value, n
+        last = n // (k + 1)
+        assert calls.count("comb") == min(last, k), n
+        assert calls.count("perm") == 2 * max(0, last - k), n
 
 
 @given(

@@ -271,6 +271,27 @@ def test_odd_disc_core_is_both_powers(k):
         assert _odd_disc_core(k, w) == expect, w
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([3, 4, 5, 8, 22, 23, 30]),
+    st.integers(0, 2**60),
+    st.integers(1, 2**20),
+)
+def test_odd_disc_core_depends_only_on_k_mod_2_to_w(w, k, j):
+    # The class fact behind case3's one-core-per-class prefilter: for w >= 3
+    # and odd k >= w - 1, _odd_disc_core(k, w) == _odd_disc_core(k + j 2^w, w).
+    k = max(k, w - 1) | 1
+    assert _odd_disc_core(k, w) == _odd_disc_core(k + j * 2**w, w)
+
+
+@pytest.mark.parametrize("w", [3, 4, 5, 8, 22, 23, 30])
+def test_odd_disc_core_classes_are_no_coarser_than_2_to_w(w):
+    # Half a period apart the cores differ for some k: a class of k mod
+    # 2^(w-1) would hand those k a wrong core.
+    ks = range(w | 1, w + 400, 2)
+    assert any(_odd_disc_core(k, w) != _odd_disc_core(k + 2 ** (w - 1), w) for k in ks)
+
+
 def test_odd_scaled_residue_at_mixed_widths_in_shuffled_order():
     # Over 600 distinct odd k, each asked at two widths, wide then narrow or
     # narrow then wide, in shuffled order.  Small k are checked against the
