@@ -30,23 +30,21 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import multiprocessing
 import os
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
-from .sequences import LUCAS, SeqParams, term_iter
 from .twoadic import (
-    _l_quantities,
     _odd_disc_core,
     disc_match,
     disc_nu2,
     l_quantity,
-    l_quantity_nu2,
     lucas_congruence_parts,
-    nu2,
 )
 from .bounds import (
     K_CAP,
@@ -148,7 +146,7 @@ def _run(
         raise ValueError("bad shard (%r, %r): need 0 <= piece < of" % (piece, of))
     t0 = time.perf_counter()
     candidates, stage_counts, extras = scan(units[piece::of])
-    candidates.sort(key=lambda c: (c.k, c.n))
+    candidates.sort(key=itemgetter(0, 1))  # (k, n)
     if of > 1:
         ranges["shard"] = {"piece": piece, "of": of}
     return CampaignReport(
@@ -197,11 +195,13 @@ def campaign_small(
 ) -> CampaignReport:
     """Exhaustive equality scan L(k, n) == |disc(k)| for 2 <= k <= k_max.
 
-    For each k the Lucas terms are walked from n = 0 upward and compared
-    to the exact discriminant magnitude; the walk stops at the first
-    term >= |disc| (terms are strictly increasing for n >= 2).  A walk
-    that passes n_max first raises ``ValueError``: it would leave the
-    rest of that k unchecked.
+    For each k, L(0) and L(1) are compared to the exact discriminant
+    magnitude, then the Lucas terms are walked from n = 2 upward in a
+    list holding L(2-k) .. L(n-1) and the sum of its last k entries; the
+    walk stops at the first term >= |disc| (terms are strictly
+    increasing for n >= 2), which is the only one that can equal it.  A
+    walk that passes n_max first raises ``ValueError``: it would leave
+    the rest of that k unchecked.
     """
     if k_max < 2:
         raise ValueError("need k_max >= 2, got %d" % (k_max,))
@@ -213,27 +213,25 @@ def campaign_small(
         hits: list[CandidatePair] = []
         for k in ks:
             delta = discriminant(k)
-            params = SeqParams(k=k, family=LUCAS)
-            for n, value in term_iter(params, 0):
-                if n > n_max:
-                    raise ValueError("the walk at k=%d passes n_max=%d below |disc|" % (k, n_max))
-                terms_examined += 1
-                if value == delta:
-                    m, r = divmod(n, k + 1)
-                    hits.append(
-                        CandidatePair(
-                            k=k,
-                            n=n,
-                            r=r,
-                            m=m,
-                            a=None,
-                            stage="equality_walk",
-                            verdict="survivor",
-                            stage_flags=frozenset({"exact_equality"}),
-                        )
-                    )
-                if n >= 2 and value >= delta:
+            terms = [0] * (k - 2) + [2, 1]  # L(2-k) .. L(1); L(n) at index n + k - 2
+            equal = [n for n in (0, 1) if terms[n + k - 2] == delta]
+            total = 3  # the sum of the last k terms, L(2)
+            for n in range(2, n_max + 1):
+                value = total
+                total += value - terms[n - 2]
+                terms.append(value)
+                if value >= delta:
                     break
+            else:
+                raise ValueError("the walk at k=%d passes n_max=%d below |disc|" % (k, n_max))
+            if value == delta:
+                equal.append(n)
+            terms_examined += n + 1
+            for n in equal:
+                m, r = divmod(n, k + 1)
+                hits.append(
+                    CandidatePair(k, n, r, m, None, "equality_walk", "survivor", frozenset({"exact_equality"}))
+                )
         return hits, [("terms_examined", terms_examined), ("equality_hits", len(hits))], {}
 
     return _run(
@@ -410,10 +408,13 @@ def campaign_case3(
     The triples are a - 1 in [0, 233], m in the widened admissible band,
     and odd k strictly inside the power-of-two localization window for
     m.  Filter 1 keeps triples with nu2(B(m, r)) == a.  Each (m, r)
-    fixes a through the closed form :func:`l_quantity_nu2`, hence the
-    only k = r + a - 1 it can match, so the scan goes through (m, r) and
-    counts the triples arithmetically.  Filter 2 (:func:`disc_match`,
-    the + sign) compares odd parts:
+    fixes a through the closed form of
+    :func:`lucasdisc.twoadic.l_quantity_nu2`, written out in the loop
+    over r, hence the only k = r + a - 1 it can match, so the scan goes
+    through (m, r).  The triples are counted in closed form: every
+    a - 1 <= k_start - 3 contributes the same number of odd k, and only
+    the few larger a - 1 at m = 8 and 9 are summed one by one.  Filter 2
+    (:func:`disc_match`, the + sign) compares odd parts:
 
         (-1)^m (k-1)^2 B == 2^(a+2) (k^k - ((k+1)/2)^(k+1))
                                      (mod 2^min(a + extra, k))
@@ -431,8 +432,11 @@ def campaign_case3(
     (h + 2^(w-1))^e == h^e (mod 2^w); and the second power vanishes for
     even h throughout the class, as k + 1 >= w.  So each scan computes
     one 22-bit core per class of k mod 2^22 it meets.  Each match's
-    exact B comes from one binomial walk per m over its matches'
-    increasing r (:func:`lucasdisc.twoadic._l_quantities`).
+    exact B = C(m+r, m) weight / den reuses filter 1's weight and den,
+    and the binomial is carried along the same loop: one ``math.comb``
+    per m, then C(m+r', m) = C(m+r, m) perm(m+r', j) / perm(r', j) with
+    j = r' - r from one match to the next.  Both divisions must be
+    exact, and nu2(B) == a is checked on every match.
     """
     if modulus_extra_bits < 2:
         raise ValueError("need modulus_extra_bits >= 2, got %d" % (modulus_extra_bits,))
@@ -453,20 +457,39 @@ def campaign_case3(
             if k_start >= hi:  # no odd k left (m = 57 clips away at K_CAP)
                 continue
             # Odd k in [max(k_start, a + 2), hi) for each a; r = k - a + 1 >= 3.
-            # There are x // 2 odd integers below x.
-            triples += sum(
-                max(0, hi // 2 - max(k_start, a_minus1 + 3) // 2)
-                for a_minus1 in range(A_MINUS1_MAX + 1)
+            # There are x // 2 odd integers below x.  Each a - 1 <= k_start - 3
+            # starts at k_start; the rest (at m = 8 and 9) start at a + 2.
+            unclipped = min(A_MINUS1_MAX + 1, k_start - 2)
+            triples += unclipped * (hi // 2 - k_start // 2) + sum(
+                max(0, hi // 2 - (a_minus1 + 3) // 2) for a_minus1 in range(unclipped, A_MINUS1_MAX + 1)
             )
             in_band = 9 <= m <= 55
-            matches = []
+            m_bits = m.bit_count()
+            last = 0  # the previous match's r, whose binomial C(m+r, m) is carried
             for r in range(max(3, k_start - A_MINUS1_MAX), hi):
-                a = l_quantity_nu2(m, r)
+                # Filter 1: a = nu2(B(m, r)) in the closed form of l_quantity_nu2,
+                # with its weight 8N(N-1) - 6r(N-1) + r(r-1) regrouped.
+                N = m + r
+                den = N * (N - 1)
+                weight = 8 * den - r * (6 * N - 5 - r)
+                a = m_bits + r.bit_count() - N.bit_count()
+                a += (weight & -weight).bit_length() - (den & -den).bit_length()
                 k = r + a - 1
-                if k & 1 and lo < k < hi and 1 <= a <= A_MINUS1_MAX + 1:
-                    matches.append((r, a, k))
-            for (r, a, k), q in zip(matches, _l_quantities(m, [r for r, _, _ in matches])):
-                if nu2(q) != a:
+                if not (k & 1 and lo < k < hi and 1 <= a <= A_MINUS1_MAX + 1):
+                    continue
+                # B = C(m+r, m) weight / den, the binomial stepped from the last
+                # match's: C(m+r, m) = C(m+last, m) perm(m+r, r-last) / perm(r, r-last).
+                if last:
+                    binom, rem = divmod(binom * math.perm(N, r - last), math.perm(r, r - last))
+                    if rem:
+                        raise AssertionError("inexact binomial step for m=%d r=%d" % (m, r))
+                else:
+                    binom = math.comb(N, m)
+                last = r
+                q, rem = divmod(binom * weight, den)
+                if rem:
+                    raise AssertionError("inexact bracket for m=%d r=%d" % (m, r))
+                if (q & -q).bit_length() - 1 != a:
                     raise AssertionError("closed-form nu2(B) wrong at m=%d r=%d" % (m, r))
                 passed = True
                 if prefilter and r > _CASE3_LOW_BITS:  # the modulus 2^(a + 24) is below 2^k
@@ -477,14 +500,14 @@ def campaign_case3(
                 survived = passed and disc_match(k, m, r, q, a + extra)[0]
                 candidates.append(
                     CandidatePair(
-                        k=k,
-                        n=m * (k + 1) + r,
-                        r=r,
-                        m=m,
-                        a=a,
-                        stage="valuation",
-                        verdict="survivor" if survived else "eliminated",
-                        stage_flags=_CASE3_FLAGS[in_band, survived],
+                        k,
+                        m * (k + 1) + r,
+                        r,
+                        m,
+                        a,
+                        "valuation",
+                        "survivor" if survived else "eliminated",
+                        _CASE3_FLAGS[in_band, survived],
                     )
                 )
                 band_candidates += in_band
@@ -605,7 +628,7 @@ def merge_reports(reports: list[CampaignReport]) -> CampaignReport:
     layout = sorted((info["piece"], info["of"]) for info in shards)
     if layout != [(piece, len(reports)) for piece in range(len(reports))]:
         raise ValueError("(piece, of) %s is not one complete layout of %d shards" % (layout, len(reports)))
-    candidates.sort(key=lambda c: (c.k, c.n))
+    candidates.sort(key=itemgetter(0, 1))
     return CampaignReport(
         campaign=first.campaign,
         ranges=base,

@@ -19,9 +19,10 @@ make the factor 2^(r-2) integral for every r.
 sign * odd * 2^shift; when shift < E that pins nu2(L(n)) = shift.
 :func:`disc_match` takes B itself and compares (-1)^m 2^(r-2) B with
 |disc| = (2^(k+1) k^k - (k+1)^(k+1)) / (k-1)^2.  The campaigns and the
-lemma suites read both.  The r >= 3 campaign walks one m's increasing r
-for B (:func:`_l_quantities`): C(m+r, m) is formed once, and the step
-to r' = r + j is C(m+r', m) = C(m+r, m) perm(m+r', j) / perm(r', j).
+lemma suites read both.  The r >= 3 campaign carries B along one m's
+increasing r itself (``campaigns.campaign_case3``), with the same
+bracket as :func:`l_quantity` and the exponent of
+:func:`l_quantity_nu2`.
 
 Valuations use the convention nu2(0) = infinity (``math.inf``).
 """
@@ -29,7 +30,6 @@ Valuations use the convention nu2(0) = infinity (``math.inf``).
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
 
 from .sequences import LUCAS, _bracket_ratio
 
@@ -57,29 +57,13 @@ def l_quantity(m: int, r: int) -> int:
     binomial times (8m^2 + 10mr + 3r^2 - 8m - 3r) / ((m+r)(m+r-1)) when
     m + r >= 2, an exact division.  B > 0 everywhere.
     """
-    return next(_l_quantities(m, (r,)))
-
-
-def _l_quantities(m: int, rs: Iterable[int]) -> Iterator[int]:
-    """B(m, r) for each r of the strictly increasing ``rs``, with one ``math.comb`` in all."""
-    last = None
-    for r in rs:
-        if m < 0 or r < 0:
-            raise ValueError("need m >= 0 and r >= 0, got m=%d r=%d" % (m, r))
-        weight, den = _bracket_ratio(LUCAS, m + r, m)  # B(m, r) = C(m+r, m) weight / den
-        if last is None:
-            binom = math.comb(m + r, m)
-        elif r <= last:
-            raise ValueError("need strictly increasing r, got %d after %d" % (r, last))
-        else:
-            binom, rem = divmod(binom * math.perm(m + r, r - last), math.perm(r, r - last))
-            if rem:
-                raise AssertionError("inexact binomial step for m=%d r=%d" % (m, r))
-        q, rem = divmod(binom * weight, den)
-        if rem:
-            raise AssertionError("inexact bracket for m=%d r=%d" % (m, r))
-        last = r
-        yield q
+    if m < 0 or r < 0:
+        raise ValueError("need m >= 0 and r >= 0, got m=%d r=%d" % (m, r))
+    weight, den = _bracket_ratio(LUCAS, m + r, m)
+    q, rem = divmod(math.comb(m + r, m) * weight, den)
+    if rem:
+        raise AssertionError("inexact bracket for m=%d r=%d" % (m, r))
+    return q
 
 
 def l_quantity_nu2(m: int, r: int) -> int:

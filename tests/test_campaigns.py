@@ -27,9 +27,9 @@ from lucasdisc.campaigns import (
     search,
     shard,
 )
-from lucasdisc.sequences import LUCAS, SeqParams, term_iter
+from lucasdisc.sequences import LUCAS, SeqParams, term, term_iter
 from lucasdisc import campaigns, twoadic
-from lucasdisc.twoadic import disc_match, l_quantity, nu2
+from lucasdisc.twoadic import disc_match, l_quantity, l_quantity_nu2, nu2
 
 from test_bounds import w_200
 from test_twoadic import four_binomial_q
@@ -83,6 +83,28 @@ def test_small_campaign_rejects_an_n_max_below_a_crossing():
     # Stopping at n_max would leave the rest of k = 21 unchecked.
     with pytest.raises(ValueError, match="k=21 passes n_max=100"):
         campaign_small(k_max=200, n_max=100)
+
+
+# With |disc(9)| planted at L(9, n): the two terms compared before the walk,
+# its first step, the first term past the powers of two, and the crossing.
+@pytest.mark.parametrize("n", [0, 1, 2, 10, None], ids=["0", "1", "2", "k+1", "crossing"])
+def test_small_walk_reports_a_planted_equality(n, monkeypatch):
+    k, k_max = 9, 12
+    params = SeqParams(k=k, family=LUCAS)
+    if n is None:
+        n = next(i for i, value in term_iter(params, 2) if value >= discriminant(k))
+    planted = term(params, n)
+    monkeypatch.setattr(campaigns, "discriminant", lambda j: planted if j == k else discriminant(j))
+    report = campaign_small(k_max=k_max)
+    m, r = divmod(n, k + 1)
+    assert report.survivors == [
+        CandidatePair(k, n, r, m, None, "equality_walk", "survivor", frozenset({"exact_equality"}))
+    ]
+    for j in range(2, k_max + 1):  # the terms up to the first n >= 2 with L(j, n) >= |disc|
+        delta = campaigns.discriminant(j)
+        walked = next(i + 1 for i, value in term_iter(SeqParams(j, LUCAS), 0) if i >= 2 and value >= delta)
+        one_k = campaign_small(k_max=k_max, shard=(j - 2, k_max - 1))
+        assert one_k.stage_counts[0] == ("terms_examined", walked), j
 
 
 def test_case0_all_odd_k_clash():
@@ -220,20 +242,12 @@ def test_a_range_is_the_bound_profile_at_k_cap():
 
 
 @pytest.mark.parametrize("extra", [150, 100])
-def test_case3_takes_the_full_width_core_only_past_the_low_width(extra, monkeypatch):
+def test_case3_takes_the_full_width_core_only_past_the_low_width(extra, request):
     # Filter 2 is first decided at a + 24 bits, a 22-bit core taken once per
     # class of k mod 2^22; only the matches that pass it take the core again
     # at width extra - 2.
-    core, widths = twoadic._odd_disc_core, []
-
-    def counted(k, w):
-        widths.append(w)
-        return core(k, w)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(twoadic, "_odd_disc_core", counted)
-        patch.setattr(campaigns, "_odd_disc_core", counted)
-        report = campaign_case3(modulus_extra_bits=extra)
+    hooks = request.getfixturevalue("case3_%d_hooks" % extra)
+    report, widths = hooks.report, hooks.core_widths
     low_passes = sum(
         disc_match(c.k, c.m, c.r, l_quantity(c.m, c.r), c.a + 24)[0]
         for c in report.candidates
@@ -245,39 +259,40 @@ def test_case3_takes_the_full_width_core_only_past_the_low_width(extra, monkeypa
     assert low_passes < CASE3_VALUATION_MATCHES / 100
 
 
-def case3_match_quantities(report):
-    """(c, B(c.m, c.r)) for each candidate, B walked along each m's increasing r."""
-    by_m = {}
-    for c in sorted(report.candidates, key=lambda c: (c.m, c.r)):
-        by_m.setdefault(c.m, []).append(c)
-    for m, cands in by_m.items():
-        yield from zip(cands, twoadic._l_quantities(m, [c.r for c in cands]))
+def case3_hooks(request, fixture):
+    """The hooks recorded by the run behind the case3 report ``fixture``."""
+    extra = request.getfixturevalue(fixture).ranges["modulus_extra_bits"]
+    return request.getfixturevalue("case3_%d_hooks" % extra)
 
 
 @pytest.mark.parametrize("fixture", ["case3_150_report", "case3_100_report"])
-def test_case3_prefilter_core_is_each_match_own_core(fixture, request, monkeypatch):
+def test_case3_prefilter_core_is_each_match_own_core(fixture, request):
     # The scan computes one 22-bit core per class of k mod 2^22.  Every match
     # must still be decided with its own k's core: a coarser class (k mod
     # 2^21, say) hands some k a neighbour's core, which a verdict rarely shows.
-    report = request.getfixturevalue(fixture)
-    low_match, calls = campaigns._case3_low_match, []
-
-    def recorded(k, m, a, q, core):
-        calls.append((k, m, a, core))
-        return low_match(k, m, a, q, core)
-
-    monkeypatch.setattr(campaigns, "_case3_low_match", recorded)
-    campaign_case3(modulus_extra_bits=report.ranges["modulus_extra_bits"])
-    assert sorted((k, m, a) for k, m, a, _ in calls) == sorted((c.k, c.m, c.a) for c in report.candidates)
-    for k, m, a, core in calls:
+    hooks = case3_hooks(request, fixture)
+    calls = hooks.low_match_calls
+    assert sorted((k, m, a) for k, m, a, _, _ in calls) == sorted((c.k, c.m, c.a) for c in hooks.report.candidates)
+    for k, m, a, _, core in calls:
         assert core == twoadic._odd_disc_core(k, 22), (k, m, a)
+
+
+@pytest.mark.parametrize("fixture", ["case3_150_report", "case3_100_report"])
+def test_case3_b_at_every_match_is_l_quantity(fixture, request):
+    # The B the scan carries along each m's run of r, as the prefilter saw
+    # it, against one binomial per match.
+    calls = case3_hooks(request, fixture).low_match_calls
+    assert len(calls) == CASE3_VALUATION_MATCHES
+    for k, m, a, q, _ in calls:
+        assert q == l_quantity(m, k - a + 1), (k, m, a)
 
 
 @pytest.mark.parametrize("fixture", ["case3_150_report", "case3_100_report"])
 def test_case3_low_match_is_disc_match_at_a_plus_24(fixture, request):
     report = request.getfixturevalue(fixture)
     passes = 0
-    for c, q in case3_match_quantities(report):
+    for c in report.candidates:
+        q = l_quantity(c.m, c.r)
         low = campaigns._case3_low_match(c.k, c.m, c.a, q, twoadic._odd_disc_core(c.k, 22))
         assert low == disc_match(c.k, c.m, c.r, q, c.a + 24)[0], c
         passes += low
@@ -285,27 +300,52 @@ def test_case3_low_match_is_disc_match_at_a_plus_24(fixture, request):
 
 
 @pytest.mark.parametrize("extra", [150, 100])
-def test_case3_forms_one_binomial_per_m(extra, monkeypatch):
+def test_case3_forms_one_binomial_per_m(extra, request):
     # B at each match is carried along its m's run of r: no per-match
     # l_quantity, and at most one math.comb per m.
-    comb, seeds, singles = math.comb, [], []
-
-    def counted_comb(n, j):
-        seeds.append((n, j))
-        return comb(n, j)
-
-    def counted_l_quantity(m, r):
-        singles.append((m, r))
-        return 0
-
-    with monkeypatch.context() as patch:
-        patch.setattr(math, "comb", counted_comb)
-        patch.setattr(twoadic, "l_quantity", counted_l_quantity)
-        report = campaign_case3(modulus_extra_bits=extra)
+    hooks = request.getfixturevalue("case3_%d_hooks" % extra)
+    report = hooks.report
     assert len(report.candidates) == CASE3_VALUATION_MATCHES
-    assert singles == []
+    assert hooks.l_quantity_calls == []
     m_lo, m_hi = m_range(K_CAP)
-    assert len(seeds) == len({c.m for c in report.candidates}) <= len(range(m_lo, m_hi + 1)) == 50
+    assert len(hooks.comb_seeds) == len({c.m for c in report.candidates}) <= len(range(m_lo, m_hi + 1)) == 50
+
+
+def test_case3_rejects_an_inexact_binomial_step(monkeypatch):
+    # m = 9 has many matches; a perm one too large breaks the first step.
+    perm = math.perm
+    monkeypatch.setattr(math, "perm", lambda n, j: perm(n, j) + 1)
+    m_lo, m_hi = m_range(K_CAP)
+    with pytest.raises(AssertionError, match="inexact binomial step"):
+        campaign_case3(shard=(9 - m_lo, m_hi - m_lo + 1))
+
+
+def test_case3_filter_1_equals_l_quantity_nu2_on_every_r(case3_150_report, case3_100_report):
+    # Filter 1 writes the closed form out inline; l_quantity_nu2 states it.
+    # Every r that some odd k of the m band and some a could give, every m.
+    m_lo, m_hi = m_range(K_CAP)
+    expect = []
+    for m in range(m_lo, m_hi + 1):
+        lo, hi = localize_k_by_power2(m)
+        for r in range(max(3, lo - A_MINUS1_MAX), hi):
+            a = l_quantity_nu2(m, r)
+            k = r + a - 1
+            if k % 2 and lo < k < hi and 1 <= a <= A_MINUS1_MAX + 1:
+                expect.append((m, r, a, k))
+    assert len(expect) == CASE3_VALUATION_MATCHES
+    for report in (case3_150_report, case3_100_report):
+        assert sorted((c.m, c.r, c.a, c.k) for c in report.candidates) == expect
+
+
+def test_case3_triples_by_brute_force_for_every_m():
+    # Odd k with lo < k < hi and r = k - a + 1 >= 3, for each a; the r >= 3
+    # clip bites at m = 8 and 9, and m = 57 has no odd k below K_CAP.
+    m_lo, m_hi = m_range(K_CAP)
+    for m in range(m_lo, m_hi + 1):
+        lo, hi = localize_k_by_power2(m)
+        expect = sum(len(range(max(lo + 1, a + 2) | 1, hi, 2)) for a in range(1, A_MINUS1_MAX + 2))
+        report = campaign_case3(shard=(m - m_lo, m_hi - m_lo + 1))
+        assert report.stage_counts[0] == ("triples_enumerated", expect), m
 
 
 @pytest.mark.parametrize("fixture", ["case3_150_report", "case3_100_report"])

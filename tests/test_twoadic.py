@@ -115,45 +115,6 @@ def test_l_quantity_nu2_property(m, r):
     assert l_quantity_nu2(m, r) == nu2(l_quantity(m, r))
 
 
-@pytest.mark.parametrize("fixture", ["case3_150_report", "case3_100_report"])
-def test_l_quantities_walk_every_case3_match(fixture, request):
-    # The walk over one m's matches equals one binomial per match.
-    by_m = {}
-    for c in request.getfixturevalue(fixture).candidates:
-        by_m.setdefault(c.m, []).append(c.r)
-    assert sum(map(len, by_m.values())) == 12219
-    for m, rs in by_m.items():
-        rs.sort()
-        assert list(twoadic._l_quantities(m, rs)) == [l_quantity(m, r) for r in rs], m
-
-
-@given(
-    st.integers(min_value=0, max_value=80),
-    st.integers(min_value=0, max_value=1 << 64),
-    st.lists(st.one_of(st.just(1), st.integers(2, 500), st.integers(501, 3000)), max_size=12),
-)
-@settings(max_examples=120, deadline=None)
-def test_l_quantities_walk_property(m, r0, gaps):
-    rs = [r0]
-    for gap in gaps:
-        rs.append(rs[-1] + gap)
-    assert list(twoadic._l_quantities(m, rs)) == [l_quantity(m, r) for r in rs]
-
-
-def test_l_quantities_reject_non_increasing_r():
-    for rs in ([5, 5], [7, 3], [2, 9, 9]):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            list(twoadic._l_quantities(4, rs))
-    assert list(twoadic._l_quantities(4, [])) == []
-
-
-def test_l_quantities_reject_an_inexact_binomial_step(monkeypatch):
-    perm = math.perm
-    monkeypatch.setattr(math, "perm", lambda n, j: perm(n, j) + (n == 1003))
-    with pytest.raises(AssertionError, match="inexact binomial step"):
-        list(twoadic._l_quantities(40, [1000, 1003]))
-
-
 def residue(parts):
     sign, odd, shift, _ = parts
     return sign * odd << shift
