@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=1,
         metavar="N",
-        help="shards to run in a pool of at most os.cpu_count() processes and merge (default: 1, in this process)",
+        help="shards to run, one in this process and each other in its own, at most os.cpu_count() in all, and merge (default: 1)",
     )
     shared.add_argument("--format", choices=["jsonl", "human"], default="human")
     shared.add_argument("--output", help="write the report here instead of stdout")

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from decimal import Context, Decimal, localcontext
 
 import mpmath
 import pytest
@@ -239,6 +240,18 @@ def test_case3_full_run_at_150(case3_150_report):
 
 def test_a_range_is_the_bound_profile_at_k_cap():
     assert A_MINUS1_MAX + 1 == bound_profile(K_CAP).a_max
+
+
+def test_a_range_floor_is_certified_at_k_cap():
+    # floor(6 ln K_CAP + 2) = 234 exactly when exp(232/6) <= K_CAP < exp(233/6).
+    # K_CAP clears the upper end by about 4 % and the lower by about 13 %; the
+    # 1 % slack asked for here dwarfs a 50-digit context's rounding error.
+    with localcontext(Context(prec=50)):
+        lo = (Decimal(232) / 6).exp()
+        hi = (Decimal(233) / 6).exp()
+        assert lo * Decimal("1.01") <= K_CAP
+        assert K_CAP * Decimal("1.01") < hi
+    assert A_MINUS1_MAX + 1 == 234
 
 
 @pytest.mark.parametrize("extra", [150, 100])

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from decimal import Context, Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -16,9 +17,11 @@ import mpmath
 import pytest
 
 import lucasdisc
+from lucasdisc import campaigns
 from lucasdisc.bounds import K_CAP, _ell, discriminant
+from lucasdisc.campaigns import shard
 from lucasdisc.cli import _nstr, run
-from lucasdisc.roots import dominant_root
+from lucasdisc.roots import PrecisionError, dominant_root
 from lucasdisc.sequences import FIBONACCI, LUCAS, SeqParams, term_iter
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -96,26 +99,22 @@ def test_root_at_large_k(capsys):
     assert Fraction(lines["lo"]) < Fraction(lines["hi"])
 
 
-class RecordingPool:
-    """Stands in for multiprocessing.Pool: records its size and maps in this process."""
+@pytest.fixture
+def started(monkeypatch):
+    """Every process a search starts from here on through multiprocessing.Process."""
+    procs = []
 
-    sizes: list = []
+    class Counting(multiprocessing.Process):
+        def start(self):
+            procs.append(self)
+            super().start()
 
-    def __init__(self, processes):
-        self.sizes.append(processes)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, func, items):
-        return list(map(func, items))
+    monkeypatch.setattr(multiprocessing, "Process", Counting)
+    return procs
 
 
-def no_pool(*args, **kwargs):
-    raise AssertionError("a search started a process pool")
+def no_process(*args, **kwargs):
+    raise AssertionError("a search started a process")
 
 
 @pytest.mark.parametrize(
@@ -131,32 +130,104 @@ def no_pool(*args, **kwargs):
     ],
     ids=["small-1", "small-4", "case12-4", "case12-empty", "case12-full", "case0", "case3"],
 )
-def test_workers_clamped_to_work_units(monkeypatch, search, capsys):
-    # The pool is capped at the CPU count, not at the campaign's work units:
-    # shards past the units are empty and merge to the same bytes.
+def test_workers_clamped_to_work_units(monkeypatch, search, started, capsys):
+    # Workers are capped at the CPU count, not at the campaign's work units:
+    # shards past the units are empty and merge to the same bytes.  Piece 0
+    # runs in the caller, so 3 workers start 2 processes.
     base = ["search"] + search + ["--format", "jsonl", "--no-timing"]
     assert run(base + ["--workers", "1"]) in (0, 1)
     one = capsys.readouterr().out
+    assert started == []
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    RecordingPool.sizes.clear()
     assert run(base + ["--workers", "100000"]) in (0, 1)
-    assert RecordingPool.sizes == [3]
+    assert len(started) == 2
     assert capsys.readouterr().out == one
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("cpus", [1, None])
 def test_one_cpu_starts_no_pool(monkeypatch, cpus, capsys):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(multiprocessing, "Process", no_process)
     assert run(["search", "small", "--k-max", "30", "--workers", "2", "--format", "jsonl", "--no-timing"]) == 0
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["stage"] == "summary"
 
 
 def test_search_defaults_to_one_worker(monkeypatch, capsys):
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(multiprocessing, "Process", no_process)
     assert run(["search", "small", "--format", "jsonl", "--no-timing"]) == 0
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["stage"] == "summary"
+
+
+@pytest.mark.parametrize("search", [["case3", "--modulus-bits", "150"], ["small"]], ids=["case3", "small"])
+@pytest.mark.parametrize("fmt", ["jsonl", "human"])
+def test_search_through_a_worker_process_matches_one_worker(monkeypatch, started, search, fmt, capsys):
+    # Rows cross the pipe as plain tuples; the human format reads c.verdict
+    # and c.a, so it fails unless they come back as CandidatePair.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    base = ["search"] + search + ["--format", fmt, "--no-timing"]
+    assert run(base + ["--workers", "1"]) == 0
+    one = capsys.readouterr().out
+    assert run(base + ["--workers", "2"]) == 0
+    assert capsys.readouterr().out == one
+    assert len(started) == 1
+
+
+def patch_pieces(monkeypatch, actions):
+    """On 2 CPUs, make ``campaigns.shard`` call ``actions[piece]`` instead for the pieces named."""
+
+    def patched(campaign, piece, of, **params):
+        return actions.get(piece, shard)(campaign, piece, of, **params)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(campaigns, "shard", patched)
+
+
+def without_n_max(campaign, piece, of, n_max, **params):
+    return shard(campaign, piece, of, **params)
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_search_value_error_in_either_piece_exit_two(monkeypatch, started, failing, capsys):
+    # Both pieces of small --n-max 100 fail; here only one keeps the limit,
+    # the caller's own piece 0 (at k = 22) or the worker's piece 1 (at k = 21).
+    patch_pieces(monkeypatch, {1 - failing: without_n_max})
+    assert run(["search", "small", "--n-max", "100", "--workers", "2"]) == 2
+    assert "the walk at k=%d passes n_max=100" % (22 - failing) in capsys.readouterr().err
+    assert len(started) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_search_precision_error_in_a_worker_exit_three(monkeypatch, started, capsys):
+    def undecided(*args, **params):
+        raise PrecisionError("planted in piece 1")
+
+    patch_pieces(monkeypatch, {1: undecided})
+    assert run(["search", "case0", "--workers", "2"]) == 3
+    assert capsys.readouterr().err == "undecided: planted in piece 1\n"
+    assert len(started) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_search_stops_a_running_worker_when_its_own_piece_fails(monkeypatch, started, capsys):
+    def fails(*args, **params):
+        raise ValueError("planted in piece 0")
+
+    patch_pieces(monkeypatch, {0: fails, 1: lambda *args, **params: time.sleep(60)})
+    t0 = time.monotonic()
+    assert run(["search", "case0", "--workers", "2"]) == 2
+    assert time.monotonic() - t0 < 30
+    assert capsys.readouterr().err == "error: planted in piece 0\n"
+    assert len(started) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_search_names_a_worker_that_exits_without_a_report(monkeypatch, started):
+    patch_pieces(monkeypatch, {1: lambda *args, **params: os._exit(1)})
+    with pytest.raises(RuntimeError, match="piece 1 of 2 exited without a report"):
+        campaigns.search("case0", workers=2)
+    assert len(started) == 1
+    assert multiprocessing.active_children() == []
 
 
 def test_usage_errors():
@@ -181,19 +252,13 @@ def test_search_help_lists_only_the_campaigns_own_options(capsys):
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_search_small_n_max_below_a_crossing_exit_two(monkeypatch, workers, capsys):
-    # At --workers 2 the error is raised in a pool process and crosses the pool.
-    pool, sizes = multiprocessing.Pool, []
-
-    def recording(processes):
-        sizes.append(processes)
-        return pool(processes)
-
+def test_search_small_n_max_below_a_crossing_exit_two(monkeypatch, workers, started, capsys):
+    # At --workers 2 piece 0 fails in this process and piece 1 in a worker.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(multiprocessing, "Pool", recording)
     assert run(["search", "small", "--n-max", "100", "--workers", workers]) == 2
     assert "n_max=100" in capsys.readouterr().err
-    assert sizes == ([] if workers == "1" else [2])
+    assert len(started) == int(workers) - 1
+    assert multiprocessing.active_children() == []
 
 
 def test_search_case12_modulus_past_k_lo_minus_one_exit_two(capsys):
