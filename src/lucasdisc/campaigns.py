@@ -28,6 +28,7 @@ unsharded run (timing aside), so
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import multiprocessing
@@ -187,25 +188,17 @@ def _window_pairs(ks: range, m: int) -> list[tuple[int, int, int, int]]:
     return pairs
 
 
-def campaign_small(
-    k_max: int = 200,
-    n_max: int = 2529,
-    shard: tuple[int, int] | None = None,
-) -> CampaignReport:
+def campaign_small(k_max: int = 200, shard: tuple[int, int] | None = None) -> CampaignReport:
     """Exhaustive equality scan L(k, n) == |disc(k)| for 2 <= k <= k_max.
 
     For each k, L(0) and L(1) are compared to the exact discriminant
     magnitude, then the Lucas terms are walked from n = 2 upward in a
     list holding L(2-k) .. L(n-1) and the sum of its last k entries; the
     walk stops at the first term >= |disc| (terms are strictly
-    increasing for n >= 2), which is the only one that can equal it.  A
-    walk that passes n_max first raises ``ValueError``: it would leave
-    the rest of that k unchecked.
+    increasing for n >= 2), which is the only one that can equal it.
     """
     if k_max < 2:
         raise ValueError("need k_max >= 2, got %d" % (k_max,))
-    if n_max < 2:
-        raise ValueError("need n_max >= 2, got %d" % (n_max,))
 
     def scan(ks: range):
         terms_examined = 0
@@ -215,14 +208,12 @@ def campaign_small(
             terms = [0] * (k - 2) + [2, 1]  # L(2-k) .. L(1); L(n) at index n + k - 2
             equal = [n for n in (0, 1) if terms[n + k - 2] == delta]
             total = 3  # the sum of the last k terms, L(2)
-            for n in range(2, n_max + 1):
+            for n in itertools.count(2):
                 value = total
                 total += value - terms[n - 2]
                 terms.append(value)
                 if value >= delta:
                     break
-            else:
-                raise ValueError("the walk at k=%d passes n_max=%d below |disc|" % (k, n_max))
             if value == delta:
                 equal.append(n)
             terms_examined += n + 1
@@ -238,10 +229,11 @@ def campaign_small(
         shard,
         range(2, k_max + 1),
         scan,
-        {"k_lo": 2, "k_hi": k_max, "n_lo": 0, "n_hi": n_max},
+        {"k_lo": 2, "k_hi": k_max, "n_lo": 0},
         [
-            "every Lucas term with 0 <= n <= n_hi is compared to |disc| exactly;"
-            " the walk stops at the first term >= |disc| (monotone for n >= 2)",
+            "L(0), L(1) and every term from n = 2 up to the first term >= |disc|"
+            " are compared to |disc| exactly; terms increase for n >= 2, so no"
+            " larger n can equal it",
         ],
     )
 

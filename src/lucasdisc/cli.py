@@ -138,10 +138,7 @@ def _cmd_verify_lemmas(args: argparse.Namespace) -> int:
 
 # Each campaign's own options: (flag, campaign parameter, help).
 _CAMPAIGN_FLAGS = {
-    "small": [
-        ("--k-max", "k_max", "largest k (default 200)"),
-        ("--n-max", "n_max", "largest n; a walk past it is an error (default 2529)"),
-    ],
+    "small": [("--k-max", "k_max", "largest k (default 200)")],
     "case0": [],
     "case12": [
         ("--k-lo", "k_lo", "first even k (default 202)"),
@@ -150,12 +147,6 @@ _CAMPAIGN_FLAGS = {
     ],
     "case3": [("--modulus-bits", "modulus_extra_bits", "extra bits above the matched valuation (default 150)")],
 }
-
-
-def _positive_int(text: str) -> int:
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError("need an integer >= 1, got %r" % text)
-    return int(text)
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
@@ -234,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument(
         "--workers",
-        type=_positive_int,
+        type=int,
         default=1,
         metavar="N",
         help="shards to run, one in this process and each other in its own, at most os.cpu_count() in all, and merge (default: 1)",

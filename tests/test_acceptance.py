@@ -28,11 +28,11 @@ from lucasdisc.twoadic import l_quantity, lucas_congruence_parts, nu2
 
 
 def test_criterion_01_small_campaign_zero_survivors(small_report):
-    assert small_report.ranges == {"k_lo": 2, "k_hi": 200, "n_lo": 0, "n_hi": 2529}
+    assert small_report.ranges == {"k_lo": 2, "k_hi": 200, "n_lo": 0}
     assert small_report.survivors == []
     assert small_report.stage_counts[-1] == ("equality_hits", 0)
     assert small_report.elapsed < 60.0
-    print("criterion 1: 0 survivors over k<=200, n<=2529 in %.2fs" % small_report.elapsed)
+    print("criterion 1: 0 survivors over k<=200, each walk to its first term >= |disc|, in %.2fs" % small_report.elapsed)
 
 
 def test_criterion_02_case12_exactly_32_pairs_zero_survivors(case12_full_report):

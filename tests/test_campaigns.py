@@ -47,7 +47,7 @@ CASE3_SURVIVORS_AT_100 = 14
 # sha256 of report_to_jsonl(report, include_timing=False) per campaign run,
 # keyed by the conftest fixture that holds the run (None: case0, run here).
 REPORT_SHA256 = {
-    "small": ("small_report", "679a98b5476770028ef146ee54d488633541e7006fd1803ca0f913f027b27cc9"),
+    "small": ("small_report", "998994cf2f9c3d027dafb88d442c606dc3e68895c513af30ae348298a03313a5"),
     "case0": (None, "d4e05d658008bd327a27c76ce6b5ce90ad6800d52f2a6bad6f2fe69fef9fd0bf"),
     "case12": ("case12_full_report", "0ebf9e52fce47e30bce6444231e1a325620a55f0da89729a91e6dc2cfdabd960"),
     "case3_150": ("case3_150_report", "16c98191ce00b9164262f3c8447e2b8520a60f4e39ae647ca964be772e942cf7"),
@@ -61,18 +61,15 @@ def test_small_campaign_frozen_counts(small_report):
         ("equality_hits", 0),
     ]
     assert small_report.survivors == []
-    assert small_report.ranges["k_hi"] == 200
-    assert small_report.ranges["n_hi"] == 2529
+    assert small_report.ranges == {"k_lo": 2, "k_hi": 200, "n_lo": 0}
 
 
 def test_small_campaign_cross_checks_brute_force():
-    report = campaign_small(k_max=16, n_max=300)
+    report = campaign_small(k_max=16)
     brute = []
     for k in range(2, 17):
         delta = discriminant(k)
         for n, value in term_iter(SeqParams(k=k, family=LUCAS), 0):
-            if n > 300:
-                break
             if value == delta:
                 brute.append((k, n))
             if n >= 2 and value >= delta:
@@ -80,10 +77,14 @@ def test_small_campaign_cross_checks_brute_force():
     assert [(c.k, c.n) for c in report.survivors] == brute == []
 
 
-def test_small_campaign_rejects_an_n_max_below_a_crossing():
-    # Stopping at n_max would leave the rest of k = 21 unchecked.
-    with pytest.raises(ValueError, match="k=21 passes n_max=100"):
-        campaign_small(k_max=200, n_max=100)
+def test_small_walk_at_each_k_ends_at_its_first_term_past_disc():
+    # From k = 279 on, the first term >= |disc| lies past n = 2529.
+    k_max = 300
+    for k in range(279, k_max + 1):
+        delta = discriminant(k)
+        crossing = next(n for n, value in term_iter(SeqParams(k, LUCAS), 2) if value >= delta)
+        one_k = campaign_small(k_max=k_max, shard=(k - 2, k_max - 1))
+        assert one_k.stage_counts == [("terms_examined", crossing + 1), ("equality_hits", 0)], k
 
 
 # With |disc(9)| planted at L(9, n): the two terms compared before the walk,

@@ -183,17 +183,15 @@ def patch_pieces(monkeypatch, actions):
     monkeypatch.setattr(campaigns, "shard", patched)
 
 
-def without_n_max(campaign, piece, of, n_max, **params):
-    return shard(campaign, piece, of, **params)
-
-
 @pytest.mark.parametrize("failing", [0, 1])
 def test_search_value_error_in_either_piece_exit_two(monkeypatch, started, failing, capsys):
-    # Both pieces of small --n-max 100 fail; here only one keeps the limit,
-    # the caller's own piece 0 (at k = 22) or the worker's piece 1 (at k = 21).
-    patch_pieces(monkeypatch, {1 - failing: without_n_max})
-    assert run(["search", "small", "--n-max", "100", "--workers", "2"]) == 2
-    assert "the walk at k=%d passes n_max=100" % (22 - failing) in capsys.readouterr().err
+    # The caller's own piece 0 or the worker's piece 1 fails; the other runs.
+    def fails(*args, **params):
+        raise ValueError("planted in piece %d" % failing)
+
+    patch_pieces(monkeypatch, {failing: fails})
+    assert run(["search", "small", "--workers", "2"]) == 2
+    assert capsys.readouterr().err == "error: planted in piece %d\n" % failing
     assert len(started) == 1
     assert multiprocessing.active_children() == []
 
@@ -230,7 +228,7 @@ def test_search_names_a_worker_that_exits_without_a_report(monkeypatch, started)
     assert multiprocessing.active_children() == []
 
 
-def test_usage_errors():
+def test_usage_errors(capsys):
     assert run([]) == 2
     assert run(["term", "--k", "5"]) == 2
     assert run(["term", "--k", "1", "--n", "3"]) == 2
@@ -239,7 +237,10 @@ def test_usage_errors():
     assert run(["search", "case0", "--shard", "0/2"]) == 2
     assert run(["search", "case12", "--k-lo", "201", "--k-hi", "300"]) == 2
     assert run(["search", "case12", "--k-lo", "1000", "--k-hi", "500", "--workers", "1"]) == 2
+    assert run(["search", "small", "--n-max", "100"]) == 2
+    capsys.readouterr()
     assert run(["search", "small", "--workers", "0"]) == 2
+    assert capsys.readouterr().err == "error: need workers >= 1, got 0\n"
     assert run(["search", "--workers", "2", "small"]) == 2  # options follow the campaign name
     assert run(["search", "case3", "--k-lo", "300"]) == 2
 
@@ -252,11 +253,11 @@ def test_search_help_lists_only_the_campaigns_own_options(capsys):
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_search_small_n_max_below_a_crossing_exit_two(monkeypatch, workers, started, capsys):
+def test_search_domain_error_exit_two(monkeypatch, workers, started, capsys):
     # At --workers 2 piece 0 fails in this process and piece 1 in a worker.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert run(["search", "small", "--n-max", "100", "--workers", workers]) == 2
-    assert "n_max=100" in capsys.readouterr().err
+    assert run(["search", "case12", "--k-lo", "201", "--workers", workers]) == 2
+    assert capsys.readouterr().err == "error: k range not even-aligned: (201, 70000000)\n"
     assert len(started) == int(workers) - 1
     assert multiprocessing.active_children() == []
 
