@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
+from .sequences import LUCAS, SeqParams
 from .twoadic import (
     _odd_disc_core,
     disc_match,
@@ -53,6 +54,7 @@ from .bounds import (
     discriminant,
     localize_k_by_power2,
     m_range,
+    window_integers,
 )
 
 __all__ = [
@@ -163,8 +165,8 @@ def _run(
 def _window_pairs(ks: range, m: int) -> list[tuple[int, int, int, int]]:
     """The (k, n, m, r) with k in ``ks``, r in {1, 2}, n = m(k+1) + r in k's window.
 
-    With X = m(k+1) - k, n - k = X + r, so n is in the window iff
-    l(k) <= 10(X + r) <= l(k) + 23 (:func:`lucasdisc.bounds._ell`).  Some r
+    With X = m(k+1) - k, n - k = X + r, and :func:`lucasdisc.bounds.window_integers`
+    holds n iff l(k) <= 10(X + r) <= l(k) + 23 (l = ``bounds._ell``).  Some r
     in {1, 2} qualifies iff d(k) = m(k+1) - w(k) lies in (-2, 1.4), and in
     integers d < 1.4 reads 10X - 13 <= l(k) and d <= -2 reads
     10X + 21 <= l(k).  d(k) is strictly concave in k.  Where it rises,
@@ -181,11 +183,7 @@ def _window_pairs(ks: range, m: int) -> list[tuple[int, int, int, int]]:
         bisect_left(ks, True, key=lambda k: 10 * x(k) - 13 <= _ell(k)) :
         bisect_left(ks, True, key=lambda k: 10 * x(k) + 21 <= _ell(k))
     ]
-    pairs = []
-    for k in near:
-        ell = _ell(k)
-        pairs += [(k, m * (k + 1) + r, m, r) for r in (1, 2) if ell <= 10 * (x(k) + r) <= ell + 23]
-    return pairs
+    return [(k, n, m, n - m * (k + 1)) for k in near for n in window_integers(k) if n - m * (k + 1) in (1, 2)]
 
 
 def campaign_small(k_max: int = 200, shard: tuple[int, int] | None = None) -> CampaignReport:
@@ -205,7 +203,7 @@ def campaign_small(k_max: int = 200, shard: tuple[int, int] | None = None) -> Ca
         hits: list[CandidatePair] = []
         for k in ks:
             delta = discriminant(k)
-            terms = [0] * (k - 2) + [2, 1]  # L(2-k) .. L(1); L(n) at index n + k - 2
+            terms = SeqParams(k, LUCAS).initial_values()  # L(n) at index n + k - 2
             equal = [n for n in (0, 1) if terms[n + k - 2] == delta]
             total = 3  # the sum of the last k terms, L(2)
             for n in itertools.count(2):
@@ -458,8 +456,8 @@ def campaign_case3(
             m_bits = m.bit_count()
             last = 0  # the previous match's r, whose binomial C(m+r, m) is carried
             for r in range(max(3, k_start - A_MINUS1_MAX), hi):
-                # Filter 1: a = nu2(B(m, r)) in the closed form of l_quantity_nu2,
-                # with its weight 8N(N-1) - 6r(N-1) + r(r-1) regrouped.
+                # Filter 1: a = nu2(B(m, r)) in the closed form of l_quantity_nu2, with
+                # _bracket_ratio's weight 8N(N-1) - 6r(N-1) + r(r-1) regrouped.
                 N = m + r
                 den = N * (N - 1)
                 weight = 8 * den - r * (6 * N - 5 - r)

@@ -6,8 +6,8 @@ discriminant, and checks the implementation against it on a small
 configurable grid.  A clean run returns no ``Failure`` records; the
 ``verify-lemmas`` CLI subcommand prints one pass/fail line per suite.
 
-The grids scale with a single ``scale`` knob (1 = quick smoke, larger
-values widen every range).
+The grids scale with a single ``scale`` knob (1 = quick smoke; larger
+values widen every range except ``small_k_cross_validation``'s fixed one).
 """
 
 from __future__ import annotations
@@ -214,30 +214,24 @@ def check_root_enclosures(scale: int = 1) -> list[Failure]:
 
 
 def check_window_brackets_crossing(scale: int = 1) -> list[Failure]:
-    """L(n) crosses |disc| strictly inside the admissible n-window (k > 200).
+    """L(n) crosses |disc| strictly inside the admissible n-window (201 <= k <= 200 + 3 scale).
 
-    Checks the defining property of the window: terms at or below its
-    floor are still smaller than |disc|, terms at or above its ceiling
-    already exceed it.
+    Exact terms (``term``) at the window's ends: the one just below is
+    smaller than |disc|, the one just above exceeds it, and none inside
+    equals it.  Terms increase from n = 2 on, so this decides every n at k.
     """
     out = []
-    ks = [201, 202, 203, 210][: 2 + scale]
-    for k in ks:
+    for k in range(201, 201 + 3 * scale):
         delta = discriminant(k)
         window = window_integers(k)
         params = SeqParams(k=k, family=LUCAS)
-        floor_n = window[0] - 1
-        ceil_n = window[-1] + 1
-        last = None
-        for n, value in term_iter(params, 0):
-            if n > ceil_n:
-                break
-            last = value
-            if n <= floor_n and value >= delta:
-                out.append(_fail("window_brackets", "term at/below window floor >= |disc|", k=k, n=n))
-                break
-        if last is not None and last <= delta:
-            out.append(_fail("window_brackets", "term above window ceiling <= |disc|", k=k, n=ceil_n))
+        if term(params, window[0] - 1) >= delta:
+            out.append(_fail("window_brackets", "term below window floor >= |disc|", k=k, n=window[0] - 1))
+        if term(params, window[-1] + 1) <= delta:
+            out.append(_fail("window_brackets", "term above window ceiling <= |disc|", k=k, n=window[-1] + 1))
+        for n in window:
+            if term(params, n) == delta:
+                out.append(_fail("window_brackets", "term in window equals |disc|", k=k, n=n))
     return out
 
 

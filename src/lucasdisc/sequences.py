@@ -52,6 +52,8 @@ LUCAS = "lucas"
 
 _FAMILIES = (FIBONACCI, LUCAS)
 
+_HEADS = {FIBONACCI: [0, 1], LUCAS: [2, 1]}  # a(0), a(1); every earlier initial value is 0
+
 
 @dataclass(frozen=True)
 class SeqParams:
@@ -70,14 +72,9 @@ class SeqParams:
     def min_index(self) -> int:
         return 2 - self.k
 
-
-def _initial_term(params: SeqParams, n: int) -> int:
-    """Stored initial value for 2-k <= n <= 1 (no backward recursion)."""
-    if n < params.min_index or n > 1:
-        raise ValueError("index %d is not an initial index for k=%d" % (n, params.k))
-    if params.family == FIBONACCI:
-        return 1 if n == 1 else 0
-    return {0: 2, 1: 1}.get(n, 0)
+    def initial_values(self) -> list[int]:
+        """a(2-k) .. a(1): k - 2 zeros, then a(0) and a(1)."""
+        return [0] * (self.k - 2) + _HEADS[self.family]
 
 
 # First k at which term() takes the closed form instead of the walk.  Per
@@ -103,7 +100,7 @@ def term(params: SeqParams, n: int) -> int:
     if n < params.min_index:
         raise ValueError("index %d below domain minimum %d" % (n, params.min_index))
     if n < 2:
-        return _initial_term(params, n)
+        return params.initial_values()[n - params.min_index]
     if params.k < _CLOSED_FORM_MIN_K:
         return next(term_iter(params, n))[1]
     return _closed_form(params, n)
@@ -169,7 +166,7 @@ def term_iter(params: SeqParams, n_start: int = 0) -> Iterator[tuple[int, int]]:
     """
     if n_start < params.min_index:
         raise ValueError("start index %d below domain minimum %d" % (n_start, params.min_index))
-    init = [0] * (params.k - 2) + ([2, 1] if params.family == LUCAS else [0, 1])  # n = 2-k..1
+    init = params.initial_values()  # n = 2-k..1
     for n in range(n_start, 2):
         yield n, init[n - params.min_index]
     window = deque(init, maxlen=params.k)  # appending drops the oldest term

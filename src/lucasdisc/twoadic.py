@@ -70,20 +70,15 @@ def l_quantity_nu2(m: int, r: int) -> int:
     """nu2(B(m, r)) for m, r >= 0, without forming B.
 
     nu2(C(m+r, m)) by Kummer's theorem, s(m) + s(r) - s(m+r) with s the
-    binary digit sum, plus nu2 of the bracket's positive weight
-    8N(N-1) - 6r(N-1) + r(r-1), minus nu2 of its denominator N(N-1),
-    at N = m + r >= 2.  For N < 2 the binomial is 1 and B = 8 - 6r.
+    binary digit sum, plus nu2 of the bracket's positive weight minus nu2
+    of its denominator, both from ``sequences._bracket_ratio``.
     """
     if m < 0 or r < 0:
         raise ValueError("need m >= 0 and r >= 0, got m=%d r=%d" % (m, r))
-    N = m + r
-    if N < 2:
-        return 3 if r == 0 else 1
-    weight = 8 * N * (N - 1) - 6 * r * (N - 1) + r * (r - 1)
-    den = N * (N - 1)
+    weight, den = _bracket_ratio(LUCAS, m + r, m)
     # nu2(x) = (x & -x).bit_length() - 1; the two -1 cancel.
     return (
-        m.bit_count() + r.bit_count() - N.bit_count()
+        m.bit_count() + r.bit_count() - (m + r).bit_count()
         + (weight & -weight).bit_length() - (den & -den).bit_length()
     )
 

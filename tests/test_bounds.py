@@ -42,6 +42,11 @@ def test_discriminant_closed_form_divides_exactly(k):
     assert value * (k - 1) ** 2 == numerator
 
 
+def test_discriminant_domain():
+    with pytest.raises(ValueError, match="need k >= 2, got k=1"):
+        discriminant(1)
+
+
 def test_discriminant_parity_split():
     for k in range(2, 60):
         expected = 0 if k % 2 == 0 else k - 1
@@ -177,6 +182,8 @@ def test_m_range_envelope():
     lo, hi = m_range(10**9)
     assert lo == 8
     assert hi < 57
+    with pytest.raises(ValueError, match="need k_max > 201, got 201"):
+        m_range(201)
 
 
 def test_localize_k_by_power2():

@@ -28,6 +28,7 @@ from lucasdisc.campaigns import (
     search,
     shard,
 )
+from lucasdisc.cli import run
 from lucasdisc.sequences import LUCAS, SeqParams, term, term_iter
 from lucasdisc import campaigns, twoadic
 from lucasdisc.twoadic import disc_match, l_quantity, l_quantity_nu2, nu2
@@ -113,6 +114,20 @@ def test_case0_all_odd_k_clash():
     report = campaign_case0()
     assert report.stage_counts == [("odd_k_checked", 99), ("clashes_missing", 0)]
     assert report.survivors == []
+
+
+def test_case0_reports_a_missing_clash_as_a_survivor(monkeypatch, capsys):
+    # A discriminant valuation of 1 at k = 101 equals nu2(L(n)), so no clash there.
+    monkeypatch.setattr(campaigns, "disc_nu2", lambda k: 1 if k == 101 else twoadic.disc_nu2(k))
+    report = campaign_case0()
+    assert report.stage_counts == [("odd_k_checked", 99), ("clashes_missing", 1)]
+    assert report.survivors == [
+        CandidatePair(101, 0, 0, 0, None, "valuation_clash", "survivor", frozenset({"clash_not_established"}))
+    ]
+    assert run(["search", "case0", "--format", "jsonl", "--no-timing"]) == 1
+    rows = capsys.readouterr().out.splitlines()
+    assert json.loads(rows[0])["flags"] == ["clash_not_established"]
+    assert json.loads(rows[-1])["survivors"] == [[101, 0]]
 
 
 def test_case12_toy_frozen_pairs(case12_toy_report):
@@ -478,6 +493,14 @@ def test_merge_rejects_mismatches():
         merge_reports(
             [shard("small", 0, 2, k_max=50), shard("small", 1, 2, k_max=60)]
         )
+    renamed = shard("case0", 1, 2)
+    renamed.stage_counts = [("odd_k", count) for _, count in renamed.stage_counts]
+    with pytest.raises(ValueError, match="stage mismatch between shards"):
+        merge_reports([shard("case0", 0, 2), renamed])
+    reworded = shard("case0", 1, 2)
+    reworded.notes = reworded.notes[:-1]
+    with pytest.raises(ValueError, match="notes mismatch between shards"):
+        merge_reports([shard("case0", 0, 2), reworded])
     with pytest.raises(ValueError):
         shard("nonsense", 0, 1)
     with pytest.raises(ValueError):

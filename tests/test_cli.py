@@ -17,7 +17,7 @@ import mpmath
 import pytest
 
 import lucasdisc
-from lucasdisc import campaigns
+from lucasdisc import campaigns, lemmas
 from lucasdisc.bounds import K_CAP, _ell, discriminant
 from lucasdisc.campaigns import shard
 from lucasdisc.cli import _nstr, run
@@ -283,6 +283,16 @@ def test_verify_lemmas_subset(capsys):
     out = capsys.readouterr().out
     assert "PASS recurrence" in out
     assert "PASS congruence_table" in out
+
+
+def test_verify_lemmas_names_a_failing_suite_and_exits_one(monkeypatch, capsys):
+    term = lemmas.term
+    monkeypatch.setattr(lemmas, "term", lambda params, n: term(params, n) + (n == 7))
+    assert run(["verify-lemmas", "--suite", "recurrence", "--suite", "closed_form"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL recurrence (14 failures)" in out
+    assert out.count("term() disagrees with term_iter()") == 10  # the listing stops at ten
+    assert "PASS closed_form" in out
 
 
 def test_bounds(capsys):

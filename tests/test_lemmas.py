@@ -2,8 +2,10 @@
 
 import pytest
 
-from lucasdisc import roots
+from lucasdisc import lemmas, roots
+from lucasdisc.bounds import window_integers
 from lucasdisc.lemmas import SUITES, run_all, run_suite
+from lucasdisc.sequences import LUCAS, SeqParams, term
 
 
 def test_all_suites_pass_at_scale_1():
@@ -41,3 +43,62 @@ def test_root_enclosure_suite_catches_a_faulty_gk_sign(monkeypatch, cold_root_ca
     monkeypatch.setattr(roots, "_gap_sign", lambda k, p, q, w: gap_sign(k, p + 1, q, w))
     failures = run_suite("root_enclosure", 1)
     assert any(f.detail == "no sign change across enclosure" for f in failures)
+
+
+def _shift_one_cell(parts):
+    """``lucas_congruence_parts`` with its shift one too large at (k, r) = (7, 4)."""
+
+    def faulty(k, m, r):
+        sign, odd, shift, exponent = parts(k, m, r)
+        return sign, odd, shift + ((k, r) == (7, 4)), exponent
+
+    return faulty
+
+
+def _disc_in_window(discriminant):
+    """``discriminant`` replaced at k = 202 by the term at its second window integer."""
+    return lambda k: term(SeqParams(k, LUCAS), window_integers(k)[1]) if k == 202 else discriminant(k)
+
+
+# (suite, name in lemmas, fault built from the original, failure detail expected)
+FAULTS = [
+    ("recurrence", "term", lambda term: lambda p, n: term(p, n) + (n == 7), "term() disagrees with term_iter()"),
+    (
+        "doubling_shift",
+        "shift_identity_check",
+        lambda check: lambda k, n: check(k, n) and (k, n) != (4, 9),
+        "L(n) != 2L(n-1) - L(n-k-1)",
+    ),
+    ("closed_form", "_closed_form", lambda form: lambda p, n: form(p, n) + (n == 7), "generating-function sum mismatch"),
+    (
+        "parity_period",
+        "term_iter",
+        lambda walk: lambda p, n0=0: ((n, v + (n == 9)) for n, v in walk(p, n0)),
+        "parity not (k+1)-periodic",
+    ),
+    ("congruence_table", "lucas_congruence_parts", _shift_one_cell, "L(n) != residue mod 2^E"),
+    ("valuation_law", "lucas_congruence_parts", _shift_one_cell, "nu2(L(n)) != pinned shift"),
+    (
+        "quantity_factorization",
+        "l_quantity",
+        lambda q: lambda m, r: q(m, r) + ((m, r) == (3, 5)),
+        "one-binomial form mismatch",
+    ),
+    (
+        "window_brackets",
+        "window_integers",
+        lambda window: lambda k: [n + 3 for n in window(k)],
+        "term below window floor >= |disc|",
+    ),
+    ("window_brackets", "discriminant", _disc_in_window, "term in window equals |disc|"),
+    ("small_k_cross_validation", "lucas_congruence_parts", _shift_one_cell, "congruence violated"),
+]
+
+
+@pytest.mark.parametrize("suite,name,fault,detail", FAULTS, ids=["%s-%s" % (f[0], f[1]) for f in FAULTS])
+def test_each_suite_reports_a_planted_fault(monkeypatch, suite, name, fault, detail):
+    monkeypatch.setattr(lemmas, name, fault(getattr(lemmas, name)))
+    failures = run_suite(suite, 1)
+    assert failures
+    assert {f.suite for f in failures} == {suite}
+    assert detail in {f.detail for f in failures}

@@ -445,6 +445,23 @@ def test_binet_error_escalates_past_2048_bits_and_stops_at_the_cap():
         binet_error_check(10, 4100)
 
 
+def test_growth_decision_is_undecided_until_the_root_is_fine_enough():
+    # floor(alpha^299) sits just below alpha^(n-1) at n = 300, and one more just above it.
+    enc = dominant_root(5, 1024)
+    below = math.floor(enc.lo**299)
+    assert below == math.floor(enc.hi**299)
+    assert [_growth_decision(5, 300, below, bits) for bits in (128, 256, 512)] == [None, None, False]
+    assert [_growth_decision(5, 300, below + 1, bits) for bits in (128, 256, 512)] == [None, None, True]
+
+
+def test_power2_decision_is_undecided_when_the_enclosure_straddles_the_bound(monkeypatch):
+    # One end at the target, the other far above it: neither verdict holds.
+    monkeypatch.setattr(roots, "_enclosure", lambda k, n, bits, w: [(3, 1), (3 << 40, 1)])
+    assert _power2_decision(20, 2, Fraction(3), 128) is None
+    with pytest.raises(PrecisionError, match="undecidable at 4096 bits"):
+        binet_vs_power2_check(20, 2)
+
+
 @pytest.mark.parametrize("k", range(2, 13))
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 40])
 def test_growth_bounds_grid(k, n):

@@ -11,7 +11,6 @@ from lucasdisc.sequences import (
     LUCAS,
     SeqParams,
     _closed_form,
-    _initial_term,
     binom_ext,
     lucas_from_fib,
     shift_identity_check,
@@ -120,11 +119,11 @@ def test_term_equals_walk_property(family, k_n):
 @pytest.mark.parametrize("family", [LUCAS, FIBONACCI])
 @pytest.mark.parametrize("k", range(2, 41))
 def test_term_iter_first_window(family, k):
-    # The walk's first window is the stored initial values, then the recurrence.
+    # The walk's first window is the initial values, then the recurrence.
     params = SeqParams(k, family)
     it = term_iter(params, 2 - k)
     values = [next(it)[1] for _ in range(k + 2)]
-    assert values[:k] == [_initial_term(params, n) for n in range(2 - k, 2)]
+    assert values[:k] == [0] * (k - 2) + ([2, 1] if family == LUCAS else [0, 1])
     assert values[k:] == [sum(values[:k]), sum(values[1 : k + 1])]
 
 
@@ -209,5 +208,7 @@ def test_domain_errors():
         SeqParams(k=5, family="pell")
     with pytest.raises(ValueError):
         term(SeqParams(k=5, family=LUCAS), -10)
+    with pytest.raises(ValueError, match="start index -4 below domain minimum -3"):
+        next(term_iter(SeqParams(k=5, family=LUCAS), -4))
     with pytest.raises(ValueError):
         shift_identity_check(4, 1)
