@@ -100,16 +100,21 @@ def _case3_low_match(k: int, m: int, a: int, q: int, core: int) -> bool:
 
 
 class CandidatePair(NamedTuple):
-    """One (k, n) pair that reached a reportable stage of a campaign."""
+    """One (k, n) pair that a campaign reports, with n = m(k+1) + r.
+
+    ``a`` is case3's nu2(B(m, r)) and None elsewhere.  ``verdict`` is
+    ``survivor`` or ``eliminated``.  ``flags`` holds only what the verdict,
+    m and r do not state: on case12 rows, ``plus_disc`` and ``minus_disc``
+    name the sign tests L(n) == +|disc| and L(n) == -|disc| that passed.
+    """
 
     k: int
     n: int
     r: int
     m: int
     a: int | None
-    stage: str
     verdict: str
-    stage_flags: frozenset[str] = frozenset()
+    flags: frozenset[str] = frozenset()
 
 
 @dataclass
@@ -217,9 +222,7 @@ def campaign_small(k_max: int = 200, shard: tuple[int, int] | None = None) -> Ca
             terms_examined += n + 1
             for n in equal:
                 m, r = divmod(n, k + 1)
-                hits.append(
-                    CandidatePair(k, n, r, m, None, "equality_walk", "survivor", frozenset({"exact_equality"}))
-                )
+                hits.append(CandidatePair(k, n, r, m, None, "survivor"))
         return hits, [("terms_examined", terms_examined), ("equality_hits", len(hits))], {}
 
     return _run(
@@ -253,18 +256,7 @@ def campaign_case0(shard: tuple[int, int] | None = None) -> CampaignReport:
             # the clash needs that valuation to differ from nu2(|disc|).
             shifts = [lucas_congruence_parts(k, m, 0)[2:] for m in (0, 1)]
             if not all(shift < e and shift != disc_nu2(k) for shift, e in shifts):
-                gaps.append(
-                    CandidatePair(
-                        k=k,
-                        n=0,
-                        r=0,
-                        m=0,
-                        a=None,
-                        stage="valuation_clash",
-                        verdict="survivor",
-                        stage_flags=frozenset({"clash_not_established"}),
-                    )
-                )
+                gaps.append(CandidatePair(k, 0, 0, 0, None, "survivor"))
         return gaps, [("odd_k_checked", len(ks)), ("clashes_missing", len(gaps))], {}
 
     return _run(
@@ -327,27 +319,11 @@ def campaign_case12(
         survivors = 0
         for k, n, m, r in window_pairs:
             # L == +|disc| is (k+1)^(k+1) == -alpha2, L == -|disc| is +alpha2.
-            sign_minus, sign_plus = disc_match(k, m, r, l_quantity(m, r), test_modulus_bits)
-            flags = {"window_member", "residue_%d" % r}
-            if sign_plus:
-                flags.add("sign_plus")
-            if sign_minus:
-                flags.add("sign_minus")
-            survived = sign_plus or sign_minus
-            if survived:
-                flags.add("modulus_match")
-            candidates.append(
-                CandidatePair(
-                    k=k,
-                    n=n,
-                    r=r,
-                    m=m,
-                    a=None,
-                    stage="window_residue",
-                    verdict="survivor" if survived else "eliminated",
-                    stage_flags=frozenset(flags),
-                )
-            )
+            plus, minus = disc_match(k, m, r, l_quantity(m, r), test_modulus_bits)
+            survived = plus or minus
+            verdict = "survivor" if survived else "eliminated"
+            flags = frozenset(name for name, passed in (("plus_disc", plus), ("minus_disc", minus)) if passed)
+            candidates.append(CandidatePair(k, n, r, m, None, verdict, flags))
             survivors += survived
         stage_counts = [
             ("k_scanned", len(ks)),
@@ -375,15 +351,6 @@ def campaign_case12(
             " 2^test_modulus_bits, accepting either sign",
         ],
     )
-
-
-# A case3 match's stage flags, by (m in the band 9..55, congruence survivor).
-_CASE3_FLAGS = {
-    (False, False): frozenset({"valuation_match"}),
-    (True, False): frozenset({"valuation_match", "m_band_9_55"}),
-    (False, True): frozenset({"valuation_match", "congruence_match"}),
-    (True, True): frozenset({"valuation_match", "m_band_9_55", "congruence_match"}),
-}
 
 
 def campaign_case3(
@@ -443,7 +410,7 @@ def campaign_case3(
         for m in ms:
             lo, hi = localize_k_by_power2(m)
             k_start = lo + 1 + (lo & 1)  # smallest odd integer > lo
-            if k_start >= hi:  # no odd k left (m = 57 clips away at K_CAP)
+            if k_start >= hi:  # no odd k left (m = 56 and 57 clip away at K_CAP)
                 continue
             # Odd k in [max(k_start, a + 2), hi) for each a; r = k - a + 1 >= 3.
             # There are x // 2 odd integers below x.  Each a - 1 <= k_start - 3
@@ -487,18 +454,8 @@ def campaign_case3(
                         core = cores[k & _CASE3_LOW_MASK] = _odd_disc_core(k, _CASE3_LOW_BITS - 2)
                     passed = _case3_low_match(k, m, a, q, core)
                 survived = passed and disc_match(k, m, r, q, a + extra)[0]
-                candidates.append(
-                    CandidatePair(
-                        k,
-                        m * (k + 1) + r,
-                        r,
-                        m,
-                        a,
-                        "valuation",
-                        "survivor" if survived else "eliminated",
-                        _CASE3_FLAGS[in_band, survived],
-                    )
-                )
+                verdict = "survivor" if survived else "eliminated"
+                candidates.append(CandidatePair(k, m * (k + 1) + r, r, m, a, verdict))
                 band_candidates += in_band
                 survivors += survived
                 band_survivors += survived and in_band
@@ -533,8 +490,9 @@ def campaign_case3(
             "filter 1 keeps triples whose congruence quantity has nu2 equal to"
             " a = k - r + 1, matching the discriminant valuation k - 1",
             "filter 2 compares odd parts modulo 2^min(a + extra, k)",
-            "the m scan is one band wider on each side than the tight envelope;"
-            " tallies on the tight band 9..55 are reported in extras",
+            "m runs over m_range(K_CAP) = 8..57, the window envelope 8..56 plus"
+            " one at the top, and m = 56 and 57 clip away at K_CAP; extras tally"
+            " m in 9..55, which leaves out the 89 matches at m = 8",
         ],
     )
 
@@ -670,10 +628,10 @@ def merge_reports(reports: list[CampaignReport]) -> CampaignReport:
 _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def _row_format(campaign: str, has_a: bool, flags: frozenset[str], stage: str, verdict: str) -> str:
+def _row_format(has_a: bool, flags: frozenset[str], verdict: str) -> str:
     """The %-format of a candidate row: its keys in sorted order, the ints a, k, m, n, r as %d.
 
-    Every other value is encoded once here, by ``_JSON``; ``a`` and
+    ``flags`` and ``verdict`` are encoded once here, by ``_JSON``; ``a`` and
     ``flags`` are left out when None and empty, as ``json.dumps`` of the
     row without them would.
     """
@@ -682,11 +640,9 @@ def _row_format(campaign: str, has_a: bool, flags: frozenset[str], stage: str, v
         return _JSON.encode(value).replace("%", "%%")
 
     fields = ['"a":%d'] if has_a else []
-    fields.append('"campaign":' + quoted(campaign))
     if flags:
         fields.append('"flags":' + quoted(sorted(flags)))
-    fields += ['"k":%d', '"m":%d', '"n":%d', '"r":%d']
-    fields += ['"stage":' + quoted(stage), '"verdict":' + quoted(verdict)]
+    fields += ['"k":%d', '"m":%d', '"n":%d', '"r":%d', '"verdict":' + quoted(verdict)]
     return "{" + ",".join(fields) + "}"
 
 
@@ -697,13 +653,13 @@ def report_to_jsonl(report: CampaignReport, include_timing: bool = True) -> str:
     to identical bytes; pass ``include_timing=False`` to drop the only
     nondeterministic field.
     """
-    formats: dict = {}  # (has a, flags, stage, verdict) -> _row_format
+    formats: dict = {}  # (has a, flags, verdict) -> _row_format
     lines = []
     for c in report.candidates:
-        key = (c.a is not None, c.stage_flags, c.stage, c.verdict)
+        key = (c.a is not None, c.flags, c.verdict)
         fmt = formats.get(key)
         if fmt is None:
-            fmt = formats[key] = _row_format(report.campaign, *key)
+            fmt = formats[key] = _row_format(*key)
         lines.append(fmt % ((c.a, c.k, c.m, c.n, c.r) if key[0] else (c.k, c.m, c.n, c.r)))
     summary: dict = {
         "campaign": report.campaign,

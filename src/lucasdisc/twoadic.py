@@ -141,11 +141,12 @@ def disc_match(k: int, m: int, r: int, q: int, bits: int) -> tuple[bool, bool]:
     divided by 2^s, s = max(r-2, 0): (-1)^m (k-1)^2 (B >> (s+2-r)) is
     compared with ((k-1)^2 |disc|) >> s modulo 2^min(bits, k+r-2-s).  The
     shift is exact: it is 2 at r = 0 and 1 at r = 1, where nu2(B) is 3 and 1.
+    At 0 bits both pass; negative ``bits`` raise ``ValueError``.
     """
+    if bits < 0:
+        raise ValueError("need bits >= 0, got %d" % (bits,))
     s = max(r - 2, 0)
     e = min(bits, k + r - 2 - s)
-    if e <= 0:
-        return True, True
     mask = (1 << e) - 1
     lhs = (k - 1) * (k - 1) * (q >> s + 2 - r)
     if m % 2:

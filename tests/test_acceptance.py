@@ -44,8 +44,8 @@ def test_criterion_02_case12_exactly_32_pairs_zero_survivors(case12_full_report)
         [(c.k, c.n) for c in report.candidates],
     )
     assert survivors == 0
-    # both sign conventions were tested on every pair
-    assert not any("modulus_match" in c.stage_flags for c in report.candidates)
+    # both sign conventions were tested on every pair, and neither passed
+    assert not any(c.flags for c in report.candidates)
     print("criterion 2: 32 window pairs, 0 survivors at 2^100 (both signs)")
 
 

@@ -138,6 +138,7 @@ def test_matveev_solver_caps():
     assert caps.k_max == 65854579697213341
     assert caps.n_max == 3745158725196720903
     assert caps.k_max < 7 * 10**16
+    assert caps.k_max <= K_CAP  # the campaigns search k up to K_CAP
     assert caps.n_max < 4 * 10**18
     # The cap is the last k before the gap turns nonnegative, in the solver's
     # decimal gap and in a 160-bit mpmath one.

@@ -50,9 +50,9 @@ CASE3_SURVIVORS_AT_100 = 14
 REPORT_SHA256 = {
     "small": ("small_report", "998994cf2f9c3d027dafb88d442c606dc3e68895c513af30ae348298a03313a5"),
     "case0": (None, "d4e05d658008bd327a27c76ce6b5ce90ad6800d52f2a6bad6f2fe69fef9fd0bf"),
-    "case12": ("case12_full_report", "0ebf9e52fce47e30bce6444231e1a325620a55f0da89729a91e6dc2cfdabd960"),
-    "case3_150": ("case3_150_report", "16c98191ce00b9164262f3c8447e2b8520a60f4e39ae647ca964be772e942cf7"),
-    "case3_100": ("case3_100_report", "735df6d711ff26ca58bd7bd92aae21b58d803e87c6c09d83098c77b12923d86c"),
+    "case12": ("case12_full_report", "6f35ae93ef7bf4891f32e8e04fe544564ca2f30cb5a7c273ec66debe5ad06a46"),
+    "case3_150": ("case3_150_report", "6b26bcab0813b6855e6a9f1f90ec8fcbfcf0b7c8cfa546995d9e8281b2587be8"),
+    "case3_100": ("case3_100_report", "61b8541df1613ea4e314ec5f43e2dc66b079196f16ebd75fb941d0b69c5cdc58"),
 }
 
 
@@ -100,9 +100,7 @@ def test_small_walk_reports_a_planted_equality(n, monkeypatch):
     monkeypatch.setattr(campaigns, "discriminant", lambda j: planted if j == k else discriminant(j))
     report = campaign_small(k_max=k_max)
     m, r = divmod(n, k + 1)
-    assert report.survivors == [
-        CandidatePair(k, n, r, m, None, "equality_walk", "survivor", frozenset({"exact_equality"}))
-    ]
+    assert report.survivors == [CandidatePair(k, n, r, m, None, "survivor")]
     for j in range(2, k_max + 1):  # the terms up to the first n >= 2 with L(j, n) >= |disc|
         delta = campaigns.discriminant(j)
         walked = next(i + 1 for i, value in term_iter(SeqParams(j, LUCAS), 0) if i >= 2 and value >= delta)
@@ -121,12 +119,10 @@ def test_case0_reports_a_missing_clash_as_a_survivor(monkeypatch, capsys):
     monkeypatch.setattr(campaigns, "disc_nu2", lambda k: 1 if k == 101 else twoadic.disc_nu2(k))
     report = campaign_case0()
     assert report.stage_counts == [("odd_k_checked", 99), ("clashes_missing", 1)]
-    assert report.survivors == [
-        CandidatePair(101, 0, 0, 0, None, "valuation_clash", "survivor", frozenset({"clash_not_established"}))
-    ]
+    assert report.survivors == [CandidatePair(101, 0, 0, 0, None, "survivor")]
     assert run(["search", "case0", "--format", "jsonl", "--no-timing"]) == 1
     rows = capsys.readouterr().out.splitlines()
-    assert json.loads(rows[0])["flags"] == ["clash_not_established"]
+    assert json.loads(rows[0]) == {"k": 101, "m": 0, "n": 0, "r": 0, "verdict": "survivor"}
     assert json.loads(rows[-1])["survivors"] == [[101, 0]]
 
 
@@ -522,8 +518,7 @@ def test_jsonl_schema(case12_toy_report):
         assert line == json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"))
     for line in lines[:-1]:
         row = json.loads(line)
-        assert row["campaign"] == "case12"
-        assert {"stage", "k", "n", "r", "m", "verdict"} <= set(row)
+        assert set(row) - {"flags"} == {"k", "n", "r", "m", "verdict"}
     summary = json.loads(lines[-1])
     assert summary["stage"] == "summary"
     assert summary["stage_counts"][1] == ["window_residue_pairs", CASE12_TOY_PAIRS]
@@ -552,13 +547,12 @@ def test_report_bytes_are_pinned(run, request):
 def test_report_rows_match_json_dumps():
     # The direct row writer against json.dumps of each row as a dict.
     cands = [
-        CandidatePair(k=5, n=9, r=3, m=1, a=None, stage="equality_walk", verdict="survivor",
-                      stage_flags=frozenset({"exact_equality"})),
-        CandidatePair(k=7, n=20, r=4, m=2, a=0, stage="valuation", verdict="eliminated"),
-        CandidatePair(k=2**61 + 1, n=3 * (2**61 + 2) + 9, r=9, m=3, a=233, stage="valuation",
-                      verdict="survivor", stage_flags=frozenset({"valuation_match", "m_band_9_55", "100%"})),
-        CandidatePair(k=9, n=30, r=0, m=3, a=None, stage='odd "stage" %d \u00e9', verdict="eliminated"),
-        CandidatePair(k=11, n=39, r=3, m=3, a=2, stage="valuation", verdict="eliminated"),
+        CandidatePair(k=5, n=9, r=3, m=1, a=None, verdict="survivor", flags=frozenset({"plus_disc"})),
+        CandidatePair(k=7, n=20, r=4, m=2, a=0, verdict="eliminated"),
+        CandidatePair(k=2**61 + 1, n=3 * (2**61 + 2) + 9, r=9, m=3, a=233, verdict="survivor",
+                      flags=frozenset({"plus_disc", "minus_disc", "100%"})),
+        CandidatePair(k=9, n=30, r=0, m=3, a=None, verdict='odd "verdict" %d \u00e9'),
+        CandidatePair(k=11, n=39, r=3, m=3, a=2, verdict="eliminated"),
     ]
     for extras, notes in (({}, []), ({"survivors_m_9_55": 2, "valuation_matches_m_9_55": 7}, ["a note", "\u00e9"])):
         for timing in (True, False):
@@ -573,12 +567,11 @@ def test_report_rows_match_json_dumps():
             )
             rows = []
             for c in cands:
-                row = {"campaign": "case3", "stage": c.stage, "k": c.k, "n": c.n, "r": c.r, "m": c.m,
-                       "verdict": c.verdict}
+                row = {"k": c.k, "n": c.n, "r": c.r, "m": c.m, "verdict": c.verdict}
                 if c.a is not None:
                     row["a"] = c.a
-                if c.stage_flags:
-                    row["flags"] = sorted(c.stage_flags)
+                if c.flags:
+                    row["flags"] = sorted(c.flags)
                 rows.append(row)
             summary = {
                 "campaign": "case3",
@@ -599,6 +592,6 @@ def test_report_rows_match_json_dumps():
 
 
 def test_candidate_pair_is_frozen():
-    pair = CandidatePair(k=2, n=1, r=1, m=0, a=None, stage="x", verdict="eliminated")
+    pair = CandidatePair(k=2, n=1, r=1, m=0, a=None, verdict="eliminated")
     with pytest.raises(AttributeError):
         pair.k = 3

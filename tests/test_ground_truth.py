@@ -55,7 +55,7 @@ def case3_small_k_nu2(case3_150_report):
 
 # A row survives iff L(n) == |disc| modulo 2^(min(a + extra, k) + r - 2)
 # after both sides are multiplied by (k-1)^2: the congruence disc_match tests.
-@pytest.mark.parametrize("extra, true_survivors", [(150, 0), (100, 0), (25, 3), (4, 943)])
+@pytest.mark.parametrize("extra, true_survivors", [(150, 0), (100, 0), (25, 3), (16, 53), (8, 382), (4, 943)])
 def test_case3_verdicts_match_exact_valuations(extra, true_survivors, case3_small_k_nu2, request):
     if extra in (150, 100):
         report = request.getfixturevalue("case3_%d_report" % extra)
@@ -83,7 +83,7 @@ def case12_small_k_nu2():
     return out
 
 
-# case12 flags "sign_minus" for L == +|disc| and "sign_plus" for L == -|disc|.
+# case12 flags "plus_disc" for L == +|disc| and "minus_disc" for L == -|disc|.
 @pytest.mark.parametrize("bits, true_survivors", [(100, 0), (3, 6), (2, 12)])
 def test_case12_verdicts_match_exact_valuations(bits, true_survivors, case12_small_k_nu2):
     report = campaign_case12(202, 2**15, test_modulus_bits=bits)
@@ -92,9 +92,9 @@ def test_case12_verdicts_match_exact_valuations(bits, true_survivors, case12_sma
     survived = 0
     for c in report.candidates:
         e = min(bits, c.k + c.r - 2)
-        v_minus, v_plus = case12_small_k_nu2[c.k, c.n]
-        assert ("sign_minus" in c.stage_flags) == (v_minus >= e), c
-        assert ("sign_plus" in c.stage_flags) == (v_plus >= e), c
-        assert (c.verdict == "survivor") == (v_minus >= e or v_plus >= e), c
-        survived += v_minus >= e or v_plus >= e
+        v_plus, v_minus = case12_small_k_nu2[c.k, c.n]  # nu2(L - |disc|), nu2(L + |disc|)
+        assert ("plus_disc" in c.flags) == (v_plus >= e), c
+        assert ("minus_disc" in c.flags) == (v_minus >= e), c
+        assert (c.verdict == "survivor") == (v_plus >= e or v_minus >= e), c
+        survived += v_plus >= e or v_minus >= e
     assert survived == true_survivors

@@ -303,6 +303,12 @@ def test_disc_match_equals_comparison_with_exact_terms(k):
                 assert disc_match(k, m, r, q, bits) == expect, (m, r, bits)
 
 
+def test_disc_match_rejects_a_negative_modulus():
+    for r in (0, 1, 3):
+        with pytest.raises(ValueError, match="bits >= 0"):
+            disc_match(5, 1, r, l_quantity(1, r), -1)
+
+
 def test_valuation_law_witness():
     # nu2(L(9)) for k=5: 352 = 2^5 * 11, and r=3, a=nu2(16)=4: 3 - 2 + 4 = 5.
     assert nu2(term(SeqParams(k=5, family=LUCAS), 9)) == 5
