@@ -220,8 +220,9 @@ def m_range(k_max: int = K_CAP) -> tuple[int, int]:
 def localize_k_by_power2(m: int) -> tuple[int, int]:
     """Open interval of k with |k - 2^m| < 300, clipped to (200, K_CAP).
 
-    Returns exclusive bounds (lo, hi); empty when lo >= hi (the m = 57
-    band clips away entirely at the 7e16 cap).
+    Returns exclusive bounds (lo, hi); empty when lo >= hi.  The m = 56
+    and m = 57 bands clip away entirely at the 7e16 cap, since
+    2^56 - 300 > K_CAP; m = 55 is the last band that is not empty.
     """
     if m < 8:
         raise ValueError("need m >= 8, got m=%d" % (m,))

@@ -57,9 +57,11 @@ def _fail(suite: str, detail: str, **params) -> Failure:
 def check_recurrence(scale: int = 1) -> list[Failure]:
     """Every term equals the sum of its k predecessors (both families).
 
-    Each walked term is also compared with ``term()``.  For k >= 8 that
-    is the generating-function sum, so the comparison checks two
-    independent computations; below 8 ``term()`` is the same walk.
+    Each walked term is also compared with ``term()``.  The suite's n
+    stays below ``sequences._POWER_MIN_N``, where ``term()`` takes no
+    power form: for k >= 8 it is the generating-function sum, so the
+    comparison checks two independent computations; below 8 it is the
+    same walk.
     """
     out = []
     k_hi = 4 + 4 * scale
@@ -105,7 +107,8 @@ def check_doubling_and_bridges(scale: int = 1) -> list[Failure]:
 def check_closed_form(scale: int = 1) -> list[Failure]:
     """The generating-function sum reproduces the walk (both families, from k = 2).
 
-    ``term()`` takes the sum only from k = 8 on, so it is called directly.
+    ``term()`` takes the sum only from k = 8 on, and for k <= 12 only
+    below n = 1,000, so it is called directly.
     """
     out = []
     k_hi = 4 + 4 * scale

@@ -77,11 +77,32 @@ class SeqParams:
         return [0] * (self.k - 2) + _HEADS[self.family]
 
 
-# First k at which term() takes the closed form instead of the walk.  Per
-# call, best of repeats at n = 2,000, 10,000 and 40,000 (Python 3.11, 2-core
-# VM), the closed form costs 2.6-3.1x the walk at k = 3, 1.0-1.2x at k = 7,
-# 0.9-1.1x at k = 8 and 0.6-1.0x at k = 9; at k = 60, n = 50,000 it is 0.1x.
+# First k at which term() takes the closed form instead of the walk, where
+# the power form below does not apply.  Per call, best of repeats at
+# n = 2,000, 10,000 and 40,000 (Python 3.11, 2-core VM), the closed form
+# costs 2.6-3.1x the walk at k = 3, 1.0-1.2x at k = 7, 0.9-1.1x at k = 8 and
+# 0.6-1.0x at k = 9; at k = 60, n = 50,000 it is 0.1x.
 _CLOSED_FORM_MIN_K = 8
+
+# term() takes the power form for k <= _POWER_MAX_K and n >= _POWER_MIN_N.
+# Per call, best of 9 (Python 3.11, 2-core VM), the power form costs this
+# much of the path it replaces (the walk below k = 8, the closed form from
+# there):
+#
+#     k      n = 700   1,000   1,500   3,000   30,000
+#     2       0.27     0.15    0.11    0.05    0.01
+#     4       0.42     0.29    0.22    0.13    0.05
+#     7       0.71     0.56    0.42    0.29    0.14
+#     8       0.78     0.52    0.38    0.29    0.17
+#     10      1.17     0.87    0.67    0.52    0.33
+#     12      1.81     1.37    1.07    0.79    0.55
+#     13      2.16     1.61    1.25    0.98    0.78
+#     14      2.45     1.96    1.46    1.17    1.90
+#
+# At n = 200 it costs 0.8x (k = 2) to 5x (k = 12).  Where it loses at
+# k = 11-12 and n = 1,000, the loss is under 0.1 ms a call.
+_POWER_MAX_K = 12
+_POWER_MIN_N = 1_000
 
 # (c0, c1, c2) of the generating-function numerator (module docstring).
 _NUMERATOR = {LUCAS: (2, -3, 1), FIBONACCI: (0, 1, -1)}
@@ -90,20 +111,65 @@ _NUMERATOR = {LUCAS: (2, -3, 1), FIBONACCI: (0, 1, -1)}
 def term(params: SeqParams, n: int) -> int:
     """Exact term at index ``n`` (``n >= 2 - k``).
 
-    Indices n < 2 are the stored initial values.  For k >= 8 the term is
-    the generating-function sum of the module docstring: about n/(k+1)
-    steps, each one exact multiply and divide of an n-bit integer by an
-    integer of about k log2(n) bits.  For k < 8, where that costs as much
-    as the walk or more, it is the first value of ``term_iter``: n steps
-    of one big-integer addition and subtraction.
+    Indices n < 2 are the stored initial values.  For k <= 12 and
+    n >= 1,000 (``_POWER_MAX_K``, ``_POWER_MIN_N``) the term is read off
+    x^(n+k-2) mod the characteristic polynomial (:func:`_power_form`):
+    about log2(n) squarings of k coefficients.  Otherwise, for k >= 8 it
+    is the generating-function sum of the module docstring: about
+    n/(k+1) steps, each one exact multiply and divide of an n-bit integer
+    by an integer of about k log2(n) bits.  For k < 8, where that costs
+    as much as the walk or more, it is the first value of ``term_iter``:
+    n steps of one big-integer addition and subtraction.
     """
     if n < params.min_index:
         raise ValueError("index %d below domain minimum %d" % (n, params.min_index))
     if n < 2:
         return params.initial_values()[n - params.min_index]
+    if params.k <= _POWER_MAX_K and n >= _POWER_MIN_N:
+        return _power_form(params, n)
     if params.k < _CLOSED_FORM_MIN_K:
         return next(term_iter(params, n))[1]
     return _closed_form(params, n)
+
+
+def _power_form(params: SeqParams, n: int) -> int:
+    """Term n >= 2 from x^e mod P(x), e = n + k - 2 (Fiduccia's method).
+
+    With P(x) = x^k - x^(k-1) - ... - 1 and x^e = sum c_i x^i mod P, the
+    term is sum c_i a(2-k+i) over the initial values.  x^e comes from x by
+    one squaring per remaining bit of e, plus one multiply by x on each
+    1-bit.  A squaring is schoolbook with each cross product taken once
+    and doubled; the product, of degree 2k-2, is reduced top-down by
+    x^k = x^(k-1) + ... + 1, where position j gains the sum of the
+    reduced coefficients at j+1 .. j+k from k on: a sliding window, so
+    O(k) additions.  Every coefficient of x^e mod P is non-negative (the
+    multiply by x only moves and adds them), so a negative one is an
+    error.
+    """
+    k = params.k
+    e = n + k - 2
+    c = [0] * k
+    c[1] = 1
+    for bit in bin(e)[3:]:
+        p = [0] * (2 * k)  # p[2k-1] stays 0: the window's first drop
+        for i, ci in enumerate(c):
+            p[2 * i] += ci * ci
+            for j in range(i + 1, k):
+                p[i + j] += (ci * c[j]) << 1
+        s = 0
+        for j in range(2 * k - 3, k - 2, -1):
+            s += p[j + 1]
+            p[j] += s
+        for j in range(k - 2, -1, -1):
+            s -= p[j + k + 1]
+            p[j] += s
+        c = p[:k]
+        if bit == "1":
+            top = c[-1]
+            c = [top] + [ci + top for ci in c[:-1]]
+    if min(c) < 0:
+        raise AssertionError("negative coefficient of x^e mod P for k=%d n=%d" % (k, n))
+    return sum(ci * v for ci, v in zip(c, params.initial_values()))
 
 
 def _bracket_ratio(family: str, N: int, j: int) -> tuple[int, int]:

@@ -191,8 +191,11 @@ def test_localize_k_by_power2():
     assert localize_k_by_power2(9) == (212, 812)
     lo, hi = localize_k_by_power2(16)
     assert lo == 2**16 - 300 and hi == 2**16 + 300
-    lo, hi = localize_k_by_power2(57)
-    assert lo >= hi  # clipped empty at the cap
+    lo, hi = localize_k_by_power2(55)
+    assert lo < hi  # the last band below the cap
+    for m in (56, 57):
+        lo, hi = localize_k_by_power2(m)
+        assert lo >= hi, m  # clipped empty at the cap
     with pytest.raises(ValueError):
         localize_k_by_power2(7)
 

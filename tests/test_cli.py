@@ -48,6 +48,7 @@ def test_term_fibonacci(capsys):
     "command,family,k,n",
     [
         ("term --k 60 --n 50000", LUCAS, 60, 50_000),
+        ("term --k 5 --n 50000", LUCAS, 5, 50_000),
         ("term --family fibonacci --k 46 --n 47614", FIBONACCI, 46, 47_614),
     ],
 )

@@ -6,11 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lucasdisc import sequences
 from lucasdisc.sequences import (
+    _POWER_MAX_K,
+    _POWER_MIN_N,
     FIBONACCI,
     LUCAS,
     SeqParams,
     _closed_form,
+    _power_form,
     binom_ext,
     lucas_from_fib,
     shift_identity_check,
@@ -65,7 +69,8 @@ def walked(params, n):
 
 @pytest.mark.parametrize("family", [FIBONACCI, LUCAS])
 def test_term_iter_agrees_with_term(family):
-    # Every n from 2 - k to 600 on both sides of the closed-form switch at k = 8.
+    # Every n from 2 - k to 600 on both sides of the closed-form switch at
+    # k = 8; n stays below _POWER_MIN_N, so no power form is taken here.
     for k in range(2, 71):
         params = SeqParams(k=k, family=family)
         for n, value in term_iter(params, params.min_index):
@@ -75,7 +80,7 @@ def test_term_iter_agrees_with_term(family):
 
 
 @pytest.mark.parametrize("family", [FIBONACCI, LUCAS])
-@pytest.mark.parametrize("k", [2, 7, 8, 9, 46, 60])
+@pytest.mark.parametrize("k", [2, 7, 8, 9, 12, 13, 46, 60])
 def test_term_equals_walk_at_n_50000(family, k):
     params = SeqParams(k=k, family=family)
     assert term(params, 50_000) == walked(params, 50_000)
@@ -101,6 +106,70 @@ def test_closed_form_binomials_switch_at_j_plus_1_equals_k(family, k, monkeypatc
         last = n // (k + 1)
         assert calls.count("comb") == min(last, k), n
         assert calls.count("perm") == 2 * max(0, last - k), n
+
+
+@pytest.mark.parametrize("family", [FIBONACCI, LUCAS])
+@pytest.mark.parametrize("k", range(2, _POWER_MAX_K + 2))
+def test_power_form_equals_walk_around_the_switch(family, k):
+    params = SeqParams(k=k, family=family)
+    for n, value in term_iter(params, _POWER_MIN_N - 64):
+        if n > _POWER_MIN_N + 64:
+            break
+        assert _power_form(params, n) == value, n
+
+
+PRIMES = (1_000_000_007, 998_244_353)
+
+
+@pytest.mark.parametrize("k", [2, 3, _POWER_MAX_K])
+def test_power_form_matches_a_walk_modulo_two_primes(k):
+    # L(n) for n = 10^5 and 2*10^5, against the recurrence walked modulo
+    # each prime: a walk that shares nothing with the module.
+    params = SeqParams(k=k, family=LUCAS)
+    checks = {n: _power_form(params, n) for n in (100_000, 200_000)}
+    for prime in PRIMES:
+        window = [0] * (k - 2) + [2, 1]  # L(2-k) .. L(1)
+        total = sum(window) % prime
+        for n in range(2, max(checks) + 1):
+            new = total
+            total = (2 * total - window[(n - 2) % k]) % prime
+            window[(n - 2) % k] = new
+            if n in checks:
+                assert checks[n] % prime == new, (prime, n)
+
+
+@given(
+    st.sampled_from([FIBONACCI, LUCAS]),
+    st.integers(min_value=2, max_value=_POWER_MAX_K),
+    st.integers(min_value=2, max_value=20_000),
+)
+@settings(max_examples=60, deadline=None)
+def test_power_form_equals_walk_property(family, k, n):
+    params = SeqParams(k=k, family=family)
+    assert _power_form(params, n) == walked(params, n)
+
+
+@pytest.mark.parametrize(
+    "k,n,path",
+    [
+        (2, _POWER_MIN_N - 1, "walk"),
+        (_POWER_MAX_K, _POWER_MIN_N - 1, "closed"),
+        (2, _POWER_MIN_N, "power"),
+        (_POWER_MAX_K, _POWER_MIN_N, "power"),
+        (_POWER_MAX_K + 1, _POWER_MIN_N, "closed"),
+    ],
+)
+def test_term_takes_the_power_form_at_small_k_and_large_n(k, n, path, monkeypatch):
+    # term() dispatches on (k, n); the walk is the oracle for each value,
+    # and the call counts pin which path each side of the switch takes.
+    params = SeqParams(k=k, family=LUCAS)
+    expected = walked(params, n)
+    calls = []
+    for name, label in (("_power_form", "power"), ("_closed_form", "closed"), ("term_iter", "walk")):
+        real = getattr(sequences, name)
+        monkeypatch.setattr(sequences, name, lambda *a, real=real, label=label: calls.append(label) or real(*a))
+    assert term(params, n) == expected
+    assert calls == [path]
 
 
 @given(
