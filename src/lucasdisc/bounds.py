@@ -83,7 +83,7 @@ def _ell(k: int) -> int:
         lo, hi, e = _pow_bounds(k, 10 * (k - 2), bits)
         return e + lo.bit_length() - 1 if lo.bit_length() == hi.bit_length() else None
 
-    return _escalate(decide, 128, "window integer l(k) for k=%d undecided" % (k,))
+    return _escalate(decide, "window integer l(k) for k=%d undecided" % (k,))
 
 
 @cache

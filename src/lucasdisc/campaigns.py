@@ -102,17 +102,17 @@ def _case3_low_match(k: int, m: int, a: int, q: int, core: int) -> bool:
 class CandidatePair(NamedTuple):
     """One (k, n) pair that a campaign reports, with n = m(k+1) + r.
 
-    ``a`` is case3's nu2(B(m, r)) and None elsewhere.  ``verdict`` is
-    ``survivor`` or ``eliminated``.  ``flags`` holds only what the verdict,
-    m and r do not state: on case12 rows, ``plus_disc`` and ``minus_disc``
-    name the sign tests L(n) == +|disc| and L(n) == -|disc| that passed.
+    ``verdict`` is ``survivor`` or ``eliminated``.  ``flags`` holds only
+    what the verdict, m and r do not state: on case12 rows, ``plus_disc``
+    and ``minus_disc`` name the sign tests L(n) == +|disc| and
+    L(n) == -|disc| that passed.  On case3 rows nu2(B(m, r)) is
+    k - r + 1, so no field holds it.
     """
 
     k: int
     n: int
     r: int
     m: int
-    a: int | None
     verdict: str
     flags: frozenset[str] = frozenset()
 
@@ -125,7 +125,6 @@ class CampaignReport:
     candidates: list[CandidatePair]
     elapsed: float
     notes: list[str] = field(default_factory=list)
-    extras: dict = field(default_factory=dict)
 
     @property
     def survivors(self) -> list[CandidatePair]:
@@ -137,22 +136,22 @@ def _run(
     name: str,
     shard: tuple[int, int] | None,
     units: range,
-    scan: Callable[[range], tuple[list[CandidatePair], list[tuple[str, int]], dict]],
+    scan: Callable[[range], tuple[list[CandidatePair], list[tuple[str, int]]]],
     ranges: dict,
     notes: list[str],
 ) -> CampaignReport:
     """Scan this shard's units and package the result as a report.
 
     Shard (piece, of) takes ``units[piece::of]``, so the pieces of one
-    layout partition the units.  ``scan`` returns the candidates, the
-    stage counts and the extras of its slice; candidates are sorted by
-    (k, n) here, which makes merged shards equal an unsharded run.
+    layout partition the units.  ``scan`` returns the candidates and the
+    stage counts of its slice; candidates are sorted by (k, n) here,
+    which makes merged shards equal an unsharded run.
     """
     piece, of = (0, 1) if shard is None else shard
     if of < 1 or not 0 <= piece < of:
         raise ValueError("bad shard (%r, %r): need 0 <= piece < of" % (piece, of))
     t0 = time.perf_counter()
-    candidates, stage_counts, extras = scan(units[piece::of])
+    candidates, stage_counts = scan(units[piece::of])
     candidates.sort(key=itemgetter(0, 1))  # (k, n)
     if of > 1:
         ranges["shard"] = {"piece": piece, "of": of}
@@ -163,7 +162,6 @@ def _run(
         candidates=candidates,
         elapsed=time.perf_counter() - t0,
         notes=notes,
-        extras=extras,
     )
 
 
@@ -222,8 +220,8 @@ def campaign_small(k_max: int = 200, shard: tuple[int, int] | None = None) -> Ca
             terms_examined += n + 1
             for n in equal:
                 m, r = divmod(n, k + 1)
-                hits.append(CandidatePair(k, n, r, m, None, "survivor"))
-        return hits, [("terms_examined", terms_examined), ("equality_hits", len(hits))], {}
+                hits.append(CandidatePair(k, n, r, m, "survivor"))
+        return hits, [("terms_examined", terms_examined), ("equality_hits", len(hits))]
 
     return _run(
         "small",
@@ -256,8 +254,8 @@ def campaign_case0(shard: tuple[int, int] | None = None) -> CampaignReport:
             # the clash needs that valuation to differ from nu2(|disc|).
             shifts = [lucas_congruence_parts(k, m, 0)[2:] for m in (0, 1)]
             if not all(shift < e and shift != disc_nu2(k) for shift, e in shifts):
-                gaps.append(CandidatePair(k, 0, 0, 0, None, "survivor"))
-        return gaps, [("odd_k_checked", len(ks)), ("clashes_missing", len(gaps))], {}
+                gaps.append(CandidatePair(k, 0, 0, 0, "survivor"))
+        return gaps, [("odd_k_checked", len(ks)), ("clashes_missing", len(gaps))]
 
     return _run(
         "case0",
@@ -323,14 +321,14 @@ def campaign_case12(
             survived = plus or minus
             verdict = "survivor" if survived else "eliminated"
             flags = frozenset(name for name, passed in (("plus_disc", plus), ("minus_disc", minus)) if passed)
-            candidates.append(CandidatePair(k, n, r, m, None, verdict, flags))
+            candidates.append(CandidatePair(k, n, r, m, verdict, flags))
             survivors += survived
         stage_counts = [
             ("k_scanned", len(ks)),
             ("window_residue_pairs", len(candidates)),
             ("modulus_survivors", survivors),
         ]
-        return candidates, stage_counts, {}
+        return candidates, stage_counts
 
     return _run(
         "case12",
@@ -405,8 +403,6 @@ def campaign_case3(
         candidates: list[CandidatePair] = []
         cores: dict[int, int] = {}  # k mod 2^22 -> _odd_disc_core(k, 22)
         survivors = 0
-        band_candidates = 0
-        band_survivors = 0
         for m in ms:
             lo, hi = localize_k_by_power2(m)
             k_start = lo + 1 + (lo & 1)  # smallest odd integer > lo
@@ -419,7 +415,6 @@ def campaign_case3(
             triples += unclipped * (hi // 2 - k_start // 2) + sum(
                 max(0, hi // 2 - (a_minus1 + 3) // 2) for a_minus1 in range(unclipped, A_MINUS1_MAX + 1)
             )
-            in_band = 9 <= m <= 55
             m_bits = m.bit_count()
             last = 0  # the previous match's r, whose binomial C(m+r, m) is carried
             for r in range(max(3, k_start - A_MINUS1_MAX), hi):
@@ -455,20 +450,14 @@ def campaign_case3(
                     passed = _case3_low_match(k, m, a, q, core)
                 survived = passed and disc_match(k, m, r, q, a + extra)[0]
                 verdict = "survivor" if survived else "eliminated"
-                candidates.append(CandidatePair(k, m * (k + 1) + r, r, m, a, verdict))
-                band_candidates += in_band
+                candidates.append(CandidatePair(k, m * (k + 1) + r, r, m, verdict))
                 survivors += survived
-                band_survivors += survived and in_band
         stage_counts = [
             ("triples_enumerated", triples),
             ("valuation_matches", len(candidates)),
             ("congruence_survivors", survivors),
         ]
-        extras = {
-            "valuation_matches_m_9_55": band_candidates,
-            "survivors_m_9_55": band_survivors,
-        }
-        return candidates, stage_counts, extras
+        return candidates, stage_counts
 
     return _run(
         "case3",
@@ -490,9 +479,6 @@ def campaign_case3(
             "filter 1 keeps triples whose congruence quantity has nu2 equal to"
             " a = k - r + 1, matching the discriminant valuation k - 1",
             "filter 2 compares odd parts modulo 2^min(a + extra, k)",
-            "m runs over m_range(K_CAP) = 8..57, the window envelope 8..56 plus"
-            " one at the top, and m = 56 and 57 clip away at K_CAP; extras tally"
-            " m in 9..55, which leaves out the 89 matches at m = 8",
         ],
     )
 
@@ -591,7 +577,6 @@ def merge_reports(reports: list[CampaignReport]) -> CampaignReport:
     names = [name for name, _ in first.stage_counts]
     counts = [0] * len(names)
     candidates: list[CandidatePair] = []
-    extras: dict = {}
     for rep in reports:
         if rep.campaign != first.campaign:
             raise ValueError("campaign mismatch: %r vs %r" % (rep.campaign, first.campaign))
@@ -604,8 +589,6 @@ def merge_reports(reports: list[CampaignReport]) -> CampaignReport:
         for i, (_, count) in enumerate(rep.stage_counts):
             counts[i] += count
         candidates.extend(rep.candidates)
-        for key, val in rep.extras.items():
-            extras[key] = extras.get(key, 0) + val
 
     shards = [rep.ranges.get("shard", {"piece": 0, "of": 1}) for rep in reports]
     layout = sorted((info["piece"], info["of"]) for info in shards)
@@ -619,7 +602,6 @@ def merge_reports(reports: list[CampaignReport]) -> CampaignReport:
         candidates=candidates,
         elapsed=sum(rep.elapsed for rep in reports),
         notes=list(first.notes),
-        extras=extras,
     )
 
 
@@ -628,20 +610,17 @@ def merge_reports(reports: list[CampaignReport]) -> CampaignReport:
 _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def _row_format(has_a: bool, flags: frozenset[str], verdict: str) -> str:
-    """The %-format of a candidate row: its keys in sorted order, the ints a, k, m, n, r as %d.
+def _row_format(flags: frozenset[str], verdict: str) -> str:
+    """The %-format of a candidate row: its keys in sorted order, the ints k, m, n, r as %d.
 
-    ``flags`` and ``verdict`` are encoded once here, by ``_JSON``; ``a`` and
-    ``flags`` are left out when None and empty, as ``json.dumps`` of the
-    row without them would.
+    ``flags`` and ``verdict`` are encoded once here, by ``_JSON``; empty
+    ``flags`` are left out, as ``json.dumps`` of the row without them would.
     """
 
     def quoted(value) -> str:
         return _JSON.encode(value).replace("%", "%%")
 
-    fields = ['"a":%d'] if has_a else []
-    if flags:
-        fields.append('"flags":' + quoted(sorted(flags)))
+    fields = ['"flags":' + quoted(sorted(flags))] if flags else []
     fields += ['"k":%d', '"m":%d', '"n":%d', '"r":%d', '"verdict":' + quoted(verdict)]
     return "{" + ",".join(fields) + "}"
 
@@ -653,14 +632,14 @@ def report_to_jsonl(report: CampaignReport, include_timing: bool = True) -> str:
     to identical bytes; pass ``include_timing=False`` to drop the only
     nondeterministic field.
     """
-    formats: dict = {}  # (has a, flags, verdict) -> _row_format
+    formats: dict = {}  # (flags, verdict) -> _row_format
     lines = []
     for c in report.candidates:
-        key = (c.a is not None, c.flags, c.verdict)
+        key = (c.flags, c.verdict)
         fmt = formats.get(key)
         if fmt is None:
             fmt = formats[key] = _row_format(*key)
-        lines.append(fmt % ((c.a, c.k, c.m, c.n, c.r) if key[0] else (c.k, c.m, c.n, c.r)))
+        lines.append(fmt % (c.k, c.m, c.n, c.r))
     summary: dict = {
         "campaign": report.campaign,
         "stage": "summary",
@@ -668,8 +647,6 @@ def report_to_jsonl(report: CampaignReport, include_timing: bool = True) -> str:
         "stage_counts": [[name, count] for name, count in report.stage_counts],
         "survivors": [[cand.k, cand.n] for cand in report.survivors],
     }
-    if report.extras:
-        summary["extras"] = report.extras
     if report.notes:
         summary["notes"] = report.notes
     if include_timing:

@@ -61,8 +61,7 @@ def _report_to_human(report: CampaignReport, include_timing: bool) -> str:
         lines.append("  %-28s %d" % (name, count))
     lines.append("candidates: %d" % len(report.candidates))
     for c in report.candidates[:_HUMAN_CANDIDATE_CAP]:
-        extra = "" if c.a is None else " a=%d" % c.a
-        lines.append("  k=%d n=%d r=%d m=%d%s %s" % (c.k, c.n, c.r, c.m, extra, c.verdict))
+        lines.append("  k=%d n=%d r=%d m=%d %s" % (c.k, c.n, c.r, c.m, c.verdict))
     hidden = len(report.candidates) - _HUMAN_CANDIDATE_CAP
     if hidden > 0:
         lines.append("  ... %d more (use jsonl for the full list)" % hidden)
@@ -72,8 +71,6 @@ def _report_to_human(report: CampaignReport, include_timing: bool) -> str:
             lines.append("  k=%d n=%d" % (c.k, c.n))
     else:
         lines.append("survivors: none")
-    for key, val in sorted(report.extras.items()):
-        lines.append("%s: %s" % (key, val))
     if include_timing:
         lines.append("elapsed: %.3fs" % report.elapsed)
     return "\n".join(lines) + "\n"

@@ -18,6 +18,7 @@ from .sequences import (
     FIBONACCI,
     LUCAS,
     SeqParams,
+    _POWER_MIN_N,
     _closed_form,
     binom_ext,
     lucas_from_fib,
@@ -40,7 +41,7 @@ from .roots import (
 )
 from .bounds import discriminant, window_integers
 
-__all__ = ["Failure", "SUITES", "run_suite", "run_all"]
+__all__ = ["Failure", "SUITES", "run_suite"]
 
 
 @dataclass(frozen=True)
@@ -57,11 +58,11 @@ def _fail(suite: str, detail: str, **params) -> Failure:
 def check_recurrence(scale: int = 1) -> list[Failure]:
     """Every term equals the sum of its k predecessors (both families).
 
-    Each walked term is also compared with ``term()``.  The suite's n
-    stays below ``sequences._POWER_MIN_N``, where ``term()`` takes no
-    power form: for k >= 8 it is the generating-function sum, so the
-    comparison checks two independent computations; below 8 it is the
-    same walk.
+    Each walked term, n <= 30 scale, is also compared with ``term()``:
+    for k >= 8 that is the generating-function sum, so the comparison
+    checks two independent computations; below 8 it is the same walk.
+    At k = 2 and the largest k, ``term()`` at n = ``sequences._POWER_MIN_N``
+    is compared with the walk too: for k <= 12 that is the power form.
     """
     out = []
     k_hi = 4 + 4 * scale
@@ -80,6 +81,10 @@ def check_recurrence(scale: int = 1) -> list[Failure]:
                     )
                 if value != term(params, n):
                     out.append(_fail("recurrence", "term() disagrees with term_iter()", k=k, n=n, family=family))
+            if k in (2, k_hi) and term(params, _POWER_MIN_N) != next(term_iter(params, _POWER_MIN_N))[1]:
+                out.append(
+                    _fail("recurrence", "term() disagrees with term_iter()", k=k, n=_POWER_MIN_N, family=family)
+                )
     return out
 
 
@@ -285,8 +290,3 @@ def run_suite(name: str, scale: int = 1) -> list[Failure]:
     if scale < 1:
         raise ValueError("need scale >= 1, got %d" % (scale,))
     return SUITES[name](scale)
-
-
-def run_all(scale: int = 1) -> dict[str, list[Failure]]:
-    """Run every suite; a clean result maps each name to an empty list."""
-    return {name: run_suite(name, scale) for name in SUITES}

@@ -197,8 +197,9 @@ def dominant_root(k: int, precision_bits: int = 128) -> RootEnclosure:
     return RootEnclosure(k, Fraction(p, q), Fraction(p + 1, q), precision_bits)
 
 
-def _escalate(decide: Callable[[int], Any], bits: int = 128, what: str = "undecidable") -> Any:
-    """Run ``decide`` from ``bits`` at doubling precision until it returns non-None; ``what`` names a failure."""
+def _escalate(decide: Callable[[int], Any], what: str = "undecidable") -> Any:
+    """Run ``decide`` from 128 bits at doubling precision until it returns non-None; ``what`` names a failure."""
+    bits = 128
     while bits <= MAX_PRECISION_BITS:
         verdict = decide(bits)
         if verdict is not None:

@@ -49,13 +49,30 @@ def test_criterion_02_case12_exactly_32_pairs_zero_survivors(case12_full_report)
     print("criterion 2: 32 window pairs, 0 survivors at 2^100 (both signs)")
 
 
+# The 14 survivors at 100 extra bits, as (m, a): each has k = 2^m + 1 and
+# r = k - a + 1.
+CASE3_SURVIVORS_AT_100 = [
+    (46, 44), (48, 1), (50, 50), (50, 1), (51, 1), (52, 50), (52, 49),
+    (52, 48), (52, 1), (53, 1), (54, 52), (54, 1), (55, 54), (55, 1),
+]
+
+
 def test_criterion_03_case3_zero_at_150_fourteen_at_100(case3_150_report, case3_100_report):
     assert case3_150_report.survivors == []
-    assert case3_150_report.extras["survivors_m_9_55"] == 0
-    assert case3_100_report.extras["survivors_m_9_55"] == 14
-    widened_only = len(case3_100_report.survivors) - case3_100_report.extras["survivors_m_9_55"]
-    assert widened_only == 0  # frozen: the widened bands add no extra survivors
-    print("criterion 3: 0 survivors at 150 extra bits; 14 at 100 on m in [9,55]")
+    expect = []
+    for m, a in CASE3_SURVIVORS_AT_100:
+        k = 2**m + 1
+        r = k - a + 1
+        expect.append((k, m * (k + 1) + r))
+    survivors = case3_100_report.survivors
+    assert sorted((c.k, c.n) for c in survivors) == sorted(expect)
+    assert all(9 <= c.m <= 55 for c in survivors)  # the widened m band adds none
+    for report in (case3_150_report, case3_100_report):
+        ms = [c.m for c in report.candidates]
+        assert len(ms) == 12_219
+        assert sum(9 <= m <= 55 for m in ms) == 12_130
+        assert ms.count(8) == 89
+    print("criterion 3: 0 survivors at 150 extra bits; 14 at 100, all on m in [9,55]")
 
 
 def test_criterion_04_congruence_brute_force_grid():

@@ -51,8 +51,8 @@ REPORT_SHA256 = {
     "small": ("small_report", "998994cf2f9c3d027dafb88d442c606dc3e68895c513af30ae348298a03313a5"),
     "case0": (None, "d4e05d658008bd327a27c76ce6b5ce90ad6800d52f2a6bad6f2fe69fef9fd0bf"),
     "case12": ("case12_full_report", "6f35ae93ef7bf4891f32e8e04fe544564ca2f30cb5a7c273ec66debe5ad06a46"),
-    "case3_150": ("case3_150_report", "6b26bcab0813b6855e6a9f1f90ec8fcbfcf0b7c8cfa546995d9e8281b2587be8"),
-    "case3_100": ("case3_100_report", "61b8541df1613ea4e314ec5f43e2dc66b079196f16ebd75fb941d0b69c5cdc58"),
+    "case3_150": ("case3_150_report", "ab81620237c3d86532a21184c4c40b274cfa5e876113efb874500f87e43e818c"),
+    "case3_100": ("case3_100_report", "0f619062d23fa68bbf24d811033ae38484977ef3dd1851ab78d0d7324c05db58"),
 }
 
 
@@ -100,7 +100,7 @@ def test_small_walk_reports_a_planted_equality(n, monkeypatch):
     monkeypatch.setattr(campaigns, "discriminant", lambda j: planted if j == k else discriminant(j))
     report = campaign_small(k_max=k_max)
     m, r = divmod(n, k + 1)
-    assert report.survivors == [CandidatePair(k, n, r, m, None, "survivor")]
+    assert report.survivors == [CandidatePair(k, n, r, m, "survivor")]
     for j in range(2, k_max + 1):  # the terms up to the first n >= 2 with L(j, n) >= |disc|
         delta = campaigns.discriminant(j)
         walked = next(i + 1 for i, value in term_iter(SeqParams(j, LUCAS), 0) if i >= 2 and value >= delta)
@@ -119,7 +119,7 @@ def test_case0_reports_a_missing_clash_as_a_survivor(monkeypatch, capsys):
     monkeypatch.setattr(campaigns, "disc_nu2", lambda k: 1 if k == 101 else twoadic.disc_nu2(k))
     report = campaign_case0()
     assert report.stage_counts == [("odd_k_checked", 99), ("clashes_missing", 1)]
-    assert report.survivors == [CandidatePair(101, 0, 0, 0, None, "survivor")]
+    assert report.survivors == [CandidatePair(101, 0, 0, 0, "survivor")]
     assert run(["search", "case0", "--format", "jsonl", "--no-timing"]) == 1
     rows = capsys.readouterr().out.splitlines()
     assert json.loads(rows[0]) == {"k": 101, "m": 0, "n": 0, "r": 0, "verdict": "survivor"}
@@ -242,11 +242,10 @@ def test_case3_full_run_at_150(case3_150_report):
         ("valuation_matches", CASE3_VALUATION_MATCHES),
         ("congruence_survivors", 0),
     ]
-    assert report.extras["survivors_m_9_55"] == 0
     for c in report.candidates:
         assert c.k % 2 == 1
         assert c.r >= 3
-        assert c.a == c.k - c.r + 1
+        assert l_quantity_nu2(c.m, c.r) == c.k - c.r + 1
         assert c.n == c.m * (c.k + 1) + c.r
 
 
@@ -274,7 +273,7 @@ def test_case3_takes_the_full_width_core_only_past_the_low_width(extra, request)
     hooks = request.getfixturevalue("case3_%d_hooks" % extra)
     report, widths = hooks.report, hooks.core_widths
     low_passes = sum(
-        disc_match(c.k, c.m, c.r, l_quantity(c.m, c.r), c.a + 24)[0]
+        disc_match(c.k, c.m, c.r, l_quantity(c.m, c.r), c.k - c.r + 25)[0]
         for c in report.candidates
     )
     classes = len({c.k % 2**22 for c in report.candidates})
@@ -297,7 +296,7 @@ def test_case3_prefilter_core_is_each_match_own_core(fixture, request):
     # 2^21, say) hands some k a neighbour's core, which a verdict rarely shows.
     hooks = case3_hooks(request, fixture)
     calls = hooks.low_match_calls
-    assert sorted((k, m, a) for k, m, a, _, _ in calls) == sorted((c.k, c.m, c.a) for c in hooks.report.candidates)
+    assert sorted((k, m, a) for k, m, a, _, _ in calls) == sorted((c.k, c.m, c.k - c.r + 1) for c in hooks.report.candidates)
     for k, m, a, _, core in calls:
         assert core == twoadic._odd_disc_core(k, 22), (k, m, a)
 
@@ -318,8 +317,9 @@ def test_case3_low_match_is_disc_match_at_a_plus_24(fixture, request):
     passes = 0
     for c in report.candidates:
         q = l_quantity(c.m, c.r)
-        low = campaigns._case3_low_match(c.k, c.m, c.a, q, twoadic._odd_disc_core(c.k, 22))
-        assert low == disc_match(c.k, c.m, c.r, q, c.a + 24)[0], c
+        a = c.k - c.r + 1
+        low = campaigns._case3_low_match(c.k, c.m, a, q, twoadic._odd_disc_core(c.k, 22))
+        assert low == disc_match(c.k, c.m, c.r, q, a + 24)[0], c
         passes += low
     assert 0 < passes < len(report.candidates) / 100
 
@@ -359,7 +359,7 @@ def test_case3_filter_1_equals_l_quantity_nu2_on_every_r(case3_150_report, case3
                 expect.append((m, r, a, k))
     assert len(expect) == CASE3_VALUATION_MATCHES
     for report in (case3_150_report, case3_100_report):
-        assert sorted((c.m, c.r, c.a, c.k) for c in report.candidates) == expect
+        assert sorted((c.m, c.r, c.k - c.r + 1, c.k) for c in report.candidates) == expect
 
 
 def test_case3_triples_by_brute_force_for_every_m():
@@ -378,7 +378,7 @@ def test_case3_verdicts_equal_the_full_width_test_alone(fixture, request):
     report = request.getfixturevalue(fixture)
     extra = report.ranges["modulus_extra_bits"]
     for c in report.candidates:
-        survived = disc_match(c.k, c.m, c.r, l_quantity(c.m, c.r), c.a + extra)[0]
+        survived = disc_match(c.k, c.m, c.r, l_quantity(c.m, c.r), c.k - c.r + 1 + extra)[0]
         assert c.verdict == ("survivor" if survived else "eliminated"), c
 
 
@@ -403,7 +403,7 @@ def case3_triple_loop(m, modulus_extra_bits):
             mod = 1 << min(a + modulus_extra_bits, k)
             lhs = (-1) ** m * (k - 1) ** 2 * q % mod
             rhs = (pow(k, k, mod) - pow((k + 1) // 2, k + 1, mod)) * 2 ** (a + 2) % mod
-            rows.append((k, m * (k + 1) + r, r, a, lhs == rhs))
+            rows.append((k, m * (k + 1) + r, r, lhs == rhs))
     return triples, sorted(rows)
 
 
@@ -418,7 +418,7 @@ def test_case3_matches_triple_loop(m):
         report = campaign_case3(modulus_extra_bits=extra, shard=(m - m_lo, m_hi - m_lo + 1))
         triples, rows = case3_triple_loop(m, extra)
         assert report.stage_counts[0] == ("triples_enumerated", triples)
-        assert [(c.k, c.n, c.r, c.a, c.verdict == "survivor") for c in report.candidates] == rows
+        assert [(c.k, c.n, c.r, c.verdict == "survivor") for c in report.candidates] == rows
         assert {c.m for c in report.candidates} <= {m}
 
 
@@ -527,6 +527,22 @@ def test_jsonl_schema(case12_toy_report):
     assert "elapsed" not in bare
 
 
+@pytest.mark.parametrize("run", sorted(REPORT_SHA256))
+def test_every_paper_search_has_one_row_schema(run, request):
+    # Every campaign writes the same row keys; only a case12 row may add
+    # the sign tests that passed.  The summary holds nothing campaign-specific.
+    fixture, _ = REPORT_SHA256[run]
+    report = campaign_case0() if fixture is None else request.getfixturevalue(fixture)
+    summary_keys = {"campaign", "stage", "ranges", "stage_counts", "survivors", "notes"}
+    for timing in (False, True):
+        rows = [json.loads(line) for line in report_to_jsonl(report, include_timing=timing).splitlines()]
+        assert len(rows) == len(report.candidates) + 1
+        for row in rows[:-1]:
+            assert set(row) - {"flags"} == {"k", "m", "n", "r", "verdict"}, row
+            assert "flags" not in row or report.campaign == "case12", row
+        assert set(rows[-1]) == summary_keys | ({"elapsed"} if timing else set())
+
+
 def test_stage_counts_non_increasing(small_report, case12_toy_report, case3_150_report):
     for report in (small_report, case12_toy_report, case3_150_report, campaign_case0()):
         counts = [count for _, count in report.stage_counts]
@@ -547,14 +563,14 @@ def test_report_bytes_are_pinned(run, request):
 def test_report_rows_match_json_dumps():
     # The direct row writer against json.dumps of each row as a dict.
     cands = [
-        CandidatePair(k=5, n=9, r=3, m=1, a=None, verdict="survivor", flags=frozenset({"plus_disc"})),
-        CandidatePair(k=7, n=20, r=4, m=2, a=0, verdict="eliminated"),
-        CandidatePair(k=2**61 + 1, n=3 * (2**61 + 2) + 9, r=9, m=3, a=233, verdict="survivor",
+        CandidatePair(k=5, n=9, r=3, m=1, verdict="survivor", flags=frozenset({"plus_disc"})),
+        CandidatePair(k=7, n=20, r=4, m=2, verdict="eliminated"),
+        CandidatePair(k=2**61 + 1, n=3 * (2**61 + 2) + 9, r=9, m=3, verdict="survivor",
                       flags=frozenset({"plus_disc", "minus_disc", "100%"})),
-        CandidatePair(k=9, n=30, r=0, m=3, a=None, verdict='odd "verdict" %d \u00e9'),
-        CandidatePair(k=11, n=39, r=3, m=3, a=2, verdict="eliminated"),
+        CandidatePair(k=9, n=30, r=0, m=3, verdict='odd "verdict" %d \u00e9'),
+        CandidatePair(k=11, n=39, r=3, m=3, verdict="eliminated"),
     ]
-    for extras, notes in (({}, []), ({"survivors_m_9_55": 2, "valuation_matches_m_9_55": 7}, ["a note", "\u00e9"])):
+    for notes in ([], ["a note", "\u00e9"]):
         for timing in (True, False):
             report = CampaignReport(
                 campaign="case3",
@@ -563,13 +579,10 @@ def test_report_rows_match_json_dumps():
                 candidates=cands,
                 elapsed=0.1234567,
                 notes=notes,
-                extras=extras,
             )
             rows = []
             for c in cands:
                 row = {"k": c.k, "n": c.n, "r": c.r, "m": c.m, "verdict": c.verdict}
-                if c.a is not None:
-                    row["a"] = c.a
                 if c.flags:
                     row["flags"] = sorted(c.flags)
                 rows.append(row)
@@ -580,8 +593,6 @@ def test_report_rows_match_json_dumps():
                 "stage_counts": [list(item) for item in report.stage_counts],
                 "survivors": [[c.k, c.n] for c in cands if c.verdict == "survivor"],
             }
-            if extras:
-                summary["extras"] = extras
             if notes:
                 summary["notes"] = notes
             if timing:
@@ -592,6 +603,6 @@ def test_report_rows_match_json_dumps():
 
 
 def test_candidate_pair_is_frozen():
-    pair = CandidatePair(k=2, n=1, r=1, m=0, a=None, verdict="eliminated")
+    pair = CandidatePair(k=2, n=1, r=1, m=0, verdict="eliminated")
     with pytest.raises(AttributeError):
         pair.k = 3

@@ -163,8 +163,8 @@ def test_search_defaults_to_one_worker(monkeypatch, capsys):
 @pytest.mark.parametrize("search", [["case3", "--modulus-bits", "150"], ["small"]], ids=["case3", "small"])
 @pytest.mark.parametrize("fmt", ["jsonl", "human"])
 def test_search_through_a_worker_process_matches_one_worker(monkeypatch, started, search, fmt, capsys):
-    # Rows cross the pipe as plain tuples; the human format reads c.verdict
-    # and c.a, so it fails unless they come back as CandidatePair.
+    # Rows cross the pipe as plain tuples; the human format reads c.k and
+    # c.verdict, so it fails unless they come back as CandidatePair.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     base = ["search"] + search + ["--format", fmt, "--no-timing"]
     assert run(base + ["--workers", "1"]) == 0

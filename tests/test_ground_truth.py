@@ -67,7 +67,7 @@ def test_case3_verdicts_match_exact_valuations(extra, true_survivors, case3_smal
     survived = 0
     for c in rows:
         v = case3_small_k_nu2[c.k, c.n]
-        truth = v + 2 * nu2(c.k - 1) - (c.r - 2) >= min(c.a + extra, c.k)
+        truth = v + 2 * nu2(c.k - 1) - (c.r - 2) >= min(c.k - c.r + 1 + extra, c.k)
         assert (c.verdict == "survivor") == truth, c
         survived += truth
     assert survived == true_survivors

@@ -2,16 +2,26 @@
 
 import pytest
 
-from lucasdisc import lemmas, roots
+from lucasdisc import lemmas, roots, sequences
 from lucasdisc.bounds import window_integers
-from lucasdisc.lemmas import SUITES, run_all, run_suite
+from lucasdisc.lemmas import SUITES, run_suite
 from lucasdisc.sequences import LUCAS, SeqParams, term
 
 
 def test_all_suites_pass_at_scale_1():
-    failures = run_all(1)
-    assert sorted(failures) == sorted(SUITES)
-    assert all(fails == [] for fails in failures.values())
+    assert {name: run_suite(name, 1) for name in SUITES} == {name: [] for name in SUITES}
+
+
+def test_recurrence_suite_catches_a_faulty_power_form(monkeypatch):
+    # The suite's walk stays below _POWER_MIN_N; its check at that n is the
+    # only one that reaches term()'s power form.
+    power_form = sequences._power_form
+    monkeypatch.setattr(sequences, "_power_form", lambda params, n: power_form(params, n) + 1)
+    failures = run_suite("recurrence", 1)
+    n = sequences._POWER_MIN_N
+    assert sorted((f.params["family"], f.params["k"], f.params["n"]) for f in failures) == sorted(
+        (family, k, n) for family in (sequences.FIBONACCI, sequences.LUCAS) for k in (2, 8)
+    )
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))

@@ -30,13 +30,13 @@ PUBLIC = {
         "CAMPAIGN_NAMES", "CampaignReport", "CandidatePair", "campaign_case0", "campaign_case12",
         "campaign_case3", "campaign_small", "merge_reports", "report_to_jsonl", "search", "shard",
     ],
-    "lemmas": ["Failure", "SUITES", "run_all", "run_suite"],
+    "lemmas": ["Failure", "SUITES", "run_suite"],
 }
 
 
 def test_package_exports_each_public_name_once():
     expected = [name for names in PUBLIC.values() for name in names] + ["__version__"]
-    assert len(expected) == 49
+    assert len(expected) == 48
     assert len(lucasdisc.__all__) == len(set(lucasdisc.__all__))
     assert sorted(lucasdisc.__all__) == sorted(expected)
 

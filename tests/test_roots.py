@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 from functools import partial
 
-import numpy as np
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,12 +47,15 @@ def test_golden_ratio_enclosure_exact():
     assert lo * lo < 5 < hi * hi
 
 
-def test_tribonacci_root_against_numpy():
+def test_tribonacci_root_against_cardano():
+    # Cardano's formula for the real root of x^3 - x^2 - x - 1, at 100 digits.
     enc = dominant_root(3)
-    roots = np.roots([1, -1, -1, -1])
-    real = max(r.real for r in roots if abs(r.imag) < 1e-9)
-    assert abs(real - 1.8392867552141612) < 1e-10
-    assert float(enc.lo) - 1e-12 <= real <= float(enc.hi) + 1e-12
+    with mpmath.workdps(100):
+        s = 3 * mpmath.sqrt(33)
+        real = (1 + mpmath.cbrt(19 + s) + mpmath.cbrt(19 - s)) / 3
+        assert abs(real - mpmath.mpf("1.8392867552141611325518525646532866")) < mpmath.mpf(10) ** -33
+        assert mpmath.mpf(enc.lo.numerator) / enc.lo.denominator < real
+        assert real < mpmath.mpf(enc.hi.numerator) / enc.hi.denominator
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 7, 10, 16, 25, 50, 100, 200, 400])
