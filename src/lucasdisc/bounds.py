@@ -57,7 +57,7 @@ def discriminant(k: int) -> int:
     """
     if k < 2:
         raise ValueError("need k >= 2, got k=%d" % (k,))
-    numerator = (1 << (k + 1)) * k**k - (k + 1) ** (k + 1)
+    numerator = (k**k << (k + 1)) - (k + 1) ** (k + 1)
     delta, rem = divmod(numerator, (k - 1) ** 2)
     if rem:
         raise AssertionError("discriminant numerator not divisible by (k-1)^2 at k=%d" % (k,))

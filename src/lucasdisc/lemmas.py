@@ -18,8 +18,8 @@ from .sequences import (
     FIBONACCI,
     LUCAS,
     SeqParams,
-    _POWER_MIN_N,
     _closed_form,
+    _power_min_n,
     binom_ext,
     lucas_from_fib,
     shift_identity_check,
@@ -61,8 +61,9 @@ def check_recurrence(scale: int = 1) -> list[Failure]:
     Each walked term, n <= 30 scale, is also compared with ``term()``:
     for k >= 8 that is the generating-function sum, so the comparison
     checks two independent computations; below 8 it is the same walk.
-    At k = 2 and the largest k, ``term()`` at n = ``sequences._POWER_MIN_N``
-    is compared with the walk too: for k <= 12 that is the power form.
+    At k = 2 and the largest k, ``term()`` at the first n of the power
+    form (``sequences._power_min_n``) is compared with the walk too: for
+    k <= 16, that is up to scale 3, it takes the power form there.
     """
     out = []
     k_hi = 4 + 4 * scale
@@ -81,10 +82,9 @@ def check_recurrence(scale: int = 1) -> list[Failure]:
                     )
                 if value != term(params, n):
                     out.append(_fail("recurrence", "term() disagrees with term_iter()", k=k, n=n, family=family))
-            if k in (2, k_hi) and term(params, _POWER_MIN_N) != next(term_iter(params, _POWER_MIN_N))[1]:
-                out.append(
-                    _fail("recurrence", "term() disagrees with term_iter()", k=k, n=_POWER_MIN_N, family=family)
-                )
+            n = _power_min_n(k)
+            if k in (2, k_hi) and term(params, n) != next(term_iter(params, n))[1]:
+                out.append(_fail("recurrence", "term() disagrees with term_iter()", k=k, n=n, family=family))
     return out
 
 
@@ -112,8 +112,8 @@ def check_doubling_and_bridges(scale: int = 1) -> list[Failure]:
 def check_closed_form(scale: int = 1) -> list[Failure]:
     """The generating-function sum reproduces the walk (both families, from k = 2).
 
-    ``term()`` takes the sum only from k = 8 on, and for k <= 12 only
-    below n = 1,000, so it is called directly.
+    ``term()`` takes the sum only from k = 8 on, and for k <= 16 only
+    below n = max(1,000, k^3), so it is called directly.
     """
     out = []
     k_hi = 4 + 4 * scale

@@ -84,25 +84,38 @@ class SeqParams:
 # 0.6-1.0x at k = 9; at k = 60, n = 50,000 it is 0.1x.
 _CLOSED_FORM_MIN_K = 8
 
-# term() takes the power form for k <= _POWER_MAX_K and n >= _POWER_MIN_N.
-# Per call, best of 9 (Python 3.11, 2-core VM), the power form costs this
-# much of the path it replaces (the walk below k = 8, the closed form from
-# there):
+# term() takes the power form for k <= _POWER_MAX_K and n >= max(_POWER_MIN_N,
+# k^3) (:func:`_power_min_n`).  Per call, best of 9 (Python 3.11, 2-core
+# VM), the power form costs this much of the path it replaces (the walk
+# below k = 8, the closed form from there):
 #
-#     k      n = 700   1,000   1,500   3,000   30,000
-#     2       0.27     0.15    0.11    0.05    0.01
-#     4       0.42     0.29    0.22    0.13    0.05
-#     7       0.71     0.56    0.42    0.29    0.14
-#     8       0.78     0.52    0.38    0.29    0.17
-#     10      1.17     0.87    0.67    0.52    0.33
-#     12      1.81     1.37    1.07    0.79    0.55
-#     13      2.16     1.61    1.25    0.98    0.78
-#     14      2.45     1.96    1.46    1.17    1.90
+#     k      n = 700   1,000   1,500   2,000   3,000   5,000   10,000   50,000
+#     2       0.26     0.19    0.13    0.09    0.06    0.04     0.02     0.01
+#     4       0.48     0.32    0.24    0.18    0.12    0.08     0.05     0.02
+#     7       0.84     0.63    0.44    0.34    0.25    0.16     0.10     0.06
+#     8       0.86     0.59    0.41    0.31    0.23    0.17     0.12     0.07
+#     10      1.36     0.95    0.68    0.52    0.39    0.28     0.23     0.13
+#     11      1.65     1.17    0.85    0.64    0.48    0.36     0.28     0.18
+#     12      2.11     1.40    1.03    0.79    0.59    0.46     0.34     0.21
+#     13      2.50     1.70    1.21    0.93    0.67    0.53     0.45     0.29
+#     14      2.95     1.91    1.40    1.07    0.86    0.65     0.55     0.35
+#     15      3.41     2.32    1.65    1.28    0.98    0.77     0.64     0.44
+#     16      3.88     2.69    1.94    1.42    1.17    0.92     0.76     0.53
+#     17      4.76     3.00    2.20    1.75    1.34    1.08     0.89     0.58
+#     18      5.41     3.58    2.54    1.97    1.55    1.24     1.11     0.73
 #
-# At n = 200 it costs 0.8x (k = 2) to 5x (k = 12).  Where it loses at
-# k = 11-12 and n = 1,000, the loss is under 0.1 ms a call.
-_POWER_MAX_K = 12
+# From k = 10 the measured crossing grows about as k^3, the threshold taken
+# (1,331 at k = 11, 4,096 at k = 16); near it either path costs 0.1-0.8 ms a
+# call.  At k = 17 the power form still loses at n = 5,000, and at k = 18 it
+# wins only past n = 10,000.
+_POWER_MAX_K = 16
 _POWER_MIN_N = 1_000
+
+
+def _power_min_n(k: int) -> int:
+    """First n at which term() takes the power form, for k <= ``_POWER_MAX_K``."""
+    return max(_POWER_MIN_N, k**3)
+
 
 # (c0, c1, c2) of the generating-function numerator (module docstring).
 _NUMERATOR = {LUCAS: (2, -3, 1), FIBONACCI: (0, 1, -1)}
@@ -111,21 +124,22 @@ _NUMERATOR = {LUCAS: (2, -3, 1), FIBONACCI: (0, 1, -1)}
 def term(params: SeqParams, n: int) -> int:
     """Exact term at index ``n`` (``n >= 2 - k``).
 
-    Indices n < 2 are the stored initial values.  For k <= 12 and
-    n >= 1,000 (``_POWER_MAX_K``, ``_POWER_MIN_N``) the term is read off
-    x^(n+k-2) mod the characteristic polynomial (:func:`_power_form`):
-    about log2(n) squarings of k coefficients.  Otherwise, for k >= 8 it
-    is the generating-function sum of the module docstring: about
-    n/(k+1) steps, each one exact multiply and divide of an n-bit integer
-    by an integer of about k log2(n) bits.  For k < 8, where that costs
-    as much as the walk or more, it is the first value of ``term_iter``:
-    n steps of one big-integer addition and subtraction.
+    Indices n < 2 are the stored initial values.  For k <= 16 and
+    n >= max(1,000, k^3) (:func:`_power_min_n`) the term is read off
+    x^h mod the characteristic polynomial, h = (n+k-2) // 2
+    (:func:`_power_form`): about log2(n) - 1 squarings of k coefficients,
+    then k products of n/2-bit integers.  Otherwise, for k >= 8 it is the
+    generating-function sum of the module docstring: about n/(k+1)
+    steps, each one exact multiply and divide of an n-bit integer by an
+    integer of about k log2(n) bits.  For k < 8, where that costs as much
+    as the walk or more, it is the first value of ``term_iter``: n steps
+    of one big-integer addition and subtraction.
     """
     if n < params.min_index:
         raise ValueError("index %d below domain minimum %d" % (n, params.min_index))
     if n < 2:
         return params.initial_values()[n - params.min_index]
-    if params.k <= _POWER_MAX_K and n >= _POWER_MIN_N:
+    if params.k <= _POWER_MAX_K and n >= _power_min_n(params.k):
         return _power_form(params, n)
     if params.k < _CLOSED_FORM_MIN_K:
         return next(term_iter(params, n))[1]
@@ -133,24 +147,30 @@ def term(params: SeqParams, n: int) -> int:
 
 
 def _power_form(params: SeqParams, n: int) -> int:
-    """Term n >= 2 from x^e mod P(x), e = n + k - 2 (Fiduccia's method).
+    """Term n >= 2 from x^h mod P(x), h = floor(e/2), e = n + k - 2 (Fiduccia's method).
 
-    With P(x) = x^k - x^(k-1) - ... - 1 and x^e = sum c_i x^i mod P, the
-    term is sum c_i a(2-k+i) over the initial values.  x^e comes from x by
-    one squaring per remaining bit of e, plus one multiply by x on each
-    1-bit.  A squaring is schoolbook with each cross product taken once
-    and doubled; the product, of degree 2k-2, is reduced top-down by
-    x^k = x^(k-1) + ... + 1, where position j gains the sum of the
-    reduced coefficients at j+1 .. j+k from k on: a sliding window, so
-    O(k) additions.  Every coefficient of x^e mod P is non-negative (the
-    multiply by x only moves and adds them), so a negative one is an
-    error.
+    With P(x) = x^k - x^(k-1) - ... - 1 and x^m = sum c_i x^i mod P, the
+    term a(2-k+m) is sum c_i a(2-k+i) over the initial values.  x^h comes
+    from x by one squaring per remaining bit of h, plus one multiply by x
+    (:func:`_times_x`) on each 1-bit.  A squaring is schoolbook with each
+    cross product taken once and doubled; the product, of degree 2k-2, is
+    reduced top-down by x^k = x^(k-1) + ... + 1, where position j gains
+    the sum of the reduced coefficients at j+1 .. j+k from k on: a sliding
+    window, so O(k) additions.  Every coefficient of x^h mod P is
+    non-negative (the multiply by x only moves and adds them), so a
+    negative one is an error.
+
+    The last squaring, k(k+1)/2 products of n/2-bit coefficients, is not
+    taken.  Instead c times x^i, i = 0..k-1, one more multiply by x each,
+    gives the consecutive terms T_i = a(h+2-k+i) as dot products with the
+    initial values, and a(n) = sum c_i T_i: k products.  For odd e, c is
+    first multiplied by x once more.
     """
     k = params.k
     e = n + k - 2
     c = [0] * k
     c[1] = 1
-    for bit in bin(e)[3:]:
+    for bit in bin(e >> 1)[3:]:
         p = [0] * (2 * k)  # p[2k-1] stays 0: the window's first drop
         for i, ci in enumerate(c):
             p[2 * i] += ci * ci
@@ -165,11 +185,23 @@ def _power_form(params: SeqParams, n: int) -> int:
             p[j] += s
         c = p[:k]
         if bit == "1":
-            top = c[-1]
-            c = [top] + [ci + top for ci in c[:-1]]
+            c = _times_x(c)
     if min(c) < 0:
-        raise AssertionError("negative coefficient of x^e mod P for k=%d n=%d" % (k, n))
-    return sum(ci * v for ci, v in zip(c, params.initial_values()))
+        raise AssertionError("negative coefficient of x^h mod P for k=%d n=%d" % (k, n))
+    init = params.initial_values()
+    window, d = [], c
+    for _ in range(k):
+        window.append(sum(di * v for di, v in zip(d, init)))
+        d = _times_x(d)
+    if e & 1:
+        c = _times_x(c)
+    return sum(ci * t for ci, t in zip(c, window))
+
+
+def _times_x(c: list[int]) -> list[int]:
+    """x * sum c_i x^i mod P, with x^k = x^(k-1) + ... + 1."""
+    top = c[-1]
+    return [top] + [ci + top for ci in c[:-1]]
 
 
 def _bracket_ratio(family: str, N: int, j: int) -> tuple[int, int]:

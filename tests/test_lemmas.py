@@ -13,15 +13,16 @@ def test_all_suites_pass_at_scale_1():
 
 
 def test_recurrence_suite_catches_a_faulty_power_form(monkeypatch):
-    # The suite's walk stays below _POWER_MIN_N; its check at that n is the
-    # only one that reaches term()'s power form.
+    # The suite's walk stays below the power form's first n; its check at
+    # that n, at k = 2 and the largest k, is the only one that reaches it.
+    # At scale 1 that is k = 8 at n = 1,000; at scale 3, k = 16 at n = 4,096.
     power_form = sequences._power_form
     monkeypatch.setattr(sequences, "_power_form", lambda params, n: power_form(params, n) + 1)
-    failures = run_suite("recurrence", 1)
-    n = sequences._POWER_MIN_N
-    assert sorted((f.params["family"], f.params["k"], f.params["n"]) for f in failures) == sorted(
-        (family, k, n) for family in (sequences.FIBONACCI, sequences.LUCAS) for k in (2, 8)
-    )
+    for scale, k_hi, n_hi in ((1, 8, 1_000), (3, 16, 4_096)):
+        failures = run_suite("recurrence", scale)
+        expected = [(family, k, n) for family in (sequences.FIBONACCI, sequences.LUCAS)
+                    for k, n in ((2, 1_000), (k_hi, n_hi))]
+        assert sorted((f.params["family"], f.params["k"], f.params["n"]) for f in failures) == sorted(expected), scale
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))

@@ -15,6 +15,7 @@ from lucasdisc.sequences import (
     SeqParams,
     _closed_form,
     _power_form,
+    _power_min_n,
     binom_ext,
     lucas_from_fib,
     shift_identity_check,
@@ -80,7 +81,7 @@ def test_term_iter_agrees_with_term(family):
 
 
 @pytest.mark.parametrize("family", [FIBONACCI, LUCAS])
-@pytest.mark.parametrize("k", [2, 7, 8, 9, 12, 13, 46, 60])
+@pytest.mark.parametrize("k", [2, 7, 8, 9, 12, 13, 16, 17, 46, 60])
 def test_term_equals_walk_at_n_50000(family, k):
     params = SeqParams(k=k, family=family)
     assert term(params, 50_000) == walked(params, 50_000)
@@ -112,16 +113,37 @@ def test_closed_form_binomials_switch_at_j_plus_1_equals_k(family, k, monkeypatc
 @pytest.mark.parametrize("k", range(2, _POWER_MAX_K + 2))
 def test_power_form_equals_walk_around_the_switch(family, k):
     params = SeqParams(k=k, family=family)
-    for n, value in term_iter(params, _POWER_MIN_N - 64):
-        if n > _POWER_MIN_N + 64:
+    for n, value in term_iter(params, _power_min_n(k) - 64):
+        if n > _power_min_n(k) + 64:
             break
         assert _power_form(params, n) == value, n
+
+
+@pytest.mark.parametrize("family", [FIBONACCI, LUCAS])
+@pytest.mark.parametrize("k", range(2, _POWER_MAX_K + 2))
+def test_power_form_equals_walk_at_small_n(family, k):
+    # n = 2..300 covers both parities of e = n + k - 2 and h = e // 2 = 1,
+    # where the squaring loop does not run and c is x itself.
+    params = SeqParams(k=k, family=family)
+    for n, value in term_iter(params, 2):
+        if n > 300:
+            break
+        assert _power_form(params, n) == value, n
+
+
+def test_power_form_rejects_a_negative_coefficient(monkeypatch):
+    # h = 501 ends on a 1-bit, so x^h mod P comes out of a multiply by x;
+    # a sign flipped there must raise instead of returning a wrong term.
+    times_x = sequences._times_x
+    monkeypatch.setattr(sequences, "_times_x", lambda c: [-ci for ci in times_x(c)])
+    with pytest.raises(AssertionError, match="negative coefficient"):
+        _power_form(SeqParams(k=2, family=LUCAS), 1_002)
 
 
 PRIMES = (1_000_000_007, 998_244_353)
 
 
-@pytest.mark.parametrize("k", [2, 3, _POWER_MAX_K])
+@pytest.mark.parametrize("k", [2, 3, 12, _POWER_MAX_K])
 def test_power_form_matches_a_walk_modulo_two_primes(k):
     # L(n) for n = 10^5 and 2*10^5, against the recurrence walked modulo
     # each prime: a walk that shares nothing with the module.
@@ -153,15 +175,20 @@ def test_power_form_equals_walk_property(family, k, n):
     "k,n,path",
     [
         (2, _POWER_MIN_N - 1, "walk"),
-        (_POWER_MAX_K, _POWER_MIN_N - 1, "closed"),
         (2, _POWER_MIN_N, "power"),
-        (_POWER_MAX_K, _POWER_MIN_N, "power"),
-        (_POWER_MAX_K + 1, _POWER_MIN_N, "closed"),
+        (12, 12**3 - 1, "closed"),
+        (12, 12**3, "power"),
+        (13, 13**3 - 1, "closed"),
+        (13, 13**3, "power"),
+        (_POWER_MAX_K, _POWER_MAX_K**3 - 1, "closed"),
+        (_POWER_MAX_K, _POWER_MAX_K**3, "power"),
+        (_POWER_MAX_K + 1, (_POWER_MAX_K + 1) ** 3, "closed"),
     ],
 )
 def test_term_takes_the_power_form_at_small_k_and_large_n(k, n, path, monkeypatch):
-    # term() dispatches on (k, n); the walk is the oracle for each value,
-    # and the call counts pin which path each side of the switch takes.
+    # term() dispatches on (k, n): the power form from n = max(1,000, k^3)
+    # up to k = 16.  The walk is the oracle for each value, and the call
+    # counts pin which path each side of the switch takes.
     params = SeqParams(k=k, family=LUCAS)
     expected = walked(params, n)
     calls = []
