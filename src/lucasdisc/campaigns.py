@@ -7,7 +7,8 @@ n = m*(k+1) + r, the residue r decides which congruence for L(k, n)
 modulo a power of two applies, and the campaigns split along it:
 
 * ``campaign_small``   -- exhaustive equality walk for 2 <= k <= 200;
-* ``campaign_case0``   -- r == 0, settled by a 2-adic valuation clash;
+* ``campaign_case0``   -- r == 0 for every k >= 4, one 2-adic valuation
+  clash checked once;
 * ``campaign_case12``  -- r in {1, 2}, even k, window pairs found by
   bisecting the concave defect m(k+1) - w(k) for each m, then a
   modular test on the surviving (k, n) pairs;
@@ -39,14 +40,8 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
-from .sequences import LUCAS, SeqParams
-from .twoadic import (
-    _odd_disc_core,
-    disc_match,
-    disc_nu2,
-    l_quantity,
-    lucas_congruence_parts,
-)
+from .sequences import LUCAS, SeqParams, _bracket_ratio
+from .twoadic import _odd_disc_core, disc_match, disc_nu2, l_quantity
 from .bounds import (
     K_CAP,
     _ell,
@@ -238,36 +233,40 @@ def campaign_small(k_max: int = 200, shard: tuple[int, int] | None = None) -> Ca
 
 
 def campaign_case0(shard: tuple[int, int] | None = None) -> CampaignReport:
-    """Rule out n divisible by k+1 for odd 5 <= k <= 201 by valuations.
+    """Rule out n divisible by k+1 for every k >= 4 by one valuation clash.
 
-    With r == 0 the Lucas term is congruent to +/-2 modulo 2^(k-2), so
-    nu2(L(n)) == 1 whenever k >= 5, while |disc| of an odd k has
-    nu2 == k - 1 >= 4.  The clash is verified numerically for each k;
-    k in {2, 3} falls below the useful modulus and is covered
-    exhaustively by the small campaign instead.
+    At r == 0, L(n) == (-1)^m B(m, 0) / 4 (mod 2^(k-2)) (:mod:`lucasdisc.twoadic`),
+    and B(m, 0) = C(m, m) weight / den = 8 for every m: with (weight, den)
+    = ``_bracket_ratio(LUCAS, N, N)``, N = m, weight == 8 den below N = 2,
+    and from N = 2 on weight - 8 den has degree <= 2 in N, so its zeros
+    at N = 2, 3, 4 make it zero.  So shift = 1 < E = k - 2 pins
+    nu2(L(n)) == 1 from k = 4 on, as E grows with k.  nu2(|disc|)
+    (``disc_nu2``) is 0 for even k, checked at k = 4, and k - 1 for odd
+    k, checked at k = 5, where it is 4 and grows with k: never 1.  The
+    statement is one unit of work, checked by piece 0 of any layout; a
+    failed part gives one survivor at k = 4, n = 0.  k in {2, 3} falls
+    below the useful modulus and is covered by the small campaign.
     """
+    k_lo = 4
 
-    def scan(ks: range):
+    def scan(pieces: range):
         gaps: list[CandidatePair] = []
-        for k in ks:
-            # The congruence pins nu2(L(n)) at shift only if shift < E, and
-            # the clash needs that valuation to differ from nu2(|disc|).
-            shifts = [lucas_congruence_parts(k, m, 0)[2:] for m in (0, 1)]
-            if not all(shift < e and shift != disc_nu2(k) for shift, e in shifts):
-                gaps.append(CandidatePair(k, 0, 0, 0, "survivor"))
-        return gaps, [("odd_k_checked", len(ks)), ("clashes_missing", len(gaps))]
+        if pieces:
+            eight = all(weight == 8 * den for weight, den in (_bracket_ratio(LUCAS, N, N) for N in range(5)))
+            if not (eight and 1 < k_lo - 2 and disc_nu2(k_lo) == 0 and disc_nu2(k_lo + 1) == k_lo):
+                gaps.append(CandidatePair(k_lo, 0, 0, 0, "survivor"))
+        return gaps, [("statements_checked", len(pieces)), ("clashes_missing", len(gaps))]
 
     return _run(
         "case0",
         shard,
-        range(5, 202, 2),
+        range(1),
         scan,
-        {"k_lo": 5, "k_hi": 201, "k_parity": "odd", "residue": 0},
+        {"k_lo": k_lo, "residue": 0},
         [
-            "r == 0 forces L(n) == +/-2 modulo 2^(k-2), so nu2(L(n)) == 1 for k >= 5",
-            "odd-k |disc| has nu2 == k - 1 >= 4, so equality is impossible",
-            "k in {2, 3} sits below the useful modulus and is covered by the"
-            " small campaign",
+            "r == 0 gives B(m, 0) == 8, so L(n) == +/-2 modulo 2^(k-2) and nu2(L(n)) == 1 for k >= 4",
+            "|disc| has nu2 == 0 for even k and k - 1 >= 4 for odd k, never 1, so equality is impossible",
+            "k in {2, 3} sits below the useful modulus and is covered by the small campaign",
         ],
     )
 

@@ -18,11 +18,11 @@ make the factor 2^(r-2) integral for every r.
 :func:`lucas_congruence_parts` writes the congruence as
 sign * odd * 2^shift; when shift < E that pins nu2(L(n)) = shift.
 :func:`disc_match` takes B itself and compares (-1)^m 2^(r-2) B with
-|disc| = (2^(k+1) k^k - (k+1)^(k+1)) / (k-1)^2.  The campaigns and the
-lemma suites read both.  The r >= 3 campaign carries B along one m's
-increasing r itself (``campaigns.campaign_case3``), with the same
-bracket as :func:`l_quantity` and the exponent of
-:func:`l_quantity_nu2`.
+|disc| = (2^(k+1) k^k - (k+1)^(k+1)) / (k-1)^2.  The lemma suites
+read both, the campaigns :func:`disc_match`.  The r >= 3 campaign
+carries B along one m's increasing r itself
+(``campaigns.campaign_case3``), with the same bracket as
+:func:`l_quantity` and the exponent of :func:`l_quantity_nu2`.
 
 Valuations use the convention nu2(0) = infinity (``math.inf``).
 """

@@ -30,7 +30,7 @@ from lucasdisc.campaigns import (
 )
 from lucasdisc.cli import run
 from lucasdisc.sequences import LUCAS, SeqParams, term, term_iter
-from lucasdisc import campaigns, twoadic
+from lucasdisc import campaigns, sequences, twoadic
 from lucasdisc.twoadic import disc_match, l_quantity, l_quantity_nu2, nu2
 
 from test_bounds import w_200
@@ -49,7 +49,7 @@ CASE3_SURVIVORS_AT_100 = 14
 # keyed by the conftest fixture that holds the run (None: case0, run here).
 REPORT_SHA256 = {
     "small": ("small_report", "998994cf2f9c3d027dafb88d442c606dc3e68895c513af30ae348298a03313a5"),
-    "case0": (None, "d4e05d658008bd327a27c76ce6b5ce90ad6800d52f2a6bad6f2fe69fef9fd0bf"),
+    "case0": (None, "2316d010e980eec251f39ed8917644c4b2870faed1e6cd4c45c732adb39eb18c"),
     "case12": ("case12_full_report", "6f35ae93ef7bf4891f32e8e04fe544564ca2f30cb5a7c273ec66debe5ad06a46"),
     "case3_150": ("case3_150_report", "ab81620237c3d86532a21184c4c40b274cfa5e876113efb874500f87e43e818c"),
     "case3_100": ("case3_100_report", "0f619062d23fa68bbf24d811033ae38484977ef3dd1851ab78d0d7324c05db58"),
@@ -108,22 +108,48 @@ def test_small_walk_reports_a_planted_equality(n, monkeypatch):
         assert one_k.stage_counts[0] == ("terms_examined", walked), j
 
 
-def test_case0_all_odd_k_clash():
+def test_case0_clash_holds_for_every_k_from_4():
     report = campaign_case0()
-    assert report.stage_counts == [("odd_k_checked", 99), ("clashes_missing", 0)]
-    assert report.survivors == []
+    assert report.stage_counts == [("statements_checked", 1), ("clashes_missing", 0)]
+    assert report.ranges == {"k_lo": 4, "residue": 0}
+    assert report.candidates == []
+    # The statement against exact terms and discriminants of both parities.
+    for k in range(4, 13):
+        for m in range(6):
+            assert nu2(term(SeqParams(k, LUCAS), m * (k + 1))) == 1 != nu2(discriminant(k)), (k, m)
 
 
-def test_case0_reports_a_missing_clash_as_a_survivor(monkeypatch, capsys):
-    # A discriminant valuation of 1 at k = 101 equals nu2(L(n)), so no clash there.
-    monkeypatch.setattr(campaigns, "disc_nu2", lambda k: 1 if k == 101 else twoadic.disc_nu2(k))
-    report = campaign_case0()
-    assert report.stage_counts == [("odd_k_checked", 99), ("clashes_missing", 1)]
-    assert report.survivors == [CandidatePair(101, 0, 0, 0, "survivor")]
-    assert run(["search", "case0", "--format", "jsonl", "--no-timing"]) == 1
-    rows = capsys.readouterr().out.splitlines()
-    assert json.loads(rows[0]) == {"k": 101, "m": 0, "n": 0, "r": 0, "verdict": "survivor"}
-    assert json.loads(rows[-1])["survivors"] == [[101, 0]]
+def _bracket_off_at(N):
+    """``_bracket_ratio`` with its weight one too large at (N, j) = (N, N)."""
+
+    def planted(family, top, j):
+        weight, den = sequences._bracket_ratio(family, top, j)
+        return (weight + 1, den) if top == j == N else (weight, den)
+
+    return planted
+
+
+# Each plant breaks one part of the statement: B(m, 0) = 8 at one N >= 2,
+# or a discriminant valuation of 1 at the even or at the odd check.
+CASE0_PLANTS = [("_bracket_ratio", _bracket_off_at(N)) for N in (2, 3, 4)] + [
+    ("disc_nu2", lambda k: 1 if k % 2 == 0 else twoadic.disc_nu2(k)),
+    ("disc_nu2", lambda k: 1 if k % 2 else twoadic.disc_nu2(k)),
+]
+
+
+def test_case0_reports_a_missing_clash_as_a_survivor(capsys):
+    for name, plant in CASE0_PLANTS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(campaigns, name, plant)
+            report = campaign_case0()
+            assert report.stage_counts == [("statements_checked", 1), ("clashes_missing", 1)]
+            assert report.survivors == [CandidatePair(4, 0, 0, 0, "survivor")]
+            assert merge_reports([shard("case0", p, 2) for p in range(2)]).candidates == report.candidates
+            assert run(["search", "case0", "--format", "jsonl", "--no-timing"]) == 1
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 2
+        assert json.loads(rows[0]) == {"k": 4, "m": 0, "n": 0, "r": 0, "verdict": "survivor"}
+        assert json.loads(rows[-1])["survivors"] == [[4, 0]]
 
 
 def test_case12_toy_frozen_pairs(case12_toy_report):

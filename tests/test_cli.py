@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, output formats, worker determinism."""
 
+import importlib.util
 import json
 import os
 import re
@@ -25,6 +26,7 @@ from lucasdisc.roots import PrecisionError, dominant_root
 from lucasdisc.sequences import FIBONACCI, LUCAS, SeqParams, term_iter
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+BENCH_GATE = Path(__file__).resolve().parent.parent / "bench" / "gate.py"
 
 
 def readme_cli_examples():
@@ -399,6 +401,18 @@ def test_search_worker_count_does_not_change_bytes(search, capsys):
     assert run(base + ["--workers", "3"]) == 0
     three = capsys.readouterr().out
     assert one == three
+
+
+def test_paper_searches_pass_the_bench_gate(monkeypatch, capsys):
+    # bench/gate.py, loaded without writing bytecode under bench/: a report
+    # that the benchmark's verdict gate would reject fails here first.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_gate", BENCH_GATE)
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    for label, args in gate.SEARCHES:
+        code = run(["search", *args, "--format", "jsonl", "--no-timing"])
+        assert gate.check_search(label, code, capsys.readouterr().out) == [], label
 
 
 def test_human_format_caps_candidate_listing(capsys):

@@ -1,4 +1,4 @@
-"""Exact ground truth at small k: the window split, the exact band and the row oracle.
+"""Exact ground truth at small k: the window split, the exact band, r = 0 and the row oracle.
 
 Past k = 200 every verdict rests on the 2-adic congruence, the filters and
 the window.  Here exact values of L(n) (``term``) and |disc| decide the
@@ -10,7 +10,7 @@ import pytest
 from lucasdisc.bounds import discriminant, window_integers
 from lucasdisc.campaigns import campaign_case3, campaign_case12
 from lucasdisc.sequences import LUCAS, SeqParams, term
-from lucasdisc.twoadic import nu2
+from lucasdisc.twoadic import disc_nu2, nu2
 
 
 def lucas(k, n):
@@ -43,6 +43,23 @@ def test_exact_band_decides_every_n_for_k_to_2048():
         ns = window_integers(k)
         assert lucas(k, ns[0] - 1) < delta < lucas(k, ns[-1] + 1), k
         assert all(lucas(k, n) != delta for n in ns), k
+
+
+# Every window integer n with r = 0 for 202 <= k < 20,000: case0's cell, which
+# no other campaign covers; past k = 2,048 the exact-band test misses it too.
+CASE0_WINDOW_PAIRS = [
+    (272, 2457), (530, 5310), (531, 5320), (1044, 11495), (1045, 11506), (2070, 24852),
+    (2071, 24864), (4120, 53573), (4121, 53586), (8219, 115080), (16413, 246210),
+]
+
+
+def test_case0_clash_at_every_window_pair_to_k_20000():
+    pairs = [(k, n) for k in range(202, 20_000) for n in window_integers(k) if n % (k + 1) == 0]
+    assert pairs == CASE0_WINDOW_PAIRS
+    for k, n in pairs:
+        value = lucas(k, n)
+        assert nu2(value) == 1 != disc_nu2(k), (k, n)
+        assert value != discriminant(k), (k, n)
 
 
 @pytest.fixture(scope="module")

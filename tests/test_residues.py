@@ -1,0 +1,68 @@
+"""Residues modulo the prime p = 2^61 - 1: a verdict with no 2-adic step.
+
+L(n) != |disc| as soon as their residues modulo one prime differ.  Both
+residues are cheap at any k, so they check the rows that the 2-adic
+filters close past the reach of exact values.
+"""
+
+import itertools
+import math
+import random
+
+from lucasdisc.bounds import discriminant
+from lucasdisc.sequences import LUCAS, SeqParams, term
+
+P = 2**61 - 1
+J_MAX = 1_000  # largest step j the tests reach: n < 3,000 and k >= 2
+# INV_FACT[j] = 1 / j! mod P, invertible as j < P.
+INV_FACT = list(itertools.accumulate(range(1, J_MAX + 1), lambda inv, j: inv * pow(j, -1, P) % P, initial=1))
+
+
+def binom_mod(top, j):
+    """C(top, j) mod P: the falling factorial times 1/j!, and 0 when top < j."""
+    if top < j:
+        return 0
+    return math.prod(range(top - j + 1, top + 1)) % P * INV_FACT[j] % P
+
+
+def lucas_mod(k, n):
+    """L(k, n) mod P for n >= 2, from the generating-function sum
+
+    4 L(n) = sum_j (-1)^j 2^(n - j(k+1)) [8 C(N, j) - 6 C(N-1, j) + C(N-2, j)],
+    N = n - jk, over 0 <= j <= n/(k+1) (the ``sequences`` module docstring).
+    """
+    if n // (k + 1) > J_MAX:
+        raise ValueError("step j past the inverse table at k=%d n=%d" % (k, n))
+    total = 0
+    for j in range(n // (k + 1) + 1):
+        N = n - j * k
+        bracket = 8 * binom_mod(N, j) - 6 * binom_mod(N - 1, j) + binom_mod(N - 2, j)
+        step = pow(2, n - j * (k + 1), P) * bracket
+        total += -step if j & 1 else step
+    return total * pow(4, -1, P) % P
+
+
+def disc_mod(k):
+    """|disc(k)| mod P from (k-1)^2 |disc| = 2^(k+1) k^k - (k+1)^(k+1)."""
+    if (k - 1) % P == 0:
+        raise ValueError("(k-1)^2 is not invertible modulo P at k=%d" % (k,))
+    numerator = pow(2, k + 1, P) * pow(k, k, P) - pow(k + 1, k + 1, P)
+    return numerator * pow((k - 1) ** 2, -1, P) % P
+
+
+def test_residues_agree_with_exact_values():
+    rng = random.Random(20261020)
+    for _ in range(200):
+        k, n = rng.randrange(2, 300), rng.randrange(2, 3_000)
+        assert lucas_mod(k, n) == term(SeqParams(k, LUCAS), n) % P, (k, n)
+    for k in range(2, 300):
+        assert disc_mod(k) == discriminant(k) % P, k
+
+
+def test_residues_close_case12_pairs_and_case3_survivors(case12_full_report, case3_100_report):
+    # case12's 32 window pairs and the 14 rows that survive case3 at 100 bits.
+    rows = case12_full_report.candidates + case3_100_report.survivors
+    assert len(rows) == 32 + 14
+    for c in rows:
+        residue, delta = lucas_mod(c.k, c.n), disc_mod(c.k)
+        assert residue not in (delta, -delta % P), c
