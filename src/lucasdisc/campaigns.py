@@ -6,12 +6,14 @@ and disc(k) the discriminant of x^k - x^(k-1) - ... - x - 1.  Writing
 n = m*(k+1) + r, the residue r decides which congruence for L(k, n)
 modulo a power of two applies, and the campaigns split along it:
 
-* ``campaign_small``   -- exhaustive equality walk for 2 <= k <= 200;
+* ``campaign_small``   -- every n for 2 <= k <= 200: L(0), L(1) and the
+  first term >= |disc|, reached by jumping past every n >= 2 with
+  3 * 2^(n-2) < |disc|;
 * ``campaign_case0``   -- r == 0 for every k >= 4, one 2-adic valuation
   clash checked once;
-* ``campaign_case12``  -- r in {1, 2}, even k, window pairs found by
-  bisecting the concave defect m(k+1) - w(k) for each m, then a
-  modular test on the surviving (k, n) pairs;
+* ``campaign_case12``  -- r in {1, 2}, even k, window pairs found for
+  each m by one bisection on the concave defect m(k+1) - w(k) and a
+  step or two forward, then a modular test on the (k, n) pairs;
 * ``campaign_case3``   -- r >= 3, odd k localized near powers of two,
   a two-filter scan that reads k off the closed-form nu2(B(m, r)).
 
@@ -29,7 +31,6 @@ unsharded run (timing aside), so
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import multiprocessing
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
-from .sequences import LUCAS, SeqParams, _bracket_ratio
+from .sequences import LUCAS, SeqParams, _bracket_ratio, term
 from .twoadic import _odd_disc_core, disc_match, disc_nu2, l_quantity
 from .bounds import (
     K_CAP,
@@ -170,28 +171,35 @@ def _window_pairs(ks: range, m: int) -> list[tuple[int, int, int, int]]:
     10X + 21 <= l(k).  d(k) is strictly concave in k.  Where it rises,
     m - 1 >= log2(k) + (k-2)/(k ln 2), so d(k) >= 2 log2(k) + (k-2)/ln 2
     + m + 1/10 > 1.4 and no window is reached.  Along the k of ``ks`` both
-    tests therefore switch from false to true once each, and bisection
-    finds the run of k with d in (-2, 1.4).
+    tests therefore switch from false to true once each, the second no
+    earlier than the first.  Bisection finds the first k with d < 1.4,
+    and stepping forward to the first k with d <= -2 ends the run.  Near
+    the window d falls by about 1/ln 2 per unit of k, so the run holds
+    at most two even k and the step is short.
     """
 
     def x(k: int) -> int:
         return m * (k + 1) - k
 
-    near = ks[
-        bisect_left(ks, True, key=lambda k: 10 * x(k) - 13 <= _ell(k)) :
-        bisect_left(ks, True, key=lambda k: 10 * x(k) + 21 <= _ell(k))
-    ]
+    near = []
+    for k in ks[bisect_left(ks, True, key=lambda k: 10 * x(k) - 13 <= _ell(k)) :]:
+        if 10 * x(k) + 21 <= _ell(k):
+            break
+        near.append(k)
     return [(k, n, m, n - m * (k + 1)) for k in near for n in window_integers(k) if n - m * (k + 1) in (1, 2)]
 
 
 def campaign_small(k_max: int = 200, shard: tuple[int, int] | None = None) -> CampaignReport:
-    """Exhaustive equality scan L(k, n) == |disc(k)| for 2 <= k <= k_max.
+    """Equality scan L(k, n) == |disc(k)| for every n and 2 <= k <= k_max.
 
     For each k, L(0) and L(1) are compared to the exact discriminant
-    magnitude, then the Lucas terms are walked from n = 2 upward in a
-    list holding L(2-k) .. L(n-1) and the sum of its last k entries; the
-    walk stops at the first term >= |disc| (terms are strictly
-    increasing for n >= 2), which is the only one that can equal it.
+    magnitude.  Terms are strictly increasing from n = 2 on, so the
+    first term >= |disc| is the only other one that can equal it.  For
+    n >= 3, L(n) = 2 L(n-1) - L(n-k-1) <= 2 L(n-1), no term being
+    negative, and L(2) = 3, so L(n) <= 3 * 2^(n-2): every n from 2 below
+    n0 = 2 + bit_length(ceil(|disc|/3) - 1) has L(n) < |disc|.  The scan
+    therefore takes ``term`` at n0, n0 + 1, ... up to the first term
+    >= |disc|, one term for every 4 <= k <= 300 and two at k = 2 and 3.
     """
     if k_max < 2:
         raise ValueError("need k_max >= 2, got %d" % (k_max,))
@@ -201,18 +209,15 @@ def campaign_small(k_max: int = 200, shard: tuple[int, int] | None = None) -> Ca
         hits: list[CandidatePair] = []
         for k in ks:
             delta = discriminant(k)
-            terms = SeqParams(k, LUCAS).initial_values()  # L(n) at index n + k - 2
-            equal = [n for n in (0, 1) if terms[n + k - 2] == delta]
-            total = 3  # the sum of the last k terms, L(2)
-            for n in itertools.count(2):
-                value = total
-                total += value - terms[n - 2]
-                terms.append(value)
-                if value >= delta:
-                    break
+            params = SeqParams(k, LUCAS)
+            equal = [n for n in (0, 1) if term(params, n) == delta]
+            n0 = 2 + (-(-delta // 3) - 1).bit_length()  # L(n) < |disc| for 2 <= n < n0
+            n = n0
+            while (value := term(params, n)) < delta:
+                n += 1
             if value == delta:
                 equal.append(n)
-            terms_examined += n + 1
+            terms_examined += 3 + n - n0  # L(0), L(1) and L(n0) .. L(n)
             for n in equal:
                 m, r = divmod(n, k + 1)
                 hits.append(CandidatePair(k, n, r, m, "survivor"))
@@ -225,9 +230,10 @@ def campaign_small(k_max: int = 200, shard: tuple[int, int] | None = None) -> Ca
         scan,
         {"k_lo": 2, "k_hi": k_max, "n_lo": 0},
         [
-            "L(0), L(1) and every term from n = 2 up to the first term >= |disc|"
-            " are compared to |disc| exactly; terms increase for n >= 2, so no"
-            " larger n can equal it",
+            "L(0), L(1) and the terms from n0 = 2 + bit_length(ceil(|disc|/3) - 1)"
+            " up to the first term >= |disc| are compared to |disc| exactly;"
+            " L(n) <= 3 * 2^(n-2) < |disc| for 2 <= n < n0, and terms increase"
+            " for n >= 2, so no other n can equal it",
         ],
     )
 
@@ -280,9 +286,9 @@ def campaign_case12(
     """Scan even k in [k_lo, k_hi) for window pairs with r in {1, 2}.
 
     Stage 1 goes through m instead of k: the defect m(k+1) - w(k) is
-    concave in k, so bisection over this shard's even k finds the few k
-    whose admissible window holds n = m(k+1) + r, each decided by the
-    integer l(k) (:func:`_window_pairs`).
+    concave in k, so one bisection over this shard's even k and a step
+    or two forward find the few k whose admissible window holds
+    n = m(k+1) + r, each decided by the integer l(k) (:func:`_window_pairs`).
     Since r < k+1, n mod (k+1) == r holds by construction.  Stage 2
     multiplies the Lucas congruence through by (k-1)^2 (:func:`disc_match`):
     an equality L(n) == +/-|disc| would force

@@ -6,6 +6,7 @@ from typing import NamedTuple
 import pytest
 
 from lucasdisc import campaigns, twoadic
+from lucasdisc.bounds import window_integers
 from lucasdisc.campaigns import CampaignReport, campaign_case12, campaign_case3, campaign_small
 
 
@@ -85,3 +86,9 @@ def case3_150_report(case3_150_hooks):
 @pytest.fixture(scope="session")
 def case3_100_report(case3_100_hooks):
     return case3_100_hooks.report
+
+
+@pytest.fixture(scope="session")
+def case3_windows(case3_150_report):
+    """k's exact window for each k of a case3 row."""
+    return {k: window_integers(k) for k in {c.k for c in case3_150_report.candidates}}

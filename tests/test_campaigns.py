@@ -3,16 +3,21 @@
 import hashlib
 import json
 import math
+import random
+from bisect import bisect_left
 from decimal import Context, Decimal, localcontext
 
 import mpmath
 import pytest
 
 from lucasdisc.bounds import (
+    _ell,
+    _m_envelope,
     bound_profile,
     discriminant,
     localize_k_by_power2,
     m_range,
+    window_integers,
 )
 from lucasdisc.campaigns import (
     A_MINUS1_MAX,
@@ -30,14 +35,14 @@ from lucasdisc.campaigns import (
 )
 from lucasdisc.cli import run
 from lucasdisc.sequences import LUCAS, SeqParams, term, term_iter
-from lucasdisc import campaigns, sequences, twoadic
+from lucasdisc import bounds, campaigns, sequences, twoadic
 from lucasdisc.twoadic import disc_match, l_quantity, l_quantity_nu2, nu2
 
 from test_bounds import w_200
 from test_twoadic import four_binomial_q
 
 # Counts frozen after the first verified full runs.
-SMALL_TERMS = 157411
+SMALL_TERMS = 599  # L(0), L(1) and one term past the jump at each k; two at k = 2 and 3
 CASE12_TOY_PAIRS = 10
 CASE12_FULL_PAIRS = 32
 CASE3_TRIPLES = 3340584
@@ -48,7 +53,7 @@ CASE3_SURVIVORS_AT_100 = 14
 # sha256 of report_to_jsonl(report, include_timing=False) per campaign run,
 # keyed by the conftest fixture that holds the run (None: case0, run here).
 REPORT_SHA256 = {
-    "small": ("small_report", "998994cf2f9c3d027dafb88d442c606dc3e68895c513af30ae348298a03313a5"),
+    "small": ("small_report", "864358a0c7450857ee7251744c93fa26de6514eb34555c9a4d6a617d30e074e1"),
     "case0": (None, "2316d010e980eec251f39ed8917644c4b2870faed1e6cd4c45c732adb39eb18c"),
     "case12": ("case12_full_report", "6f35ae93ef7bf4891f32e8e04fe544564ca2f30cb5a7c273ec66debe5ad06a46"),
     "case3_150": ("case3_150_report", "ab81620237c3d86532a21184c4c40b274cfa5e876113efb874500f87e43e818c"),
@@ -78,21 +83,60 @@ def test_small_campaign_cross_checks_brute_force():
     assert [(c.k, c.n) for c in report.survivors] == brute == []
 
 
-def test_small_walk_at_each_k_ends_at_its_first_term_past_disc():
-    # From k = 279 on, the first term >= |disc| lies past n = 2529.
-    k_max = 300
-    for k in range(279, k_max + 1):
-        delta = discriminant(k)
-        crossing = next(n for n, value in term_iter(SeqParams(k, LUCAS), 2) if value >= delta)
+def test_lucas_terms_stay_at_or_below_three_times_powers_of_two():
+    # small's jump rests on L(n) <= 3 * 2^(n-2) for n >= 2, with equality
+    # exactly at the powers of two, n <= k.
+    for k in range(2, 41):
+        for n, value in term_iter(SeqParams(k, LUCAS), 2):
+            if n > 600:
+                break
+            assert value <= 3 << (n - 2), (k, n)
+            assert (value == 3 << (n - 2)) == (n <= k), (k, n)
+
+
+def small_compared(k_max, k, monkeypatch):
+    """The n small compares with |disc| at k, in order, and its stage counts there."""
+    compared = []
+
+    def recorded(params, n):
+        compared.append(n)
+        return term(params, n)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(campaigns, "term", recorded)
         one_k = campaign_small(k_max=k_max, shard=(k - 2, k_max - 1))
-        assert one_k.stage_counts == [("terms_examined", crossing + 1), ("equality_hits", 0)], k
+    return compared, one_k.stage_counts
 
 
-# With |disc(9)| planted at L(9, n): the two terms compared before the walk,
-# its first step, the first term past the powers of two, and the crossing.
-@pytest.mark.parametrize("n", [0, 1, 2, 10, None], ids=["0", "1", "2", "k+1", "crossing"])
-def test_small_walk_reports_a_planted_equality(n, monkeypatch):
-    k, k_max = 9, 12
+def test_small_walk_at_each_k_ends_at_its_first_term_past_disc(monkeypatch):
+    k_max = 300
+    for k in range(2, k_max + 1):
+        delta = discriminant(k)
+        walk = []  # L(0) .. the crossing, the first n >= 2 with L(n) >= |disc|
+        for n, value in term_iter(SeqParams(k, LUCAS), 0):
+            walk.append(value)
+            if n >= 2 and value >= delta:
+                break
+        compared, count = small_compared(k_max, k, monkeypatch)
+        n0 = compared[2]
+        assert compared == [0, 1] + list(range(n0, len(walk))), k
+        assert walk[n0 - 1] < delta, k
+        assert count == [("terms_examined", len(compared)), ("equality_hits", 0)], k
+        # One term past the jump, except at k = 2 and 3.
+        assert len(compared) == (4 if k < 4 else 3), k
+
+
+# With |disc(9)| planted at L(9, n): the two terms compared before the jump,
+# the first term past it, the first term past the powers of two, and the
+# crossing.  With |disc(2)| := L(2, 10) = 123 the jump lands on n0 = 8 and
+# the equality comes on the third term: L(8) = 47, L(9) = 76.
+@pytest.mark.parametrize(
+    "k, n, compared_at_k",
+    [(9, 0, 3), (9, 1, 3), (9, 2, 3), (9, 10, 3), (9, None, 3), (2, 10, 5)],
+    ids=["0", "1", "2", "k+1", "crossing", "k=2-third-term"],
+)
+def test_small_walk_reports_a_planted_equality(k, n, compared_at_k, monkeypatch):
+    k_max = 12
     params = SeqParams(k=k, family=LUCAS)
     if n is None:
         n = next(i for i, value in term_iter(params, 2) if value >= discriminant(k))
@@ -101,11 +145,10 @@ def test_small_walk_reports_a_planted_equality(n, monkeypatch):
     report = campaign_small(k_max=k_max)
     m, r = divmod(n, k + 1)
     assert report.survivors == [CandidatePair(k, n, r, m, "survivor")]
-    for j in range(2, k_max + 1):  # the terms up to the first n >= 2 with L(j, n) >= |disc|
-        delta = campaigns.discriminant(j)
-        walked = next(i + 1 for i, value in term_iter(SeqParams(j, LUCAS), 0) if i >= 2 and value >= delta)
-        one_k = campaign_small(k_max=k_max, shard=(j - 2, k_max - 1))
-        assert one_k.stage_counts[0] == ("terms_examined", walked), j
+    for j in range(2, k_max + 1):
+        compared, count = small_compared(k_max, j, monkeypatch)
+        assert count[0] == ("terms_examined", compared_at_k if j == k else 4 if j < 4 else 3), j
+        assert j != k or n in compared
 
 
 def test_case0_clash_holds_for_every_k_from_4():
@@ -208,6 +251,51 @@ def test_case12_matches_brute_force_past_2_to_30():
     assert pairs == case12_brute_force(k_lo, k_lo + 40_000)
     assert pairs
     assert report.stage_counts[0] == ("k_scanned", 20_000)
+
+
+def two_bisection_pairs(ks, m):
+    """``_window_pairs`` with the run's end found by a second bisection."""
+
+    def x(k):
+        return m * (k + 1) - k
+
+    near = ks[
+        bisect_left(ks, True, key=lambda k: 10 * x(k) - 13 <= _ell(k)) :
+        bisect_left(ks, True, key=lambda k: 10 * x(k) + 21 <= _ell(k))
+    ]
+    return [(k, n, m, n - m * (k + 1)) for k in near for n in window_integers(k) if n - m * (k + 1) in (1, 2)]
+
+
+def test_case12_forward_step_equals_a_second_bisection():
+    rng = random.Random(33)
+    layouts = [range(202, 10_000, 2)]
+    for _ in range(40):
+        k_lo = 2 * rng.randrange(101, 50_000_000)
+        of = rng.randrange(1, 4)
+        layouts.append(range(k_lo + 2 * rng.randrange(of), k_lo + 2 * rng.randrange(1, 500_000), 2 * of))
+    pairs = 0
+    for ks in layouts:
+        if not ks:
+            continue
+        for m in range(_m_envelope(ks[0])[0], _m_envelope(ks[-1])[1] + 1):
+            expected = two_bisection_pairs(ks, m)
+            assert campaigns._window_pairs(ks, m) == expected, (ks, m)
+            pairs += len(expected)
+    assert pairs >= CASE12_TOY_PAIRS
+
+
+def test_case12_full_run_calls_ell_at_most_600_times(monkeypatch):
+    calls = []
+
+    def counted(k):
+        calls.append(k)
+        return _ell(k)
+
+    monkeypatch.setattr(campaigns, "_ell", counted)
+    monkeypatch.setattr(bounds, "_ell", counted)
+    report = campaign_case12()
+    assert report.stage_counts[1] == ("window_residue_pairs", CASE12_FULL_PAIRS)
+    assert len(calls) <= 600
 
 
 def test_case12_up_to_the_k_cap():

@@ -17,12 +17,6 @@ def lucas(k, n):
     return term(SeqParams(k, LUCAS), n)
 
 
-@pytest.fixture(scope="module")
-def case3_windows(case3_150_report):
-    """k's exact window for each k of a case3 row."""
-    return {k: window_integers(k) for k in {c.k for c in case3_150_report.candidates}}
-
-
 # case3 rows whose n lies in k's exact window, and the survivors at each width.
 @pytest.mark.parametrize("fixture, survivors", [("case3_150_report", 0), ("case3_100_report", 14)])
 def test_case3_window_split_closes_all_but_36_rows(fixture, survivors, case3_windows, request):

@@ -66,3 +66,13 @@ def test_residues_close_case12_pairs_and_case3_survivors(case12_full_report, cas
     for c in rows:
         residue, delta = lucas_mod(c.k, c.n), disc_mod(c.k)
         assert residue not in (delta, -delta % P), c
+
+
+def test_residues_close_the_case3_rows_inside_the_window(case3_150_report, case3_windows):
+    # The 36 rows at 150 bits whose n lies in k's exact window: the window
+    # closes every other row, and only filter 2 closes these.
+    inside = [c for c in case3_150_report.candidates if c.n in case3_windows[c.k]]
+    assert len(inside) == 36
+    for c in inside:
+        residue, delta = lucas_mod(c.k, c.n), disc_mod(c.k)
+        assert residue not in (delta, -delta % P), c
