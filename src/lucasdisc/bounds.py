@@ -118,17 +118,21 @@ def window_integers(k: int) -> list[int]:
     """
     if k <= 200:
         raise ValueError("window derivation needs k > 200, got k=%d" % (k,))
-    ell = _ell(k)
-    return list(range(k - (-ell // 10), k + (ell + 23) // 10 + 1))
+    return list(_window(k, _ell(k)))
 
 
-def _m_envelope(k: int) -> tuple[int, int]:
-    """Least and largest m = n // (k+1) over the n in k's window.
+def _window(k: int, ell: int) -> range:
+    """k's window integers given ell = l(k): the n with ceil(l/10) <= n - k <= floor((l + 23)/10)."""
+    return range(k - (-ell // 10), k + (ell + 23) // 10 + 1)
+
+
+def _m_envelope(k: int, ell: int | None = None) -> tuple[int, int]:
+    """Least and largest m = n // (k+1) over the n in k's window; ``ell`` is l(k) if the caller holds it.
 
     They are the m of the first and the last window integer.  Both ends
     increase with k.
     """
-    window = window_integers(k)
+    window = window_integers(k) if ell is None else _window(k, ell)
     return window[0] // (k + 1), window[-1] // (k + 1)
 
 

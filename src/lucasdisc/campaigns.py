@@ -38,6 +38,7 @@ import os
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cache
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
@@ -47,10 +48,10 @@ from .bounds import (
     K_CAP,
     _ell,
     _m_envelope,
+    _window,
     discriminant,
     localize_k_by_power2,
     m_range,
-    window_integers,
 )
 
 __all__ = [
@@ -161,8 +162,8 @@ def _run(
     )
 
 
-def _window_pairs(ks: range, m: int) -> list[tuple[int, int, int, int]]:
-    """The (k, n, m, r) with k in ``ks``, r in {1, 2}, n = m(k+1) + r in k's window.
+def _window_pairs(ks: range) -> list[tuple[int, int, int, int]]:
+    """The (k, n, m, r) with k in ``ks``, r in {1, 2}, n = m(k+1) + r in k's window, by m.
 
     With X = m(k+1) - k, n - k = X + r, and :func:`lucasdisc.bounds.window_integers`
     holds n iff l(k) <= 10(X + r) <= l(k) + 23 (l = ``bounds._ell``).  Some r
@@ -172,21 +173,28 @@ def _window_pairs(ks: range, m: int) -> list[tuple[int, int, int, int]]:
     m - 1 >= log2(k) + (k-2)/(k ln 2), so d(k) >= 2 log2(k) + (k-2)/ln 2
     + m + 1/10 > 1.4 and no window is reached.  Along the k of ``ks`` both
     tests therefore switch from false to true once each, the second no
-    earlier than the first.  Bisection finds the first k with d < 1.4,
-    and stepping forward to the first k with d <= -2 ends the run.  Near
-    the window d falls by about 1/ln 2 per unit of k, so the run holds
-    at most two even k and the step is short.
+    earlier than the first.  For each m, bisection finds the first k with
+    d < 1.4, and stepping forward to the first k with d <= -2 ends the
+    run.  Near the window d falls by about 1/ln 2 per unit of k, so the
+    run holds at most two even k and the step is short.  The m band of
+    each k grows with k, so the first and the last k confine m.  Every
+    m's bisection probes the same k first, and the step re-reads the k
+    where it stopped, so l(k) is kept for the call: one l per distinct k.
     """
+    ell = cache(_ell)
+    pairs = []
+    for m in range(_m_envelope(ks[0], ell(ks[0]))[0], _m_envelope(ks[-1], ell(ks[-1]))[1] + 1):
 
-    def x(k: int) -> int:
-        return m * (k + 1) - k
+        def x(k: int) -> int:
+            return m * (k + 1) - k
 
-    near = []
-    for k in ks[bisect_left(ks, True, key=lambda k: 10 * x(k) - 13 <= _ell(k)) :]:
-        if 10 * x(k) + 21 <= _ell(k):
-            break
-        near.append(k)
-    return [(k, n, m, n - m * (k + 1)) for k in near for n in window_integers(k) if n - m * (k + 1) in (1, 2)]
+        near = []
+        for k in ks[bisect_left(ks, True, key=lambda k: 10 * x(k) - 13 <= ell(k)) :]:
+            if 10 * x(k) + 21 <= ell(k):
+                break
+            near.append(k)
+        pairs += [(k, n, m, n - m * (k + 1)) for k in near for n in _window(k, ell(k)) if n - m * (k + 1) in (1, 2)]
+    return pairs
 
 
 def campaign_small(k_max: int = 200, shard: tuple[int, int] | None = None) -> CampaignReport:
@@ -311,13 +319,7 @@ def campaign_case12(
         raise ValueError("need 1 <= test_modulus_bits <= k_lo - 1, got %d" % (test_modulus_bits,))
 
     def scan(ks: range):
-        window_pairs: list[tuple[int, int, int, int]] = []
-        if ks:
-            # The m band of each k grows with k, so the first and the last k
-            # confine m.
-            for m in range(_m_envelope(ks[0])[0], _m_envelope(ks[-1])[1] + 1):
-                window_pairs += _window_pairs(ks, m)
-
+        window_pairs = _window_pairs(ks) if ks else []
         candidates: list[CandidatePair] = []
         survivors = 0
         for k, n, m, r in window_pairs:

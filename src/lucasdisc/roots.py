@@ -8,8 +8,9 @@ Each sign compares two integer powers through rounded-down and
 rounded-up truncations of them, widened until the two intervals
 separate, so it stays exact without forming the (k*s)-bit powers.  The
 inequality checks bound each side over those exact dyadic root brackets
-by the same truncated powers and compare integers, so a ``True``/``False``
-answer is proved, not sampled.  When an interval is too wide to decide a
+by the same truncated powers, one power pass per root bracket for both
+of its ends, and compare integers, so a ``True``/``False`` answer is
+proved, not sampled.  When an interval is too wide to decide a
 strict inequality the computation retries with doubled precision, from
 128 bits up to a hard cap, and then raises :class:`PrecisionError`.
 
@@ -50,19 +51,22 @@ class PrecisionError(RuntimeError):
     """A strict comparison stayed undecidable at the precision cap."""
 
 
-def _pow_bounds(x: int, n: int, w: int) -> tuple[int, int, int]:
-    """(lo, hi, e) with lo 2^e <= x^n <= hi 2^e, for x >= 1 and n >= 0.
+def _pow_bounds(x: int, n: int, w: int, y: Optional[int] = None) -> tuple[int, int, int]:
+    """(lo, hi, e) with lo 2^e <= x^n and y^n <= hi 2^e, for 1 <= x <= y and n >= 0; y defaults to x.
 
-    Square-and-multiply on two mantissas under one shared exponent e: after
-    each step both are cut by the shift that brings hi to w bits, lo rounded
-    down and hi up.  While nothing has been cut, lo == hi == x^n and e == 0.
+    Square-and-multiply on two mantissas under one shared exponent e, lo
+    a power of x and hi of y: after each step both are cut by the shift
+    that brings hi to w bits, lo rounded down and hi up.  While nothing
+    has been cut, (lo, hi, e) == (x^n, y^n, 0).
     """
+    if y is None:
+        y = x
     lo = hi = 1
     e = 0
     for bit in bin(n)[2:]:
         lo, hi, e = lo * lo, hi * hi, 2 * e
         if bit == "1":
-            lo, hi = lo * x, hi * x
+            lo, hi = lo * x, hi * y
         cut = hi.bit_length() - w
         if cut > 0:
             lo, hi, e = lo >> cut, -(-hi >> cut), e + cut
@@ -213,18 +217,17 @@ def _enclosure(k: int, n: int, bits: int, w: int, lead: bool = True) -> list[tup
 
     x runs over the bracket [p, p + 1] / 2^s of ``dominant_root(k, bits)``, and each factor takes its
     bound at one end by monotonicity: f falls (f' = (1 - k) / den^2), 2x - 1 rises, and x^(n-1) rises
-    for n >= 1 and falls below, its w-bit bounds from :func:`_pow_bounds` inverted for n < 1.
+    for n >= 1 and falls below.  One power pass bounds p^|n-1| below and (p + 1)^|n-1| above
+    (:func:`_pow_bounds`); for n < 1 both bounds are inverted and swap places.
     """
     enc, s, m = dominant_root(k, bits), max(bits, k - 1), n - 1
     q = 1 << s
     p = enc.lo.numerator << (s + 1 - enc.lo.denominator.bit_length())
+    lo, hi, e = _pow_bounds(p, abs(m), w, p + 1)
+    t = e - s * abs(m)
+    ends = [(lo, 1, t), (hi, 1, t)] if m >= 0 else [(1, hi, -t), (1, lo, -t)]
     out = []
-    for up in (False, True):
-        big = (m >= 0) == up
-        lo, hi, e = _pow_bounds(p + big, abs(m), w)
-        num, den, t = (hi if big else lo), 1, e - s * abs(m)
-        if m < 0:
-            num, den, t = den, num, -t
+    for up, (num, den, t) in enumerate(ends):
         if lead:
             a, b = (p, p + 1) if up else (p + 1, p)  # the ends for f and for 2x - 1
             f_den = 2 * q + (k + 1) * (a - 2 * q)

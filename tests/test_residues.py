@@ -9,7 +9,7 @@ import itertools
 import math
 import random
 
-from lucasdisc.bounds import discriminant
+from lucasdisc.bounds import discriminant, window_integers
 from lucasdisc.sequences import LUCAS, SeqParams, term
 
 P = 2**61 - 1
@@ -57,6 +57,21 @@ def test_residues_agree_with_exact_values():
         assert lucas_mod(k, n) == term(SeqParams(k, LUCAS), n) % P, (k, n)
     for k in range(2, 300):
         assert disc_mod(k) == discriminant(k) % P, k
+
+
+def test_residues_agree_with_exact_values_in_the_windows_up_to_k_8192():
+    # Every window integer of 40 seeded k in [300, 8192) and of both ends:
+    # the (k, n) the campaigns decide, where n reaches about 14 k.
+    rng = random.Random(8192)
+    ks = [300, *rng.sample(range(301, 8191), 40), 8191]
+    checked = 0
+    for k in ks:
+        assert disc_mod(k) == discriminant(k) % P, k
+        params = SeqParams(k, LUCAS)
+        for n in window_integers(k):
+            assert lucas_mod(k, n) == term(params, n) % P, (k, n)
+            checked += 1
+    assert checked >= 2 * len(ks)
 
 
 def test_residues_close_case12_pairs_and_case3_survivors(case12_full_report, case3_100_report):

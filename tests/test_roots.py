@@ -223,6 +223,37 @@ def test_pow_bounds_enclose_the_power(n):
                 assert (hi - lo) << max(w - 2 * n.bit_length() - 2, 0) <= hi, (x, w)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 255, 256, 1001])
+def test_two_base_pow_bounds_enclose_the_lower_and_the_upper_power(n):
+    # lo bounds x^n from below and hi bounds y^n from above, under one shared cut.
+    for x in (7, 2**64 + 1, 3**200):
+        for y in (x, x + 1, 2 * x + 3):
+            for w in (1, 8, 64, 300, 10**6):
+                lo, hi, e = _pow_bounds(x, n, w, y)
+                assert lo << e <= x**n and y**n <= hi << e, (x, y, w)
+                if (y**n).bit_length() <= w:
+                    assert (lo, hi, e) == (x**n, y**n, 0), (x, y, w)
+
+
+def test_enclosure_takes_one_power_pass_for_both_bracket_ends(monkeypatch):
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return _pow_bounds(*args)
+
+    monkeypatch.setattr(roots, "_pow_bounds", recording)
+    for k, n in ((2, 0), (3, 1), (5, -3), (10, 40), (20, 700)):
+        enc = dominant_root(k, 128)  # as _enclosure asks for it, so the root is cached
+        calls.clear()
+        bounds = _enclosure(k, n, 128, 200)
+        assert len(calls) == 1, (k, n)
+        x, m, w, y = calls[0]
+        q = 1 << max(128, k - 1)
+        assert (Fraction(x, q), Fraction(y, q), m, w) == (enc.lo, enc.hi, abs(n - 1), 200), (k, n)
+        assert all(within(bounds, exact_dominant(k, n, end)) for end in (enc.lo, enc.hi)), (k, n)
+
+
 def test_gap_sign_widens_until_the_bounds_separate(monkeypatch):
     widths = []
 
