@@ -4,7 +4,7 @@ The package proves-by-computation the finite part of the statement that
 no k-generalized Lucas number equals the absolute discriminant of
 x^k - x^(k-1) - ... - x - 1:
 
-* ``sequences``  -- the order-k recurrences, closed forms, identities;
+* ``sequences``  -- the order-k recurrences and their closed forms;
 * ``twoadic``    -- 2-adic valuations and Lucas congruences mod 2^E;
 * ``roots``      -- certified dominant-root enclosures and growth checks;
 * ``bounds``     -- discriminants, exclusion bounds, scan envelopes;

@@ -13,6 +13,8 @@ values widen every range except ``small_k_cross_validation``'s fixed one).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import takewhile
 
 from .sequences import (
     FIBONACCI,
@@ -21,8 +23,6 @@ from .sequences import (
     _closed_form,
     _power_min_n,
     binom_ext,
-    lucas_from_fib,
-    shift_identity_check,
     term,
     term_iter,
 )
@@ -34,6 +34,8 @@ from .twoadic import (
     disc_nu2,
 )
 from .roots import (
+    _binet_error_decision,
+    _escalate,
     binet_error_check,
     binet_vs_power2_check,
     dominant_root,
@@ -55,6 +57,11 @@ def _fail(suite: str, detail: str, **params) -> Failure:
     return Failure(suite=suite, params=params, detail=detail)
 
 
+def _walk(params: SeqParams, n_hi: int) -> dict[int, int]:
+    """{n: a(n)} for 2 - k <= n <= n_hi, from one ``term_iter`` walk."""
+    return dict(takewhile(lambda item: item[0] <= n_hi, term_iter(params, params.min_index)))
+
+
 def check_recurrence(scale: int = 1) -> list[Failure]:
     """Every term equals the sum of its k predecessors (both families).
 
@@ -71,11 +78,8 @@ def check_recurrence(scale: int = 1) -> list[Failure]:
     for family in (FIBONACCI, LUCAS):
         for k in range(2, k_hi + 1):
             params = SeqParams(k=k, family=family)
-            seq = {}
-            for n, value in term_iter(params, params.min_index):
-                if n > n_hi:
-                    break
-                seq[n] = value
+            seq = _walk(params, n_hi)
+            for n, value in seq.items():
                 if n >= 2 and value != sum(seq[n - j] for j in range(1, k + 1)):
                     out.append(
                         _fail("recurrence", "term != sum of k predecessors", k=k, n=n, family=family)
@@ -89,22 +93,22 @@ def check_recurrence(scale: int = 1) -> list[Failure]:
 
 
 def check_doubling_and_bridges(scale: int = 1) -> list[Failure]:
-    """Doubling shift, Lucas-from-Fibonacci bridge, and power-of-two head."""
+    """Doubling shift, Lucas-from-Fibonacci bridge and power-of-two head, on one walk per family and k."""
     out = []
     k_hi = 4 + 4 * scale
     n_hi = 25 * scale
     for k in range(2, k_hi + 1):
-        lucas = SeqParams(k=k, family=LUCAS)
+        lucas, fib = (_walk(SeqParams(k, family), n_hi + 1) for family in (LUCAS, FIBONACCI))
         for n in range(3, n_hi + 1):
-            if n - (k + 1) >= lucas.min_index and not shift_identity_check(k, n):
+            if lucas[n] != 2 * lucas[n - 1] - lucas[n - k - 1]:
                 out.append(_fail("doubling_shift", "L(n) != 2L(n-1) - L(n-k-1)", k=k, n=n))
         for n in range(0, n_hi + 1):
-            if lucas_from_fib(k, n) != term(lucas, n):
+            if 2 * fib[n + 1] - fib[n] != lucas[n]:
                 out.append(_fail("doubling_shift", "2F(n+1) - F(n) != L(n)", k=k, n=n))
         for n in range(2, k + 1):
-            if term(lucas, n) != 3 * (1 << (n - 2)):
+            if lucas[n] != 3 * (1 << (n - 2)):
                 out.append(_fail("doubling_shift", "head term != 3*2^(n-2)", k=k, n=n))
-        if term(lucas, k + 1) != 3 * (1 << (k - 1)) - 2:
+        if lucas[k + 1] != 3 * (1 << (k - 1)) - 2:
             out.append(_fail("doubling_shift", "L(k+1) != 3*2^(k-1) - 2", k=k, n=k + 1))
     return out
 
@@ -137,13 +141,8 @@ def check_parity_period(scale: int = 1) -> list[Failure]:
     k_hi = 4 + 6 * scale
     periods = 4 * scale
     for k in range(2, k_hi + 1):
-        params = SeqParams(k=k, family=LUCAS)
-        values = {}
         limit = (periods + 1) * (k + 1)
-        for n, value in term_iter(params, 0):
-            if n > limit:
-                break
-            values[n] = value
+        values = _walk(SeqParams(k=k, family=LUCAS), limit)
         for n in range(0, limit - (k + 1) + 1):
             if (values[n] - values[n + k + 1]) % 2:
                 out.append(_fail("parity_period", "parity not (k+1)-periodic", k=k, n=n))
@@ -197,11 +196,16 @@ def check_quantity_factorization(scale: int = 1) -> list[Failure]:
 
 
 def check_root_enclosures(scale: int = 1) -> list[Failure]:
-    """Dominant-root enclosures bracket a sign change inside (2 - 2^(1-k), 2)."""
+    """Dominant-root enclosures bracket a sign change inside (2 - 2^(1-k), 2).
+
+    At k = 2 and the largest k the Binet check must also refute L(200) +- 2, where a
+    128-bit root spreads the dominant term over more than 1: it escalates to 256 bits,
+    and a power bound lying inside the true one would accept.
+    """
     out = []
     k_hi = 4 + 8 * scale
     for k in range(2, k_hi + 1):
-        enc = dominant_root(k)
+        enc = dominant_root(k, 128)
         # x^k (x - 2) + 1 at x = p/q has the sign of p^k (p - 2q) + q^(k+1); no code shared with gk_sign.
         lo, hi = (x.numerator**k * (x.numerator - 2 * x.denominator) + x.denominator ** (k + 1)
                   for x in (enc.lo, enc.hi))
@@ -218,6 +222,11 @@ def check_root_enclosures(scale: int = 1) -> list[Failure]:
                 out.append(_fail("root_enclosure", "dominant-term error above 3/2", k=k, n=n))
         if not binet_vs_power2_check(k, 0):
             out.append(_fail("root_enclosure", "power-of-two comparison fails", k=k, n=0))
+        if k in (2, k_hi):
+            value = term(SeqParams(k, LUCAS), 200)
+            for d in (-2, 2):
+                if _escalate(partial(_binet_error_decision, k, 200, value + d)) is not False:
+                    out.append(_fail("root_enclosure", "dominant-term error accepts L(n) +- 2", k=k, n=200, d=d))
     return out
 
 

@@ -171,7 +171,7 @@ def _seed_numerator(k: int, s: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def dominant_root(k: int, precision_bits: int = 128) -> RootEnclosure:
+def dominant_root(k: int, precision_bits: int, /) -> RootEnclosure:
     """Certified dyadic enclosure of alpha(k) of width 2^-precision_bits.
 
     The endpoints are p/q and (p+1)/q at the scale q = 2^s with

@@ -15,7 +15,7 @@ Useful closed pieces, all checked by the test suite and by
 * L(n) = 3 * 2^(n-2) for 2 <= n <= k, and L(k+1) = 3 * 2^(k-1) - 2;
 * L(n) = 2 F(n+1) - F(n) for every n >= 2 - k;
 * L(n) = 2 L(n-1) - L(n-k-1) once all three indices are in range;
-* parities repeat with period k + 1;
+* L(n) is odd iff n mod (k+1) is 1 or 2, so parities repeat with period k + 1;
 * both families have the generating function
 
       sum_{n >= 0} a(n) x^n = (c0 + c1 x + c2 x^2) / (1 - 2x + x^(k+1)),
@@ -42,9 +42,7 @@ __all__ = [
     "SeqParams",
     "term",
     "term_iter",
-    "lucas_from_fib",
     "binom_ext",
-    "shift_identity_check",
 ]
 
 FIBONACCI = "fibonacci"
@@ -279,22 +277,9 @@ def term_iter(params: SeqParams, n_start: int = 0) -> Iterator[tuple[int, int]]:
             yield n, new
 
 
-def lucas_from_fib(k: int, n: int) -> int:
-    """Lucas-type term via the cross-family identity 2 F(n+1) - F(n)."""
-    fib = SeqParams(k, FIBONACCI)
-    return 2 * term(fib, n + 1) - term(fib, n)
-
-
 def binom_ext(a: int, b: int) -> int:
     """Binomial with the extended convention: 0 when a < b or either side is negative."""
     if b < 0 or a < 0 or a < b:
         return 0
     return math.comb(a, b)
 
-
-def shift_identity_check(k: int, n: int) -> bool:
-    """Check L(n) = 2 L(n-1) - L(n-k-1) exactly; requires n >= 3."""
-    params = SeqParams(k, LUCAS)
-    if n - (k + 1) < params.min_index:
-        raise ValueError("n=%d too small: n-(k+1) must be at least %d" % (n, params.min_index))
-    return term(params, n) == 2 * term(params, n - 1) - term(params, n - (k + 1))

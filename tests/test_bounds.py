@@ -24,7 +24,8 @@ from lucasdisc.bounds import (
     window_integers,
 )
 from lucasdisc.roots import PrecisionError, binet_error_check, growth_bounds_check
-from lucasdisc.twoadic import nu2
+from lucasdisc.sequences import LUCAS, SeqParams, term_iter
+from lucasdisc.twoadic import l_quantity, lucas_congruence_parts, nu2
 
 
 def test_discriminant_spot_values():
@@ -51,6 +52,25 @@ def test_discriminant_parity_split():
     for k in range(2, 60):
         expected = 0 if k % 2 == 0 else k - 1
         assert nu2(discriminant(k)) == expected
+
+
+def test_lucas_parity_cells():
+    # With n = m(k+1) + r, L(n) is odd iff r is 1 or 2; |disc| is odd iff k is
+    # even (above), so odd k with r in {1, 2} and even k with r >= 3 are closed.
+    for k in range(2, 61):
+        for n, value in term_iter(SeqParams(k, LUCAS), 0):
+            if n >= 8 * (k + 1):
+                break
+            assert value % 2 == (n % (k + 1) in (1, 2)), (k, n)
+    # The same from the congruence, for every k: 2^(r-2) B(m, r) is odd at
+    # r = 1 and 2, and holds 2^(r-2) >= 2 at r >= 3.
+    for m in range(2_000):
+        assert l_quantity(m, 1) == 8 * m + 2, m
+        assert l_quantity(m, 2) == 4 * m * m + 6 * m + 3, m
+    for k in (3, 4, 9, 10, 61):
+        for m in range(5):
+            shifts = [lucas_congruence_parts(k, m, r)[2] for r in range(1, k + 1)]
+            assert shifts[:2] == [0, 0] and min(shifts[2:]) >= 1, (k, m)
 
 
 def test_n_window_reference_value():

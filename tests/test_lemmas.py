@@ -4,6 +4,7 @@ import pytest
 
 from lucasdisc import lemmas, roots, sequences
 from lucasdisc.bounds import window_integers
+from lucasdisc.roots import binet_error_check
 from lucasdisc.lemmas import SUITES, run_suite
 from lucasdisc.sequences import LUCAS, SeqParams, term
 
@@ -56,6 +57,40 @@ def test_root_enclosure_suite_catches_a_faulty_gk_sign(monkeypatch, cold_root_ca
     assert any(f.detail == "no sign change across enclosure" for f in failures)
 
 
+def test_root_enclosure_suite_catches_power_bounds_inside_the_true_ones(monkeypatch):
+    # Two bases swapped: lo bounds (p+1)^n and hi bounds p^n, so each end of D's
+    # enclosure lies inside the true one; only the L(200) +- 2 refutations see it.
+    pow_bounds = roots._pow_bounds
+    monkeypatch.setattr(
+        roots, "_pow_bounds", lambda x, n, w, y=None: pow_bounds(x, n, w) if y is None else pow_bounds(y, n, w, x)
+    )
+    failures = run_suite("root_enclosure", 1)
+    assert {(f.detail, f.params["k"], f.params["n"]) for f in failures} == {
+        ("dominant-term error accepts L(n) +- 2", k, 200) for k in (2, 12)
+    }
+
+
+def test_root_enclosure_suite_asks_for_the_roots_the_checks_cached(cold_root_cache):
+    # The suite's own enclosures are the 128-bit ones the checks use; only the
+    # L(200) +- 2 refutations at k = 2 and 12 escalate, to 256 bits.
+    for k in range(2, 13):
+        binet_error_check(k, 5)
+    misses = roots.dominant_root.cache_info().misses
+    assert run_suite("root_enclosure", 1) == []
+    assert roots.dominant_root.cache_info().misses == misses + 2
+    for k in (2, 12):
+        roots.dominant_root(k, 256)
+    assert roots.dominant_root.cache_info().misses == misses + 2
+
+
+def test_doubling_shift_suite_makes_no_term_call(monkeypatch):
+    calls = []
+    monkeypatch.setattr(lemmas, "term", lambda params, n: calls.append(n) or term(params, n))
+    for scale in (1, 3):
+        assert run_suite("doubling_shift", scale) == []
+    assert calls == []
+
+
 def _shift_one_cell(parts):
     """``lucas_congruence_parts`` with its shift one too large at (k, r) = (7, 4)."""
 
@@ -76,8 +111,8 @@ FAULTS = [
     ("recurrence", "term", lambda term: lambda p, n: term(p, n) + (n == 7), "term() disagrees with term_iter()"),
     (
         "doubling_shift",
-        "shift_identity_check",
-        lambda check: lambda k, n: check(k, n) and (k, n) != (4, 9),
+        "term_iter",
+        lambda walk: lambda p, n0=0: ((n, v + (n == 9)) for n, v in walk(p, n0)),
         "L(n) != 2L(n-1) - L(n-k-1)",
     ),
     ("closed_form", "_closed_form", lambda form: lambda p, n: form(p, n) + (n == 7), "generating-function sum mismatch"),

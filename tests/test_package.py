@@ -11,8 +11,7 @@ import lucasdisc
 # The public names of each module; the package exports these and __version__.
 PUBLIC = {
     "sequences": [
-        "FIBONACCI", "LUCAS", "SeqParams", "binom_ext", "lucas_from_fib",
-        "shift_identity_check", "term", "term_iter",
+        "FIBONACCI", "LUCAS", "SeqParams", "binom_ext", "term", "term_iter",
     ],
     "twoadic": [
         "disc_match", "disc_nu2", "l_quantity", "l_quantity_nu2", "lucas_congruence_parts", "nu2",
@@ -36,7 +35,7 @@ PUBLIC = {
 
 def test_package_exports_each_public_name_once():
     expected = [name for names in PUBLIC.values() for name in names] + ["__version__"]
-    assert len(expected) == 48
+    assert len(expected) == 46
     assert len(lucasdisc.__all__) == len(set(lucasdisc.__all__))
     assert sorted(lucasdisc.__all__) == sorted(expected)
 

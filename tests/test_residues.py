@@ -9,7 +9,7 @@ import itertools
 import math
 import random
 
-from lucasdisc.bounds import discriminant, window_integers
+from lucasdisc.bounds import discriminant, localize_k_by_power2, window_integers
 from lucasdisc.sequences import LUCAS, SeqParams, term
 
 P = 2**61 - 1
@@ -91,3 +91,23 @@ def test_residues_close_the_case3_rows_inside_the_window(case3_150_report, case3
     for c in inside:
         residue, delta = lucas_mod(c.k, c.n), disc_mod(c.k)
         assert residue not in (delta, -delta % P), c
+
+
+def test_residues_close_every_window_integer_of_the_odd_k_near_small_powers_of_two():
+    # The r >= 3 cell's band, odd k with |k - 2^m| < 300, with no 2-adic
+    # step: all of it for m 8..12 (the bands of m 8..10 overlap, so 1,162
+    # distinct k from 201), and 50 seeded k of the m = 55 band.
+    def odd_band(m):
+        lo, hi = localize_k_by_power2(m)
+        return range((lo + 1) | 1, hi, 2)
+
+    ks = {k for m in range(8, 13) for k in odd_band(m)}
+    assert len(ks) == 1_162
+    ks.update(random.Random(55).sample(odd_band(55), 50))
+    checked = 0
+    for k in sorted(ks):
+        delta = disc_mod(k)
+        for n in window_integers(k):
+            assert lucas_mod(k, n) not in (delta, -delta % P), (k, n)
+            checked += 1
+    assert (len(ks), checked) == (1_212, 2_900)

@@ -42,14 +42,14 @@ def exact_sign(k, x):
 
 def test_golden_ratio_enclosure_exact():
     # k = 2: the dominant root is (1 + sqrt(5))/2, so (2x - 1)^2 = 5.
-    enc = dominant_root(2)
+    enc = dominant_root(2, 128)
     lo, hi = 2 * enc.lo - 1, 2 * enc.hi - 1
     assert lo * lo < 5 < hi * hi
 
 
 def test_tribonacci_root_against_cardano():
     # Cardano's formula for the real root of x^3 - x^2 - x - 1, at 100 digits.
-    enc = dominant_root(3)
+    enc = dominant_root(3, 128)
     with mpmath.workdps(100):
         s = 3 * mpmath.sqrt(33)
         real = (1 + mpmath.cbrt(19 + s) + mpmath.cbrt(19 - s)) / 3
@@ -58,9 +58,17 @@ def test_tribonacci_root_against_cardano():
         assert real < mpmath.mpf(enc.hi.numerator) / enc.hi.denominator
 
 
+def test_dominant_root_takes_its_precision_positionally_only():
+    # One call form, so one cache key per enclosure.
+    with pytest.raises(TypeError):
+        dominant_root(5)
+    with pytest.raises(TypeError):
+        dominant_root(5, precision_bits=128)
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 7, 10, 16, 25, 50, 100, 200, 400])
 def test_enclosure_brackets_sign_change(k):
-    enc = dominant_root(k)
+    enc = dominant_root(k, 128)
     assert isinstance(enc, RootEnclosure)
     assert exact_sign(k, enc.lo) < 0 < exact_sign(k, enc.hi)
     assert enc.width() <= Fraction(1, 2**enc.precision_bits)
@@ -451,7 +459,7 @@ def test_binet_error_refutes_a_value_two_off(k):
 
 @pytest.mark.parametrize("k", [2, 5, 12, 20])
 def test_growth_refutes_values_outside_the_bounds(k):
-    enc = dominant_root(k)
+    enc = dominant_root(k, 128)
     for n in [0, 1, 2, 5, 40]:
         below = math.floor(enc.lo ** (n - 1)) - 1  # at least 1 below alpha^(n-1)
         above = math.ceil(2 * enc.hi**n) + 1  # at least 1 above 2 alpha^n

@@ -17,8 +17,6 @@ from lucasdisc.sequences import (
     _power_form,
     _power_min_n,
     binom_ext,
-    lucas_from_fib,
-    shift_identity_check,
     term,
     term_iter,
 )
@@ -244,19 +242,21 @@ def test_cooper_howard_closed_form(k):
 
 
 def test_lucas_from_fib_bridge():
-    assert lucas_from_fib(2, 4) == 7
-    assert lucas_from_fib(3, 1) == 1
+    # L(n) = 2 F(n+1) - F(n) for every n >= 2 - k.
+    assert term(SeqParams(2, LUCAS), 4) == 7
+    assert term(SeqParams(3, LUCAS), 1) == 1
     for k in range(2, 10):
-        params = SeqParams(k=k, family=LUCAS)
-        for n in range(0, 50):
-            assert lucas_from_fib(k, n) == term(params, n)
+        fib, lucas = SeqParams(k=k, family=FIBONACCI), SeqParams(k=k, family=LUCAS)
+        for n in range(2 - k, 50):
+            assert 2 * term(fib, n + 1) - term(fib, n) == term(lucas, n), (k, n)
 
 
 @pytest.mark.parametrize("k", range(2, 12))
 def test_doubling_shift_identity(k):
-    for n in range(max(3, 2 - k + k + 1), 60):
-        if n - (k + 1) >= 2 - k:
-            assert shift_identity_check(k, n)
+    # L(n) = 2 L(n-1) - L(n-k-1) once n - k - 1 >= 2 - k, that is n >= 3.
+    params = SeqParams(k=k, family=LUCAS)
+    for n in range(3, 60):
+        assert term(params, n) == 2 * term(params, n - 1) - term(params, n - k - 1), n
 
 
 @pytest.mark.parametrize("k", range(2, 20))
@@ -306,5 +306,5 @@ def test_domain_errors():
         term(SeqParams(k=5, family=LUCAS), -10)
     with pytest.raises(ValueError, match="start index -4 below domain minimum -3"):
         next(term_iter(SeqParams(k=5, family=LUCAS), -4))
-    with pytest.raises(ValueError):
-        shift_identity_check(4, 1)
+    with pytest.raises(ValueError, match="index -4 below domain minimum -2"):
+        term(SeqParams(k=4, family=LUCAS), 1 - (4 + 1))  # L(n-k-1) of the shift identity at n = 1
