@@ -17,7 +17,9 @@ and ``--no-timing``.  :func:`lucasdisc.campaigns.search` runs it.
 Exit codes: 0 on success (and zero survivors for ``search``), 1 when a
 search reports survivors or an invariant suite fails, 2 on usage or
 domain errors and on an output file that cannot be written, 3 when a
-search meets a comparison it cannot decide at the precision cap.
+search meets a comparison it cannot decide at the precision cap, 4 on
+an internal error (a failed self-check assertion, a worker that exits
+without a report).
 """
 
 from __future__ import annotations
@@ -258,6 +260,12 @@ def run(argv: list[str] | None = None) -> int:
     except PrecisionError as exc:
         print("undecided: %s" % exc, file=sys.stderr)
         return 3
+    except Exception as exc:  # a failed self-check or a worker lost without a report: a bug to trace
+        import traceback  # here, so that start-up does not pay for it
+
+        traceback.print_exc()
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 4
 
 
 def main() -> None:

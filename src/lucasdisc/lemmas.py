@@ -125,10 +125,8 @@ def check_closed_form(scale: int = 1) -> list[Failure]:
     for family in (FIBONACCI, LUCAS):
         for k in range(2, k_hi + 1):
             params = SeqParams(k=k, family=family)
-            for n, value in term_iter(params, 2):
-                if n > n_hi:
-                    break
-                if _closed_form(params, n) != value:
+            for n, value in _walk(params, n_hi).items():
+                if n >= 2 and _closed_form(params, n) != value:
                     out.append(
                         _fail("closed_form", "generating-function sum mismatch", k=k, n=n, family=family)
                     )
@@ -206,7 +204,7 @@ def check_root_enclosures(scale: int = 1) -> list[Failure]:
     k_hi = 4 + 8 * scale
     for k in range(2, k_hi + 1):
         enc = dominant_root(k, 128)
-        # x^k (x - 2) + 1 at x = p/q has the sign of p^k (p - 2q) + q^(k+1); no code shared with gk_sign.
+        # x^k (x - 2) + 1 at x = p/q has the sign of p^k (p - 2q) + q^(k+1); no code shared with _gap_sign.
         lo, hi = (x.numerator**k * (x.numerator - 2 * x.denominator) + x.denominator ** (k + 1)
                   for x in (enc.lo, enc.hi))
         if not (lo < 0 < hi):

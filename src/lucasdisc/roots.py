@@ -4,9 +4,10 @@ The polynomial has a unique real root alpha(k) in (2(1 - 2^-k), 2).
 An enclosure is a dyadic bracket whose endpoint signs are decided in
 integer arithmetic, so the bracket is a certificate; a Newton seed only
 says where to put it, and a wrong seed costs time, never the answer.
-Each sign compares two integer powers through rounded-down and
-rounded-up truncations of them, widened until the two intervals
-separate, so it stays exact without forming the (k*s)-bit powers.  The
+Each sign, at x = p/2^s, compares the exact power 2^(s(k+1)) with
+p^k (2^(s+1) - p) by bit length, from one rounded-down and rounded-up
+truncation of p^k widened until the comparison is decided, so it stays
+exact without forming the (k*s)-bit power.  The
 inequality checks bound each side over those exact dyadic root brackets
 by the same truncated powers, one power pass per root bracket for both
 of its ends, and compare integers, so a ``True``/``False`` answer is
@@ -37,7 +38,6 @@ __all__ = [
     "MAX_PRECISION_BITS",
     "PrecisionError",
     "RootEnclosure",
-    "gk_sign",
     "dominant_root",
     "growth_bounds_check",
     "binet_error_check",
@@ -73,48 +73,23 @@ def _pow_bounds(x: int, n: int, w: int, y: Optional[int] = None) -> tuple[int, i
     return lo, hi, e
 
 
-def _gap_sign(k: int, p: int, q: int, w: int) -> int:
-    """Sign of q^(k+1) - p^k (2q - p) for 0 < p < 2q, from w-bit power bounds.
+def _gap_sign(k: int, p: int, s: int, w: int) -> int:
+    """Sign of 2^(s(k+1)) - p^k d, d = 2^(s+1) - p, for 0 < p <= 2^(s+1), p != 2^s, from w-bit bounds of p^k.
 
-    w doubles until the bounds of the two sides separate.  Once w covers
-    the bit length of both powers nothing is cut and the bounds are exact,
-    so the loop ends whenever the two sides differ.
+    That is 2^(s(k+1)) (x - 1) (x^k - x^(k-1) - ... - 1) at x = p/2^s, never 0 for p != 2^s: the
+    only rational root of x^(k+1) - 2 x^k + 1 is 1.  With lo 2^e <= p^k <= hi 2^e from one
+    :func:`_pow_bounds` pass, p^k d is below 2^(s(k+1)) once hi d 2^e has at most s(k+1) bits, and
+    above it once lo d 2^e has more (d < 0 would break both tests).  w doubles until one holds,
+    which is certain once w covers p^k.
     """
-    d = 2 * q - p
+    d, top = (2 << s) - p, s * (k + 1)
     while True:
-        a_lo, a_hi, a_e = _pow_bounds(q, k + 1, w)
-        b_lo, b_hi, b_e = _pow_bounds(p, k, w)
-        e = min(a_e, b_e)
-        a_lo, a_hi = a_lo << (a_e - e), a_hi << (a_e - e)
-        b_lo, b_hi = b_lo * d << (b_e - e), b_hi * d << (b_e - e)
-        if a_lo > b_hi:
+        lo, hi, e = _pow_bounds(p, k, w)
+        if (hi * d).bit_length() + e <= top:
             return 1
-        if a_hi < b_lo:
+        if d and (lo * d).bit_length() + e > top:
             return -1
         w *= 2
-
-
-def gk_sign(k: int, x: Fraction) -> int:
-    """Exact sign of x^k - x^(k-1) - ... - x - 1 at a rational x > 1.
-
-    Uses the telescoped numerator x^k (x - 2) + 1 of
-    (x^(k+1) - 2 x^k + 1) / (x - 1); the divisor is positive for x > 1
-    so only the numerator's sign matters.  With x = p/q that is the sign
-    of p^k (p - 2q) + q^(k+1): +1 when p >= 2q, and otherwise the
-    comparison of q^(k+1) with p^k (2q - p), decided by :func:`_gap_sign`
-    from integer bounds of the two powers instead of the (k*bitlen(p))-bit
-    products.  It is never 0: the only rational root of
-    x^(k+1) - 2 x^k + 1 is 1.
-    """
-    x = Fraction(x)
-    if x <= 1:
-        raise ValueError("sign evaluation defined for x > 1 only")
-    if k < 1:
-        raise ValueError("need k >= 1, got k=%d" % (k,))
-    p, q = x.numerator, x.denominator
-    if p >= 2 * q:
-        return 1
-    return _gap_sign(k, p, q, p.bit_length() + q.bit_length() + 2 * k.bit_length() + 64)
 
 
 @dataclass(frozen=True)
@@ -180,8 +155,9 @@ def dominant_root(k: int, precision_bits: int, /) -> RootEnclosure:
     [p - 1, p + 1] doubles its radius, clipped to the a-priori bracket, until
     exact signs show it straddles the sign change, and :func:`_last_negative`
     narrows it to one unit.  alpha is irrational, so exactly one p has
-    gk_sign(p/q) < 0 < gk_sign((p+1)/q): a poor seed costs time, never the
-    answer, and the enclosure is a sign-change certificate.
+    a negative :func:`_gap_sign` at p and a positive one at p + 1: a poor
+    seed costs time, never the answer, and the enclosure is a sign-change
+    certificate.
     """
     if k < 2:
         raise ValueError("need k >= 2, got k=%d" % (k,))
@@ -189,7 +165,9 @@ def dominant_root(k: int, precision_bits: int, /) -> RootEnclosure:
         raise ValueError("precision_bits must be at least 16")
     s = max(precision_bits, k - 1)
     q = 1 << s
-    sign = cache(lambda x: gk_sign(k, Fraction(x, q)))
+    # Within 2^-s of alpha the gap is at most about 2^(k-s) of p^k d; a power pass loses about 2 log k bits.
+    w = s - k + 2 * k.bit_length() + 64
+    sign = cache(lambda x: _gap_sign(k, x, s, w))
     bottom, top = 2 * q - (1 << (s + 1 - k)), 2 * q
     p = min(max(_seed_numerator(k, s), bottom), top)
     radius = 1

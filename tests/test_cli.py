@@ -231,6 +231,25 @@ def test_search_names_a_worker_that_exits_without_a_report(monkeypatch, started)
     assert multiprocessing.active_children() == []
 
 
+def test_search_failed_self_check_exit_four(monkeypatch, capsys):
+    def fails(**params):
+        raise AssertionError("planted self-check")
+
+    monkeypatch.setitem(campaigns._CAMPAIGNS, "case0", fails)
+    assert run(["search", "case0", "--workers", "1"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("Traceback") and err.endswith("internal error: AssertionError: planted self-check\n")
+
+
+def test_search_worker_without_a_report_exit_four(monkeypatch, started, capsys):
+    patch_pieces(monkeypatch, {1: lambda *args, **params: os._exit(1)})
+    assert run(["search", "case0", "--workers", "2"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("Traceback") and err.endswith("internal error: RuntimeError: piece 1 of 2 exited without a report\n")
+    assert len(started) == 1
+    assert multiprocessing.active_children() == []
+
+
 def test_usage_errors(capsys):
     assert run([]) == 2
     assert run(["term", "--k", "5"]) == 2

@@ -18,7 +18,7 @@ PUBLIC = {
     ],
     "roots": [
         "MAX_PRECISION_BITS", "PrecisionError", "RootEnclosure", "binet_error_check",
-        "binet_vs_power2_check", "dominant_root", "gk_sign", "growth_bounds_check",
+        "binet_vs_power2_check", "dominant_root", "growth_bounds_check",
     ],
     "bounds": [
         "BoundProfile", "MatveevBound", "bl_crossover_k", "bound_profile", "discriminant",
@@ -35,7 +35,7 @@ PUBLIC = {
 
 def test_package_exports_each_public_name_once():
     expected = [name for names in PUBLIC.values() for name in names] + ["__version__"]
-    assert len(expected) == 46
+    assert len(expected) == 45
     assert len(lucasdisc.__all__) == len(set(lucasdisc.__all__))
     assert sorted(lucasdisc.__all__) == sorted(expected)
 

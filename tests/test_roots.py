@@ -27,7 +27,6 @@ from lucasdisc.roots import (
     binet_error_check,
     binet_vs_power2_check,
     dominant_root,
-    gk_sign,
     growth_bounds_check,
 )
 from lucasdisc.sequences import LUCAS, SeqParams, term
@@ -124,9 +123,15 @@ def test_seed_within_one_unit_at_large_k(k, bits):
 @pytest.mark.parametrize("k, bits", [(2, 128), (5, 64), (40, 39), (130, 128), (300, 128)])
 def test_enclosure_survives_a_poor_seed(monkeypatch, k, bits, offset):
     expected = dominant_root(k, bits)
-    seed = roots._seed_numerator
+    probes = []
+    gap_sign, seed = roots._gap_sign, roots._seed_numerator
+    monkeypatch.setattr(roots, "_gap_sign", lambda k, p, s, w: probes.append((p, s)) or gap_sign(k, p, s, w))
     monkeypatch.setattr(roots, "_seed_numerator", lambda k, s: seed(k, s) + offset)
     assert dominant_root.__wrapped__(k, bits) == expected
+    # Every probe lies in [2^(s+1) - 2^(s+1-k), 2^(s+1)], inside _gap_sign's domain.
+    s = max(bits, k - 1)
+    assert probes and {t for _, t in probes} == {s}
+    assert all((2 << s) - (1 << (s + 1 - k)) <= p <= 2 << s for p, _ in probes)
 
 
 @given(st.integers(min_value=-(2**80), max_value=2**80), st.integers(0, 2**70), st.integers(1, 2**70))
@@ -162,58 +167,51 @@ def test_enclosure_precision_escalation():
     assert outer.lo <= inner.lo <= inner.hi <= outer.hi
 
 
-def test_gk_sign_values():
-    assert gk_sign(5, Fraction(2)) > 0
-    assert gk_sign(5, Fraction(3, 2)) < 0
-    with pytest.raises(ValueError):
-        gk_sign(5, Fraction(1))
-    assert gk_sign(1, Fraction(3, 2)) > 0  # x^1 (x - 2) + 1 = (x - 1)^2
-    with pytest.raises(ValueError):
-        gk_sign(0, Fraction(3, 2))
-    with pytest.raises(ValueError):
-        gk_sign(-3, Fraction(3, 2))
+def dyadic(x, s):
+    """The numerator p of x = p/2^s, which must be exact."""
+    p = x * 2**s
+    assert p.denominator == 1, (x, s)
+    return p.numerator
 
 
 @st.composite
 def sign_points(draw):
-    """(k, x): x > 1 rational, or an endpoint of dominant_root(k, bits) or one unit 2^-(s+5) beyond it."""
+    """(k, p, s, w): an end of dominant_root(k, bits) or one unit 2^-s beyond it, s five bits past its scale.
+
+    The unit beyond hi is clipped to 2, the top of _gap_sign's domain, where hi is 2 already.
+    """
     k = draw(st.integers(2, 300))
-    kind = draw(st.sampled_from(["rational", "at_least_two", "endpoint"]))
-    if kind == "rational":
-        q = draw(st.integers(1, 2**200))
-        return k, Fraction(draw(st.integers(q + 1, 2 * q)), q)
-    if kind == "at_least_two":
-        q = draw(st.integers(1, 2**64))
-        return k, Fraction(draw(st.integers(2 * q, 5 * q)), q)
     bits = draw(st.integers(16, 300))
     enc = dominant_root(k, bits)
-    unit = Fraction(1, 2 ** (max(bits, k - 1) + 5))
-    return k, draw(st.sampled_from([enc.lo, enc.hi, enc.lo - unit, enc.hi + unit]))
+    s = max(bits, k - 1) + 5
+    lo, hi = dyadic(enc.lo, s), dyadic(enc.hi, s)
+    p = draw(st.sampled_from([lo, hi, lo - 1, min(hi + 1, 2 << s)]))
+    return k, p, s, draw(st.integers(1, 300))
 
 
 @given(sign_points())
 @settings(max_examples=400, deadline=None)
 def test_gk_sign_equals_exact_sign(point):
-    k, x = point
-    assert gk_sign(k, x) == exact_sign(k, x) != 0
+    # _gap_sign from any starting width.
+    k, p, s, w = point
+    assert _gap_sign(k, p, s, w) == exact_sign(k, Fraction(p, 2**s)) != 0
 
 
 @pytest.mark.parametrize("k", [2, 3, 17, 200, 455, 1001])
 def test_gk_sign_at_endpoints_midpoints_and_non_dyadic_points(k):
+    # The dyadic points only: _gap_sign takes p/2^s, and its sign is +1 at p = 2^(s+1), where d = 0.
     enc = dominant_root(k, 128)
-    unit = Fraction(1, 2 ** (max(128, k - 1) + 5))
-    points = [enc.lo, enc.hi, (enc.lo + enc.hi) / 2, enc.lo - unit, enc.hi + unit, Fraction(3, 2), Fraction(2)]
-    points += [Fraction(enc.lo.numerator * 3 + j, enc.lo.denominator * 3) for j in range(-2, 6)]
+    s = max(128, k - 1) + 5
+    unit = Fraction(1, 2**s)
+    points = [enc.lo, enc.hi, (enc.lo + enc.hi) / 2, enc.lo - unit, min(enc.hi + unit, 2), Fraction(3, 2), Fraction(2)]
     for x in points:
-        assert gk_sign(k, x) == exact_sign(k, x), x
+        assert _gap_sign(k, dyadic(x, s), s, 64) == exact_sign(k, x) != 0, x
 
 
-def fibonacci_convergent(j):
-    """F(j+1)/F(j): |x^2 (x - 2) + 1| is about F(j)^-2 there, the k = 2 root's best approximations."""
-    a, b = 1, 1
-    for _ in range(j - 1):
-        a, b = b, a + b
-    return Fraction(b, a)
+def golden_points(j):
+    """floor(phi 2^j) and the next unit up: the k = 2 root's bracket at scale 2^j."""
+    p = (2**j + math.isqrt(5 * 4**j)) // 2
+    return p, p + 1
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 255, 256, 1001])
@@ -271,12 +269,28 @@ def test_gap_sign_widens_until_the_bounds_separate(monkeypatch):
 
     monkeypatch.setattr(roots, "_pow_bounds", recording)
     for j in (20, 60, 61, 200):
-        x = fibonacci_convergent(j)
-        widths.clear()
-        assert _gap_sign(2, x.numerator, x.denominator, 4) == exact_sign(2, x)
-        # |g| ~ F(j)^-2 needs about 2 bitlen(q) bits, so w = 4 must double
-        assert len(set(widths)) > 1 and widths[-1] >= 2 * x.denominator.bit_length()
-        assert gk_sign(2, x) == exact_sign(2, x)
+        for p in golden_points(j):
+            widths.clear()
+            assert _gap_sign(2, p, j, 4) == exact_sign(2, Fraction(p, 2**j))
+            # |g| is about 2^-j next to the root, so w = 4 must double to about j bits,
+            # and it stops by the first width that holds p^2 exactly.
+            assert len(set(widths)) > 1 and j <= widths[-1] < 2 * (p * p).bit_length(), (j, p)
+
+
+def test_gap_sign_takes_one_power_pass_per_width(monkeypatch):
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return _pow_bounds(*args)
+
+    monkeypatch.setattr(roots, "_pow_bounds", recording)
+    # The added case is p = 2^(s+1), d = 0, where the cut e stays above s(k+1) until w = 128.
+    cases = [(2, golden_points(60)[0], 60), (2, golden_points(200)[1], 200), (7, 255, 7), (50, 2**51 - 1, 50)]
+    for k, p, s in cases + [(100, 2**11, 10)]:
+        calls.clear()
+        assert _gap_sign(k, p, s, 4) == exact_sign(k, Fraction(p, 2**s)), (k, p, s)
+        assert calls == [(p, k, 4 << i) for i in range(len(calls))], (k, p, s)
 
 
 def test_dominant_root_at_k_20001_is_fast_and_certified():
