@@ -369,12 +369,23 @@ def campaign_case3(
     The triples are a - 1 in [0, 233], m in the widened admissible band,
     and odd k strictly inside the power-of-two localization window for
     m.  Filter 1 keeps triples with nu2(B(m, r)) == a.  Each (m, r)
-    fixes a through the closed form of
-    :func:`lucasdisc.twoadic.l_quantity_nu2`, written out in the loop
-    over r, hence the only k = r + a - 1 it can match, so the scan goes
-    through (m, r).  The triples are counted in closed form: every
-    a - 1 <= k_start - 3 contributes the same number of odd k, and only
-    the few larger a - 1 at m = 8 and 9 are summed one by one.  Filter 2
+    fixes a, hence the only k = r + a - 1 it can match, so the scan goes
+    through (m, r).  With N = m + r, the bracket of
+    :func:`lucasdisc.twoadic.l_quantity` is C(N, m) w / (N(N-1)), and
+    C(N, m) / (N(N-1)) = C(r+m-2, m-2) / (m(m-1)), so
+
+        B(m, r) = C(r+m-2, m-2) w / (m(m-1)),
+        w = 3r^2 + (10m-3)r + 8m(m-1),
+
+    w being ``sequences._bracket_ratio``'s weight written in r; the band
+    starts at m = 8, so m(m-1) > 0.  Kummer's theorem on C(r+m-2, m-2)
+    gives a = s(m-2) + s(r) - s(r+m-2) + nu2(w) - nu2(m(m-1)), s the
+    binary digit sum: the closed form of
+    :func:`lucasdisc.twoadic.l_quantity_nu2` regrouped, with s(m-2) and
+    nu2(m(m-1)) taken once per m.  The triples are counted in closed
+    form: every a - 1 <= k_start - 3 contributes the same number of odd
+    k, and only the few larger a - 1 at m = 8 and 9 are summed one by
+    one.  Filter 2
     (:func:`disc_match`, the + sign) compares odd parts:
 
         (-1)^m (k-1)^2 B == 2^(a+2) (k^k - ((k+1)/2)^(k+1))
@@ -393,9 +404,9 @@ def campaign_case3(
     (h + 2^(w-1))^e == h^e (mod 2^w); and the second power vanishes for
     even h throughout the class, as k + 1 >= w.  So each scan computes
     one 22-bit core per class of k mod 2^22 it meets.  Each match's
-    exact B = C(m+r, m) weight / den reuses filter 1's weight and den,
-    and the binomial is carried along the same loop: one ``math.comb``
-    per m, then C(m+r', m) = C(m+r, m) perm(m+r', j) / perm(r', j) with
+    exact B divides C(r+m-2, m-2) w by m(m-1), and the binomial is
+    carried along the same loop: one ``math.comb`` per m, then
+    C(r'+m-2, m-2) = C(r+m-2, m-2) perm(r'+m-2, j) / perm(r', j) with
     j = r' - r from one match to the next.  Both divisions must be
     exact, and nu2(B) == a is checked on every match.
     """
@@ -422,29 +433,29 @@ def campaign_case3(
             triples += unclipped * (hi // 2 - k_start // 2) + sum(
                 max(0, hi // 2 - (a_minus1 + 3) // 2) for a_minus1 in range(unclipped, A_MINUS1_MAX + 1)
             )
-            m_bits = m.bit_count()
-            last = 0  # the previous match's r, whose binomial C(m+r, m) is carried
+            m2, mm1 = m - 2, m * (m - 1)
+            w_lin, w_const = 10 * m - 3, 8 * mm1
+            # s(m-2) - nu2(m(m-1)), less the 1 that nu2(w) = (w & -w).bit_length() - 1 drops.
+            a_m = m2.bit_count() - (mm1 & -mm1).bit_length()
+            last = 0  # the previous match's r, whose binomial C(r+m-2, m-2) is carried
             for r in range(max(3, k_start - A_MINUS1_MAX), hi):
-                # Filter 1: a = nu2(B(m, r)) in the closed form of l_quantity_nu2, with
-                # _bracket_ratio's weight 8N(N-1) - 6r(N-1) + r(r-1) regrouped.
-                N = m + r
-                den = N * (N - 1)
-                weight = 8 * den - r * (6 * N - 5 - r)
-                a = m_bits + r.bit_count() - N.bit_count()
-                a += (weight & -weight).bit_length() - (den & -den).bit_length()
+                # Filter 1: a = nu2(B(m, r)), Kummer on C(r+m-2, m-2) plus nu2(w) - nu2(m(m-1)).
+                top = r + m2
+                w = (3 * r + w_lin) * r + w_const
+                a = a_m + r.bit_count() - top.bit_count() + (w & -w).bit_length()
                 k = r + a - 1
                 if not (k & 1 and lo < k < hi and 1 <= a <= A_MINUS1_MAX + 1):
                     continue
-                # B = C(m+r, m) weight / den, the binomial stepped from the last
-                # match's: C(m+r, m) = C(m+last, m) perm(m+r, r-last) / perm(r, r-last).
+                # Exact B, the binomial stepped from the last match's:
+                # C(r+m-2, m-2) = C(last+m-2, m-2) perm(r+m-2, r-last) / perm(r, r-last).
                 if last:
-                    binom, rem = divmod(binom * math.perm(N, r - last), math.perm(r, r - last))
+                    binom, rem = divmod(binom * math.perm(top, r - last), math.perm(r, r - last))
                     if rem:
                         raise AssertionError("inexact binomial step for m=%d r=%d" % (m, r))
                 else:
-                    binom = math.comb(N, m)
+                    binom = math.comb(top, m2)
                 last = r
-                q, rem = divmod(binom * weight, den)
+                q, rem = divmod(binom * w, mm1)
                 if rem:
                     raise AssertionError("inexact bracket for m=%d r=%d" % (m, r))
                 if (q & -q).bit_length() - 1 != a:

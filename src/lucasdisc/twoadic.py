@@ -21,8 +21,9 @@ sign * odd * 2^shift; when shift < E that pins nu2(L(n)) = shift.
 |disc| = (2^(k+1) k^k - (k+1)^(k+1)) / (k-1)^2.  The lemma suites
 read both, the campaigns :func:`disc_match`.  The r >= 3 campaign
 carries B along one m's increasing r itself
-(``campaigns.campaign_case3``), with the same bracket as
-:func:`l_quantity` and the exponent of :func:`l_quantity_nu2`.
+(``campaigns.campaign_case3``), with :func:`l_quantity`'s bracket and
+:func:`l_quantity_nu2`'s exponent regrouped over C(r+m-2, m-2) and
+m(m-1).
 
 Valuations use the convention nu2(0) = infinity (``math.inf``).
 """

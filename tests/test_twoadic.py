@@ -95,6 +95,40 @@ def test_factored_form_property(m, r):
         assert l_quantity(m, r) == four_binomial_q(m, r)
 
 
+def regrouped_b_and_nu2(m, r):
+    """B(m, r) and its nu2 as the r >= 3 campaign forms them, for m >= 2.
+
+    C(m+r, m) / ((m+r)(m+r-1)) = C(r+m-2, m-2) / (m(m-1)), and the
+    bracket's weight written in r is w = 3r^2 + (10m-3)r + 8m(m-1).  The
+    valuation is Kummer's on C(r+m-2, m-2) plus nu2(w) - nu2(m(m-1)).
+    """
+    w = 3 * r * r + (10 * m - 3) * r + 8 * m * (m - 1)
+    q, rem = divmod(math.comb(r + m - 2, m - 2) * w, m * (m - 1))
+    assert rem == 0, (m, r)
+    a = (m - 2).bit_count() + r.bit_count() - (r + m - 2).bit_count() + nu2(w) - nu2(m * (m - 1))
+    return q, a
+
+
+def test_regrouped_form_grid():
+    for m in range(2, 61):
+        for r in range(301):
+            assert regrouped_b_and_nu2(m, r) == (l_quantity(m, r), l_quantity_nu2(m, r)), (m, r)
+
+
+def test_regrouped_form_near_powers_of_two():
+    # A seeded sample of the r the r >= 3 campaign visits for each m of its band.
+    rng = random.Random(37)
+    for m in range(8, 58):
+        for r in rng.sample(range(max(3, (1 << m) - 300 - A_MINUS1_MAX), (1 << m) + 300), 12):
+            assert regrouped_b_and_nu2(m, r) == (l_quantity(m, r), l_quantity_nu2(m, r)), (m, r)
+
+
+@given(st.integers(min_value=2, max_value=80), st.integers(min_value=0, max_value=1 << 64))
+@settings(max_examples=100, deadline=None)
+def test_regrouped_form_property(m, r):
+    assert regrouped_b_and_nu2(m, r) == (l_quantity(m, r), l_quantity_nu2(m, r))
+
+
 @pytest.mark.parametrize("m", range(2, 61))
 def test_l_quantity_nu2_grid(m):
     for r in range(3, 301):
