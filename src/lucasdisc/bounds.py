@@ -92,9 +92,14 @@ def _ln2(digits: int) -> Decimal:
     return Decimal(2).ln(Context(prec=digits))
 
 
+def _prec(k: int) -> int:
+    """A decimal precision, in significant digits, 80 bits past k's bit length."""
+    return math.ceil((k.bit_length() + 80) * math.log10(2)) + 2
+
+
 def _w(k: int) -> Decimal:
     """w(k) = k + (k-2) log2(k) - 1/10 to 80 bits past k's bit length, for display only."""
-    digits = math.ceil((k.bit_length() + 80) * math.log10(2)) + 2
+    digits = _prec(k)
     with localcontext(Context(prec=digits)):
         return (k - Decimal("0.1")) + (k - 2) * Decimal(k).ln() / _ln2(digits)
 
@@ -254,7 +259,8 @@ def bound_profile(k: int) -> BoundProfile:
     """Assemble the per-k bound profile (k > 200)."""
     n_lo, n_hi = n_window(k)
     m_lo, m_hi = _m_envelope(k)
-    a_max = math.floor(6 * math.log(k) + 2)
+    with localcontext(Context(prec=_prec(k))):
+        a_max = int(6 * Decimal(k).ln() + 2)  # floor, the sum being positive
     matveev = solve_matveev_k_bound()
     return BoundProfile(
         k=k,

@@ -22,19 +22,16 @@ implies at each k live in :mod:`lucasdisc.bounds`; the window is
 decided by the integer l(k) = floor(10(k-2) log2 k).
 
 Determinism policy: every count, candidate, and survivor reported here
-is decided by exact integer arithmetic; no float takes part, so reports
-are reproducible across shard layouts and worker counts.  The shard
-reports of one complete layout merge into the same bytes as an
-unsharded run (timing aside), so
-:func:`search`, the one call that runs a campaign, may split it freely.
+is decided by exact integer arithmetic; no float takes part.  The shard
+reports of one complete layout merge into the same bytes as an unsharded
+run (timing aside), so :func:`search`, the one call that runs a
+campaign, may split it into any number of shards.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import multiprocessing
-import os
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -525,57 +522,14 @@ def shard(campaign: str, piece: int, of: int, **params) -> CampaignReport:
 
 
 def search(campaign: str, workers: int = 1, **params) -> CampaignReport:
-    """Run ``campaign`` as at most ``workers`` shards and merge them.
-
-    Piece 0 runs in this process; each other piece runs in a process of its
-    own, at most ``os.cpu_count()`` in all.  Every started process is
-    terminated and joined before this returns or raises.
-    """
+    """Run ``campaign`` as ``workers`` shards in this process and merge them into the unsharded bytes."""
     if campaign not in _CAMPAIGNS:
         raise ValueError("unknown campaign %r; expected one of %s" % (campaign, CAMPAIGN_NAMES))
     if workers < 1:
         raise ValueError("need workers >= 1, got %d" % (workers,))
-    workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1:
+    if workers == 1:
         return _CAMPAIGNS[campaign](**params)
-    started = []
-    try:
-        for piece in range(1, workers):
-            receiver, sender = multiprocessing.Pipe(duplex=False)
-            proc = multiprocessing.Process(target=_piece, args=(sender, campaign, piece, workers, params))
-            proc.start()
-            sender.close()  # so a worker that dies leaves recv() an EOFError
-            started.append((piece, proc, receiver))
-        reports = [shard(campaign, 0, workers, **params)]
-        for piece, _, receiver in started:
-            try:
-                result = receiver.recv()
-            except EOFError:
-                raise RuntimeError("piece %d of %d exited without a report" % (piece, workers)) from None
-            if isinstance(result, Exception):
-                raise result
-            result.candidates = list(map(CandidatePair._make, result.candidates))
-            reports.append(result)
-    finally:
-        for _, proc, receiver in started:
-            proc.terminate()
-            proc.join()
-            receiver.close()
-    return merge_reports(reports)
-
-
-def _piece(sender, campaign: str, piece: int, of: int, params: dict) -> None:
-    """A worker process of :func:`search`: send one shard's report, or the exception it raised.
-
-    The rows go as plain tuples, which pickle several times faster than
-    namedtuples; :func:`search` rebuilds them.
-    """
-    try:
-        report = shard(campaign, piece, of, **params)
-        report.candidates = list(map(tuple, report.candidates))
-    except Exception as exc:
-        report = exc
-    sender.send(report)
+    return merge_reports([shard(campaign, piece, workers, **params) for piece in range(workers)])
 
 
 def merge_reports(reports: list[CampaignReport]) -> CampaignReport:

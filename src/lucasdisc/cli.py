@@ -18,8 +18,7 @@ Exit codes: 0 on success (and zero survivors for ``search``), 1 when a
 search reports survivors or an invariant suite fails, 2 on usage or
 domain errors and on an output file that cannot be written, 3 when a
 search meets a comparison it cannot decide at the precision cap, 4 on
-an internal error (a failed self-check assertion, a worker that exits
-without a report).
+an internal error (a failed self-check assertion).
 """
 
 from __future__ import annotations
@@ -227,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="shards to run, one in this process and each other in its own, at most os.cpu_count() in all, and merge (default: 1)",
+        help="split the search into N shards, run them in this process and merge them into the same bytes (default: 1)",
     )
     shared.add_argument("--format", choices=["jsonl", "human"], default="human")
     shared.add_argument("--output", help="write the report here instead of stdout")
@@ -260,7 +259,7 @@ def run(argv: list[str] | None = None) -> int:
     except PrecisionError as exc:
         print("undecided: %s" % exc, file=sys.stderr)
         return 3
-    except Exception as exc:  # a failed self-check or a worker lost without a report: a bug to trace
+    except Exception as exc:  # a failed self-check: a bug to trace
         import traceback  # here, so that start-up does not pay for it
 
         traceback.print_exc()

@@ -67,3 +67,8 @@ def test_runtime_runs_without_mpmath():
 
 def test_package_import_leaves_the_cli_out():
     run_python("import lucasdisc, sys; assert 'lucasdisc.cli' not in sys.modules")
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # search runs its shards in this process, so no CLI call pays for the import.
+    run_python("import lucasdisc.cli, sys; assert 'multiprocessing' not in sys.modules")
