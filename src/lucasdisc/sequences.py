@@ -4,10 +4,10 @@ Two initializations of the same recurrence
 
     a(n) = a(n-1) + a(n-2) + ... + a(n-k),    k >= 2,
 
-are provided.  The Fibonacci-type family starts with
-F(2-k) = ... = F(0) = 0, F(1) = 1; the Lucas-type family starts with
-L(2-k) = ... = L(-1) = 0, L(0) = 2, L(1) = 1.  Indices below 2-k are
-outside the domain.  Everything here is exact integer arithmetic.
+are provided, each fixed by its two heads (a(0), a(1)): (0, 1) for the
+Fibonacci-type family F and (2, 1) for the Lucas-type family L, with
+a(2-k) = ... = a(-1) = 0 before them.  Indices below 2-k are outside the
+domain.  Everything here is exact integer arithmetic.
 
 Useful closed pieces, all checked by the test suite and by
 ``lucasdisc.lemmas``:
@@ -20,10 +20,11 @@ Useful closed pieces, all checked by the test suite and by
 
       sum_{n >= 0} a(n) x^n = (c0 + c1 x + c2 x^2) / (1 - 2x + x^(k+1)),
 
-  with (c0, c1, c2) = (2, -3, 1) for Lucas and (0, 1, -1) for Fibonacci
-  (the form over 1 - x - ... - x^k, both sides times 1 - x), so expanding
-  1/(1 - x(2 - x^k)) gives, with N = n - jk and binomials that vanish
-  when the top is below the bottom,
+  with (c0, c1, c2) = (a(0), a(1) - 2 a(0), a(0) - a(1)) read off the
+  heads: (2, -3, 1) for Lucas and (0, 1, -1) for Fibonacci (the form
+  a(0) + (a(1) - a(0)) x over 1 - x - ... - x^k, both sides times 1 - x).
+  So expanding 1/(1 - x(2 - x^k)) gives, with N = n - jk and binomials
+  that vanish when the top is below the bottom,
 
       4 a(n) = sum_{0 <= j <= n/(k+1)} (-1)^j 2^(n - j(k+1))
                [4 c0 C(N, j) + 2 c1 C(N-1, j) + c2 C(N-2, j)]    (n >= 2).
@@ -48,9 +49,10 @@ __all__ = [
 FIBONACCI = "fibonacci"
 LUCAS = "lucas"
 
-_FAMILIES = (FIBONACCI, LUCAS)
+_HEADS = {FIBONACCI: (0, 1), LUCAS: (2, 1)}  # a(0), a(1); every earlier value is 0
 
-_HEADS = {FIBONACCI: [0, 1], LUCAS: [2, 1]}  # a(0), a(1); every earlier initial value is 0
+# (c0, c1, c2) of the generating-function numerator (module docstring).
+_NUMERATOR = {family: (a0, a1 - 2 * a0, a0 - a1) for family, (a0, a1) in _HEADS.items()}
 
 
 @dataclass(frozen=True)
@@ -63,16 +65,12 @@ class SeqParams:
     def __post_init__(self) -> None:
         if self.k < 2:
             raise ValueError("order k must be at least 2, got %r" % (self.k,))
-        if self.family not in _FAMILIES:
-            raise ValueError("family must be one of %s, got %r" % (_FAMILIES, self.family))
+        if self.family not in _HEADS:
+            raise ValueError("family must be one of %s, got %r" % (tuple(_HEADS), self.family))
 
     @property
     def min_index(self) -> int:
         return 2 - self.k
-
-    def initial_values(self) -> list[int]:
-        """a(2-k) .. a(1): k - 2 zeros, then a(0) and a(1)."""
-        return [0] * (self.k - 2) + _HEADS[self.family]
 
 
 # First k at which term() takes the closed form instead of the walk, where
@@ -115,15 +113,11 @@ def _power_min_n(k: int) -> int:
     return max(_POWER_MIN_N, k**3)
 
 
-# (c0, c1, c2) of the generating-function numerator (module docstring).
-_NUMERATOR = {LUCAS: (2, -3, 1), FIBONACCI: (0, 1, -1)}
-
-
 def term(params: SeqParams, n: int) -> int:
     """Exact term at index ``n`` (``n >= 2 - k``).
 
-    Indices n < 2 are the stored initial values.  For k <= 16 and
-    n >= max(1,000, k^3) (:func:`_power_min_n`) the term is read off
+    Indices n < 2 are read off the heads: a(0), a(1), and 0 below them.
+    For k <= 16 and n >= max(1,000, k^3) (:func:`_power_min_n`) it is read off
     x^h mod the characteristic polynomial, h = (n+k-2) // 2
     (:func:`_power_form`): about log2(n) - 1 squarings of k coefficients,
     then k products of n/2-bit integers.  Otherwise, for k >= 8 it is the
@@ -136,7 +130,7 @@ def term(params: SeqParams, n: int) -> int:
     if n < params.min_index:
         raise ValueError("index %d below domain minimum %d" % (n, params.min_index))
     if n < 2:
-        return params.initial_values()[n - params.min_index]
+        return _HEADS[params.family][n] if n >= 0 else 0
     if params.k <= _POWER_MAX_K and n >= _power_min_n(params.k):
         return _power_form(params, n)
     if params.k < _CLOSED_FORM_MIN_K:
@@ -148,7 +142,8 @@ def _power_form(params: SeqParams, n: int) -> int:
     """Term n >= 2 from x^h mod P(x), h = floor(e/2), e = n + k - 2 (Fiduccia's method).
 
     With P(x) = x^k - x^(k-1) - ... - 1 and x^m = sum c_i x^i mod P, the
-    term a(2-k+m) is sum c_i a(2-k+i) over the initial values.  x^h comes
+    term a(2-k+m) is sum c_i a(2-k+i) over a(2-k) .. a(1), all 0 but the
+    heads, so a(2-k+m) = c[k-2] a(0) + c[k-1] a(1).  x^h comes
     from x by one squaring per remaining bit of h, plus one multiply by x
     (:func:`_times_x`) on each 1-bit.  A squaring is schoolbook with each
     cross product taken once and doubled; the product, of degree 2k-2, is
@@ -160,9 +155,9 @@ def _power_form(params: SeqParams, n: int) -> int:
 
     The last squaring, k(k+1)/2 products of n/2-bit coefficients, is not
     taken.  Instead c times x^i, i = 0..k-1, one more multiply by x each,
-    gives the consecutive terms T_i = a(h+2-k+i) as dot products with the
-    initial values, and a(n) = sum c_i T_i: k products.  For odd e, c is
-    first multiplied by x once more.
+    gives the consecutive terms T_i = a(h+2-k+i), two products each, and
+    a(n) = sum c_i T_i: k products.  For odd e, c is first multiplied by
+    x once more.
     """
     k = params.k
     e = n + k - 2
@@ -186,10 +181,10 @@ def _power_form(params: SeqParams, n: int) -> int:
             c = _times_x(c)
     if min(c) < 0:
         raise AssertionError("negative coefficient of x^h mod P for k=%d n=%d" % (k, n))
-    init = params.initial_values()
+    a0, a1 = _HEADS[params.family]
     window, d = [], c
     for _ in range(k):
-        window.append(sum(di * v for di, v in zip(d, init)))
+        window.append(a0 * d[-2] + a1 * d[-1])
         d = _times_x(d)
     if e & 1:
         c = _times_x(c)
@@ -262,11 +257,12 @@ def term_iter(params: SeqParams, n_start: int = 0) -> Iterator[tuple[int, int]]:
     """
     if n_start < params.min_index:
         raise ValueError("start index %d below domain minimum %d" % (n_start, params.min_index))
-    init = params.initial_values()  # n = 2-k..1
     for n in range(n_start, 2):
-        yield n, init[n - params.min_index]
-    window = deque(init, maxlen=params.k)  # appending drops the oldest term
-    window_sum = sum(init)
+        yield n, term(params, n)
+    heads = _HEADS[params.family]
+    # a(2-k) .. a(1); appending drops the oldest term
+    window = deque([0] * (params.k - 2) + list(heads), maxlen=params.k)
+    window_sum = sum(heads)
     n = 1
     while True:
         n += 1

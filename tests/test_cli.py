@@ -43,6 +43,11 @@ def test_term_fibonacci(capsys):
     assert capsys.readouterr().out.strip() == "55"
 
 
+def test_term_head_at_huge_k(capsys):
+    assert run(["term", "--k", str(2**62), "--n", "0"]) == 0
+    assert capsys.readouterr().out.strip() == "2"
+
+
 @pytest.mark.parametrize(
     "command,family,k,n",
     [

@@ -221,6 +221,13 @@ def test_term_iter_first_window(family, k):
     assert values[k:] == [sum(values[:k]), sum(values[1 : k + 1])]
 
 
+@pytest.mark.parametrize("family,heads", [(FIBONACCI, (0, 1)), (LUCAS, (2, 1))])
+def test_heads_at_huge_k(family, heads):
+    # Indices below 2 are read off a(0), a(1): no k-long list is built.
+    params = SeqParams(2**62, family)
+    assert [term(params, n) for n in (-5, 0, 1)] == [0, *heads]
+
+
 def test_term_iter_start_offsets():
     params = SeqParams(k=3, family=LUCAS)
     walked = list(zip(range(4), (v for _, v in term_iter(params, 0))))
