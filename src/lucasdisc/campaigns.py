@@ -136,16 +136,18 @@ def _run(
 ) -> CampaignReport:
     """Scan this shard's units and package the result as a report.
 
-    Shard (piece, of) takes ``units[piece::of]``, so the pieces of one
-    layout partition the units.  ``scan`` returns the candidates and the
-    stage counts of its slice; candidates are sorted by (k, n) here,
-    which makes merged shards equal an unsharded run.
+    Shard (piece, of) takes the block ``units[ceil(piece n / of) : ceil((piece + 1) n / of)]``,
+    n = ``len(units)``, so the pieces of one layout partition the units into
+    consecutive runs, and piece 0 takes the first unit.  ``scan`` returns the
+    candidates and the stage counts of its slice; candidates are sorted by
+    (k, n) here, which makes merged shards equal an unsharded run.
     """
     piece, of = (0, 1) if shard is None else shard
     if of < 1 or not 0 <= piece < of:
         raise ValueError("bad shard (%r, %r): need 0 <= piece < of" % (piece, of))
     t0 = time.perf_counter()
-    candidates, stage_counts = scan(units[piece::of])
+    start, stop = (-(-i * len(units) // of) for i in (piece, piece + 1))
+    candidates, stage_counts = scan(units[start:stop])
     candidates.sort(key=itemgetter(0, 1))  # (k, n)
     if of > 1:
         ranges["shard"] = {"piece": piece, "of": of}
@@ -254,9 +256,9 @@ def campaign_case0(shard: tuple[int, int] | None = None) -> CampaignReport:
     nu2(L(n)) == 1 from k = 4 on, as E grows with k.  nu2(|disc|)
     (``disc_nu2``) is 0 for even k, checked at k = 4, and k - 1 for odd
     k, checked at k = 5, where it is 4 and grows with k: never 1.  The
-    statement is one unit of work, checked by piece 0 of any layout; a
-    failed part gives one survivor at k = 4, n = 0.  k in {2, 3} falls
-    below the useful modulus and is covered by the small campaign.
+    statement is one unit of work, the first block of any layout (piece 0,
+    :func:`_run`); a failed part gives one survivor at k = 4, n = 0.  k in
+    {2, 3} falls below the useful modulus and is covered by the small campaign.
     """
     k_lo = 4
 
@@ -510,7 +512,7 @@ CAMPAIGN_NAMES = tuple(_CAMPAIGNS)
 
 
 def shard(campaign: str, piece: int, of: int, **params) -> CampaignReport:
-    """Run one shard (piece-th residue class out of ``of``) of a campaign.
+    """Run one shard (the piece-th of ``of`` consecutive blocks of its units) of a campaign.
 
     The pieces [0, of) of one layout partition the campaign's work:
     merging the reports of that one complete layout reproduces the

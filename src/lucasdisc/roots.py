@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import lru_cache, partial
 from typing import Any, Callable, Optional
 
 from .sequences import LUCAS, SeqParams, term
@@ -151,13 +151,13 @@ def dominant_root(k: int, precision_bits: int, /) -> RootEnclosure:
 
     The endpoints are p/q and (p+1)/q at the scale q = 2^s with
     s = max(precision_bits, k - 1), where the a-priori bracket
-    [2(1 - 2^-k), 2] has integer ends.  A Newton seed guesses p; the bracket
-    [p - 1, p + 1] doubles its radius, clipped to the a-priori bracket, until
-    exact signs show it straddles the sign change, and :func:`_last_negative`
-    narrows it to one unit.  alpha is irrational, so exactly one p has
-    a negative :func:`_gap_sign` at p and a positive one at p + 1: a poor
-    seed costs time, never the answer, and the enclosure is a sign-change
-    certificate.
+    [2(1 - 2^-k), 2] has integer ends.  alpha is irrational, so exactly one
+    p has a negative :func:`_gap_sign` at p and a positive one at p + 1, and
+    the enclosure is that sign-change certificate.  A Newton seed lands on p
+    or p + 1: when exact signs show [seed - 1, seed + 1] straddles the
+    change, the sign at the seed picks the unit.  Otherwise
+    :func:`_last_negative` bisects the a-priori bracket, so a poor seed
+    costs time, never the answer.
     """
     if k < 2:
         raise ValueError("need k >= 2, got k=%d" % (k,))
@@ -167,15 +167,13 @@ def dominant_root(k: int, precision_bits: int, /) -> RootEnclosure:
     q = 1 << s
     # Within 2^-s of alpha the gap is at most about 2^(k-s) of p^k d; a power pass loses about 2 log k bits.
     w = s - k + 2 * k.bit_length() + 64
-    sign = cache(lambda x: _gap_sign(k, x, s, w))
     bottom, top = 2 * q - (1 << (s + 1 - k)), 2 * q
-    p = min(max(_seed_numerator(k, s), bottom), top)
-    radius = 1
-    lo, hi = max(p - radius, bottom), min(p + radius, top)
-    while not (sign(lo) < 0 < sign(hi)) and (lo, hi) != (bottom, top):
-        radius *= 2
-        lo, hi = max(p - radius, bottom), min(p + radius, top)
-    p = _last_negative(sign, lo, hi)
+    p = _seed_numerator(k, s)
+    if bottom < p < top and _gap_sign(k, p - 1, s, w) < 0 < _gap_sign(k, p + 1, s, w):
+        if _gap_sign(k, p, s, w) > 0:
+            p -= 1
+    else:
+        p = _last_negative(lambda x: _gap_sign(k, x, s, w), bottom, top)
     return RootEnclosure(k, Fraction(p, q), Fraction(p + 1, q), precision_bits)
 
 

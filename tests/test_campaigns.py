@@ -151,6 +151,17 @@ def test_small_walk_reports_a_planted_equality(k, n, compared_at_k, monkeypatch)
         assert j != k or n in compared
 
 
+def test_small_validation():
+    with pytest.raises(ValueError, match="need k_max >= 2"):
+        campaign_small(k_max=1)
+
+
+def test_case0_statement_is_piece_0_of_any_layout():
+    for of in (1, 2, 3, 50):
+        counts = [shard("case0", piece, of).stage_counts[0] for piece in range(of)]
+        assert counts == [("statements_checked", 1)] + [("statements_checked", 0)] * (of - 1), of
+
+
 def test_case0_clash_holds_for_every_k_from_4():
     report = campaign_case0()
     assert report.stage_counts == [("statements_checked", 1), ("clashes_missing", 0)]
@@ -298,6 +309,23 @@ def test_case12_full_run_calls_ell_once_per_distinct_k(monkeypatch):
     report = campaign_case12()
     assert report.stage_counts[1] == ("window_residue_pairs", CASE12_FULL_PAIRS)
     assert len(calls) == len(set(calls)) < 600
+
+
+def test_case12_shards_bisect_only_their_own_k(monkeypatch):
+    # Each shard is one block of consecutive even k, so its m band is that
+    # block's; with strided shards each spanned the whole k range, and two
+    # shards made 595 calls where one run makes 323.
+    calls = []
+
+    def counted(k):
+        calls.append(k)
+        return _ell(k)
+
+    monkeypatch.setattr(campaigns, "_ell", counted)
+    monkeypatch.setattr(bounds, "_ell", counted)
+    report = search("case12", 2)
+    assert report.stage_counts[1] == ("window_residue_pairs", CASE12_FULL_PAIRS)
+    assert len(calls) < 400
 
 
 def test_case12_up_to_the_k_cap():
@@ -458,6 +486,23 @@ def test_case3_rejects_an_inexact_binomial_step(monkeypatch):
     monkeypatch.setattr(math, "perm", lambda n, j: perm(n, j) + 1)
     m_lo, m_hi = m_range(K_CAP)
     with pytest.raises(AssertionError, match="inexact binomial step"):
+        campaign_case3(shard=(9 - m_lo, m_hi - m_lo + 1))
+
+
+@pytest.mark.parametrize(
+    "plant, message",
+    [
+        (lambda comb: lambda n, j: comb(n, j) + 1, "inexact bracket"),
+        (lambda comb: lambda n, j: 2 * comb(n, j), "closed-form nu2"),
+    ],
+    ids=["plus_one", "doubled"],
+)
+def test_case3_rejects_a_wrong_first_binomial(monkeypatch, plant, message):
+    # m = 9's first match seeds its binomial with math.comb: one too large
+    # leaves B inexact, doubled leaves B exact with nu2 one too high.
+    monkeypatch.setattr(math, "comb", plant(math.comb))
+    m_lo, m_hi = m_range(K_CAP)
+    with pytest.raises(AssertionError, match=message):
         campaign_case3(shard=(9 - m_lo, m_hi - m_lo + 1))
 
 

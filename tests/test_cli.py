@@ -203,6 +203,21 @@ def test_usage_errors(capsys):
     assert run(["search", "case3", "--k-lo", "300"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["search", "small", "--k-max", "1"], "need k_max >= 2, got 1"),
+        (["root", "--k", "1"], "need k >= 2, got k=1"),
+        (["root", "--k", "5", "--precision-bits", "15"], "precision_bits must be at least 16"),
+        (["disc", "--k", "1"], "need k >= 2, got k=1"),
+    ],
+    ids=["small", "root-k", "root-bits", "disc"],
+)
+def test_domain_errors_below_the_smallest_k_or_precision_exit_two(argv, message, capsys):
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+
 def test_search_help_lists_only_the_campaigns_own_options(capsys):
     assert run(["search", "case3", "--help"]) == 0
     out = capsys.readouterr().out

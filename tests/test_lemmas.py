@@ -1,5 +1,8 @@
 """The self-check suites should all pass, and reject bad suite names/scales."""
 
+from dataclasses import replace
+from fractions import Fraction
+
 import pytest
 
 from lucasdisc import lemmas, roots, sequences
@@ -106,6 +109,16 @@ def _disc_in_window(discriminant):
     return lambda k: term(SeqParams(k, LUCAS), window_integers(k)[1]) if k == 202 else discriminant(k)
 
 
+def _widened(dominant_root):
+    """``dominant_root`` with each enclosure's upper end moved up by its width."""
+
+    def faulty(k, bits):
+        enc = dominant_root(k, bits)
+        return replace(enc, hi=enc.hi + enc.width())
+
+    return faulty
+
+
 # (suite, name in lemmas, fault built from the original, failure detail expected)
 FAULTS = [
     ("recurrence", "term", lambda term: lambda p, n: term(p, n) + (n == 7), "term() disagrees with term_iter()"),
@@ -138,6 +151,52 @@ FAULTS = [
     ),
     ("window_brackets", "discriminant", _disc_in_window, "term in window equals |disc|"),
     ("small_k_cross_validation", "lucas_congruence_parts", _shift_one_cell, "congruence violated"),
+    (
+        "recurrence",
+        "term_iter",
+        lambda walk: lambda p, n0=0: ((n, v + (n == 7)) for n, v in walk(p, n0)),
+        "term != sum of k predecessors",
+    ),
+    ("doubling_shift", "LUCAS", lambda lucas: sequences.FIBONACCI, "head term != 3*2^(n-2)"),
+    (
+        "quantity_factorization",
+        "l_quantity_nu2",
+        lambda nu: lambda m, r: nu(m, r) + ((m, r) == (3, 5)),
+        "closed-form valuation mismatch",
+    ),
+    (
+        "root_enclosure",
+        "dominant_root",
+        lambda root: lambda k, bits: replace(root(k, bits), hi=Fraction(2)),
+        "enclosure outside (2 - 2^(1-k), 2)",
+    ),
+    ("root_enclosure", "dominant_root", _widened, "width above 2^-precision"),
+    ("root_enclosure", "growth_bounds_check", lambda check: lambda k, n: check(k, n) and n != 5, "growth bounds fail"),
+    (
+        "root_enclosure",
+        "binet_error_check",
+        lambda check: lambda k, n: check(k, n) and n != 5,
+        "dominant-term error above 3/2",
+    ),
+    (
+        "root_enclosure",
+        "binet_vs_power2_check",
+        lambda check: lambda k, n: check(k, n) and k != 7,
+        "power-of-two comparison fails",
+    ),
+    ("window_brackets", "term", lambda term: lambda p, n: term(p, n - 5), "term above window ceiling <= |disc|"),
+    (
+        "small_k_cross_validation",
+        "discriminant",
+        lambda disc: lambda k: term(SeqParams(k, LUCAS), 3 * k) if k == 9 else disc(k),
+        "unexpected equality with |disc|",
+    ),
+    (
+        "small_k_cross_validation",
+        "disc_nu2",
+        lambda nu: lambda k: nu(k) + (k == 9),
+        "discriminant valuation mismatch",
+    ),
 ]
 
 

@@ -524,6 +524,13 @@ def test_growth_bounds_grid(k, n):
     assert growth_bounds_check(k, n)
 
 
+def test_dominant_root_domain():
+    with pytest.raises(ValueError, match="need k >= 2"):
+        dominant_root(1, 128)
+    with pytest.raises(ValueError, match="at least 16"):
+        dominant_root(5, 15)
+
+
 def test_growth_bounds_domain():
     with pytest.raises(ValueError):
         growth_bounds_check(5, -1)

@@ -370,6 +370,11 @@ def test_disc_nu2_against_exact(k):
     assert disc_nu2(k) == (0 if k % 2 == 0 else k - 1)
 
 
+def test_disc_nu2_domain():
+    with pytest.raises(ValueError, match="need k >= 2"):
+        disc_nu2(1)
+
+
 def test_domain_errors():
     with pytest.raises(ValueError):
         lucas_congruence_parts(1, 0, 0)
